@@ -74,24 +74,33 @@ class LayeredDag:
         self.work = work
 
 
-def _in_candidates(fg: FlowGraph, x: int) -> list[int]:
-    """In-neighbours of ``x`` in the internal (token) node space."""
-    aux_base = fg.aux_base
-    if x >= aux_base:
-        return fg.fam_members[x - aux_base]
-    if x == fg.t_id:
-        cands = list(fg.t_in_direct)
-        cands.extend(range(aux_base, aux_base + fg.n_families))
-        return cands
-    return fg.in_neighbors(x)
+# The core edges are read straight off the graph and the matching.  A
+# matched source copy's only in-neighbour is its mate's destination copy,
+# so the matched pair always sits in consecutive BFS levels with the
+# destination copy first: scanning ``out_adj`` or ``in_adj`` without
+# skipping the matched edge never links two nodes in the wrong direction.
+
+
+def _in_view(fg: FlowGraph, x: int) -> list[int]:
+    """In-neighbours of ``x`` in the internal node space; for a
+    destination copy this includes its matched source copy (see above)."""
+    n = fg.n
+    if x < n:
+        v = fg.mate_of_src[x]
+        return [fg.s_id] if v < 0 else [n + v]
+    if x < 2 * n:
+        cands = fg.in_adj[x - n]
+        extra = fg.extra_in.get(x)
+        return cands + extra if extra else cands
+    return fg.extra_in[x]
 
 
 def _run_bfs(fg: FlowGraph) -> tuple[LayeredDag | None, int]:
-    aux_base = fg.aux_base
-    size = aux_base + fg.n_families
+    n = fg.n
+    n2 = 2 * n
+    size = fg.aux_base + fg.n_families
     s_id, t_id = fg.s_id, fg.t_id
-    adj = fg.adj
-    fam_of = fg.family_of_node
+    out_adj, mate_dst, extra_out = fg.out_adj, fg.mate_of_dst, fg.extra_out
     dist = [-1] * size
     dist[s_id] = 0
     frontier = [s_id]
@@ -101,25 +110,30 @@ def _run_bfs(fg: FlowGraph) -> tuple[LayeredDag | None, int]:
         d += 1
         nxt: list[int] = []
         for x in frontier:
-            work += 1
-            if x >= aux_base:
-                # slack family token: its only edge leads to t
-                if dist[t_id] < 0:
-                    dist[t_id] = d
+            if x < n:
+                nbrs = out_adj[x]
+                work += len(nbrs) + 1
+                for v in nbrs:
+                    y = n + v
+                    if dist[y] < 0:
+                        dist[y] = d
+                        nxt.append(y)
                 continue
-            nbrs = adj[x]
-            work += len(nbrs)
+            if x < n2:
+                u = mate_dst[x - n]
+                if u >= 0:
+                    work += 2
+                    if dist[u] < 0:
+                        dist[u] = d
+                        nxt.append(u)
+                    continue
+            nbrs = extra_out[x]
+            work += len(nbrs) + 1
             for w in nbrs:
                 if dist[w] < 0:
                     dist[w] = d
                     if w != t_id:
                         nxt.append(w)
-            f = fam_of[x]
-            if f >= 0:
-                token = aux_base + f
-                if dist[token] < 0:
-                    dist[token] = d
-                    nxt.append(token)
         frontier = nxt
     if dist[t_id] < 0:
         return None, work
@@ -134,12 +148,12 @@ def _run_bfs(fg: FlowGraph) -> tuple[LayeredDag | None, int]:
     stack = [t_id]
     while stack:
         x = stack.pop()
-        dx = dist[x]
-        cands = _in_candidates(fg, x)
+        level = dist[x] - 1
+        cands = _in_view(fg, x)
         work += len(cands) + 1
         count = 0
         for u in cands:
-            if dist[u] == dx - 1:
+            if dist[u] == level:
                 count += 1
                 if not useful[u]:
                     useful[u] = 1
@@ -167,17 +181,20 @@ def extract_paths(dag: LayeredDag) -> PathSet:
     DAG.
     """
     fg = dag.fg
+    n = fg.n
+    n2 = 2 * n
     aux_base = fg.aux_base
     s_id, t_id = fg.s_id, fg.t_id
+    out_adj, mate_dst, extra_out = fg.out_adj, fg.mate_of_dst, fg.extra_out
     dist = dag.dist
     useful = dag.useful
     indeg = dag.indeg
     alive = bytearray(b"\x01") * dag.size
     work = 0
 
+    # A family token dies once its useful in-degree drains to zero.
     direct = [x for x in fg.t_in_direct if useful[x]]
     fams = [f for f in range(fg.n_families) if useful[aux_base + f]]
-    fam_live = [indeg[aux_base + f] for f in range(fg.n_families)]
     fam_used = [0] * fg.n_families
     member_ptr = [0] * fg.n_families
     dptr = 0
@@ -187,13 +204,12 @@ def extract_paths(dag: LayeredDag) -> PathSet:
     while True:
         while dptr < len(direct) and not alive[direct[dptr]]:
             dptr += 1
-        use_f = -1
         if dptr < len(direct):
             cur = direct[dptr]
             rev = [t_id, cur]
         else:
             while fptr < len(fams) and (
-                fam_live[fams[fptr]] <= 0 or fam_used[fams[fptr]] >= fg.fam_cap[fams[fptr]]
+                not alive[aux_base + fams[fptr]] or fam_used[fams[fptr]] >= fg.fam_cap[fams[fptr]]
             ):
                 fptr += 1
             if fptr == len(fams):
@@ -210,7 +226,7 @@ def extract_paths(dag: LayeredDag) -> PathSet:
             cur = members[p]
             rev = [t_id, slack, cur]
         while cur != s_id:
-            cands = _in_candidates(fg, cur)
+            cands = _in_view(fg, cur)
             work += len(cands)
             level = dist[cur] - 1
             best = -1
@@ -230,19 +246,29 @@ def extract_paths(dag: LayeredDag) -> PathSet:
                 queue.append(x)
         while queue:
             x = queue.pop()
-            work += 1
             dx1 = dist[x] + 1
-            nbrs = fg.adj[x]
-            work += len(nbrs)
+            if x < n:
+                nbrs = out_adj[x]
+                work += len(nbrs) + 1
+                for v in nbrs:
+                    w = n + v
+                    if dist[w] == dx1 and useful[w] and alive[w]:
+                        indeg[w] -= 1
+                        if indeg[w] == 0:
+                            alive[w] = 0
+                            queue.append(w)
+                continue
+            if x < n2 and mate_dst[x - n] >= 0:
+                nbrs = (mate_dst[x - n],)
+            else:
+                nbrs = extra_out[x]
+            work += len(nbrs) + 1
             for w in nbrs:
                 if w != t_id and dist[w] == dx1 and useful[w] and alive[w]:
                     indeg[w] -= 1
                     if indeg[w] == 0:
                         alive[w] = 0
                         queue.append(w)
-            f = fg.family_of_node[x]
-            if f >= 0 and dist[aux_base + f] == dx1 and useful[aux_base + f]:
-                fam_live[f] -= 1
     dag.work += work
     return paths
 

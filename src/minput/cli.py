@@ -8,6 +8,7 @@ verification failure).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -26,6 +27,20 @@ from .solver import Problem, Solution, solve
 BENCH_FAMILIES = ("erdos-renyi", "preferential", "diagonal", "chain")
 
 
+def _utf8_input(parse):
+    """Report a file that is not UTF-8 text as a ParseError."""
+
+    @functools.wraps(parse)
+    def wrapper(path, *args, **kwargs):
+        try:
+            return parse(path, *args, **kwargs)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+    return wrapper
+
+
+@_utf8_input
 def ingest_edge_list(path: str) -> SparseDigraph:
     """Parse the plain edge-list format.
 
@@ -71,6 +86,7 @@ def dump_edge_list(g: SparseDigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_utf8_input
 def ingest_matrix_market(path: str, zero_tol: float = 0.0) -> SparseDigraph:
     """Matrix Market coordinate ingestion.
 
@@ -133,6 +149,7 @@ def ingest_matrix_market(path: str, zero_tol: float = 0.0) -> SparseDigraph:
     return build_graph(dims[0], entries)
 
 
+@_utf8_input
 def read_forbidden(path: str, n: int) -> frozenset[int]:
     """Whitespace-separated forbidden vertex ids; ``#`` comments allowed."""
     forbidden = set()

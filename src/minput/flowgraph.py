@@ -1,6 +1,7 @@
-"""Auxiliary flow graph whose s -> t paths are cost-reducing augmentations.
+"""Flow graph of a matching, kept as a view of (G, M), whose s -> t paths
+are cost-reducing augmentations.
 
-Construction, for a matching M on the splitting of G:
+Edges, for a matching M on the splitting of G:
 
 * core nodes are the splitting's source and destination copies; every
   unmatched edge keeps its ``u_src -> v_dst`` direction while every
@@ -21,10 +22,16 @@ Construction, for a matching M on the splitting of G:
   unmatched members of their SCC (the component must keep at least one
   unmatched member, so only ``k - 1`` paths may drain it).
 
-Slack families are complete bipartite and would cost Theta(k^2) edges
-if materialised, so the family is stored once and expanded lazily; all
-traversals stay O(n + m).  Public accessors (``out_neighbors``,
-``explicit_edges``, ``dump``) present the fully materialised view.
+The core edges are never stored: ``g.out_adj``, ``g.in_adj`` and the
+mate arrays answer them, as the residual graph in Hopcroft-Karp is never
+stored.  A round only tabulates the other edges, which touch ``s``,
+``t``, the gateways and the unmatched destination copies, in the
+internal node space where each slack family is a single token node
+``aux_base + f`` with edges ``member -> token -> t``.  Slack families
+are complete bipartite and would cost Theta(k^2) edges if materialised;
+the token keeps every traversal O(n + m).  Public accessors
+(``out_neighbors``, ``in_neighbors``, ``explicit_edges``, ``dump``)
+present the fully materialised view.
 """
 
 from __future__ import annotations
@@ -43,6 +50,16 @@ class FlowGraph:
     ``v`` is ``n + v``; ``s`` is ``2n``, ``t`` is ``2n + 1``; gateways
     occupy ``2n + 2 .. 2n + 1 + r``; materialised slack nodes follow
     from ``aux_base = 2n + 2 + r`` onwards, grouped by family.
+
+    ``extra_out[x]`` lists the non-core out-neighbours of ``x`` in the
+    internal node space.  Every unmatched destination copy, ``s``, each
+    gateway and each family token has an entry; matched destination
+    copies and ``t`` have none.  ``extra_in[x]`` does the same for
+    in-neighbours of gateways, tokens, ``t`` and the destination copies
+    a swap or a gateway enters.  The core edges come from ``out_adj``,
+    ``in_adj``, ``mate_of_src`` and ``mate_of_dst``, shared with the
+    graph and the matching, so the view is valid only until the
+    matching changes.
     """
 
     def __init__(
@@ -59,89 +76,88 @@ class FlowGraph:
         forb = frozenset(forbidden)
         mate_src = m.mate_of_src
         mate_dst = m.mate_of_dst
+        comps = scc.comps
         r = len(cls.x_comps)
         s_id = 2 * n
         t_id = 2 * n + 1
         aux_base = 2 * n + 2 + r
+        extra_out: dict[int, list[int]] = {}
+        extra_in: dict[int, list[int]] = {}
         work = 0
 
-        adj: list[list[int]] = [[] for _ in range(aux_base)]
-        for u in range(n):
-            adj[u] = [n + v for v in g.out_adj[u] if v != mate_src[u]]
-            work += len(g.out_adj[u]) + 1
-        for v in range(n):
-            w = mate_dst[v]
-            if w >= 0:
-                adj[n + v] = [w]
-            work += 1
-
-        y_in_node = [-1] * aux_base
         for c, yfree in zip(cls.y_comps, cls.y_free):
-            targets = [n + v for v in scc.comps[c] if v != yfree and v not in forb]
-            adj[n + yfree] = targets
-            for x in targets:
-                y_in_node[x] = n + yfree
-            work += len(scc.comps[c])
+            x = n + yfree
+            targets = [n + v for v in comps[c] if v != yfree and v not in forb]
+            extra_out[x] = targets
+            via = [x]
+            for y in targets:
+                extra_in[y] = via
+            work += len(comps[c])
 
-        gate_in_node = [-1] * aux_base
-        for i, c in enumerate(cls.x_comps):
-            targets = [n + v for v in scc.comps[c] if v not in forb]
-            adj[s_id + 2 + i] = targets
-            for x in targets:
-                gate_in_node[x] = s_id + 2 + i
-            work += len(scc.comps[c])
+        from_s = [s_id]
+        gates = list(range(s_id + 2, aux_base))
+        for gate, c in zip(gates, cls.x_comps):
+            targets = [n + v for v in comps[c] if v not in forb]
+            extra_out[gate] = targets
+            extra_in[gate] = from_s
+            via = [gate]
+            for y in targets:
+                extra_in[y] = via
+            work += len(comps[c])
 
-        family_of_node = [-1] * aux_base
-        fam_comp: list[int] = []
+        to_t = [t_id]
         fam_members: list[list[int]] = []
         fam_cap: list[int] = []
         for c in scc.source_ids:
             if cls.comp_unmatched[c] < 2:
                 continue
-            members = [n + v for v in scc.comps[c] if mate_dst[v] < 0]
-            f = len(fam_comp)
+            members = [n + v for v in comps[c] if mate_dst[v] < 0]
+            token = aux_base + len(fam_members)
+            via = [token]
             for x in members:
-                family_of_node[x] = f
-            fam_comp.append(c)
+                extra_out[x] = via
+            extra_out[token] = to_t
+            extra_in[token] = members
             fam_members.append(members)
             fam_cap.append(len(members) - 1)
-            work += len(scc.comps[c])
+            work += len(comps[c])
+        work += len(scc.source_ids)
 
         t_in_direct: list[int] = []
+        comp_id = scc.comp_id
+        is_source = scc.is_source
         for v in cls.u_prime:
-            if not scc.is_source[scc.comp_id[v]]:
-                adj[n + v].append(t_id)
+            if not is_source[comp_id[v]]:
+                extra_out[n + v] = to_t
                 t_in_direct.append(n + v)
         work += len(cls.u_prime)
+        extra_in[t_id] = t_in_direct + list(range(aux_base, aux_base + len(fam_members)))
 
-        adj[s_id] = [u for u in range(n) if mate_src[u] < 0]
-        adj[s_id].extend(range(s_id + 2, aux_base))
+        s_out = [u for u, v in enumerate(mate_src) if v < 0]
+        s_out.extend(gates)
+        extra_out[s_id] = s_out
         work += n + r
 
         slack_offset = [0]
         for cap in fam_cap:
             slack_offset.append(slack_offset[-1] + cap)
 
-        self.graph = g
-        self.scc = scc
-        self.matching = m
-        self.cls = cls
-        self.forbidden = forb
         self.n = n
         self.r = r
         self.s_id = s_id
         self.t_id = t_id
         self.aux_base = aux_base
-        self.adj = adj
-        self.family_of_node = family_of_node
-        self.fam_comp = fam_comp
+        self.out_adj = g.out_adj
+        self.in_adj = g.in_adj
+        self.mate_of_src = mate_src
+        self.mate_of_dst = mate_dst
+        self.extra_out = extra_out
+        self.extra_in = extra_in
         self.fam_members = fam_members
         self.fam_cap = fam_cap
-        self.n_families = len(fam_comp)
+        self.n_families = len(fam_members)
         self.slack_offset = slack_offset
         self.t_in_direct = t_in_direct
-        self.y_in_node = y_in_node
-        self.gate_in_node = gate_in_node
         self.build_work = work
 
     def node_count(self) -> int:
@@ -160,15 +176,25 @@ class FlowGraph:
 
     def out_neighbors(self, x: int) -> list[int]:
         """Neighbours of ``x`` in the materialised view."""
-        if x >= self.aux_base:
+        n, aux_base = self.n, self.aux_base
+        if x >= aux_base:
             return [self.t_id]
-        nbrs = list(self.adj[x])
-        f = self.family_of_node[x]
-        if f >= 0:
-            nbrs.extend(self.slack_ids(f))
+        if x < n:
+            w = self.mate_of_src[x]
+            return [n + v for v in self.out_adj[x] if v != w]
+        if x < 2 * n and self.mate_of_dst[x - n] >= 0:
+            return [self.mate_of_dst[x - n]]
+        nbrs: list[int] = []
+        for y in self.extra_out.get(x, ()):
+            if y >= aux_base:
+                nbrs.extend(self.slack_ids(y - aux_base))
+            else:
+                nbrs.append(y)
         return nbrs
 
     def in_neighbors(self, x: int) -> list[int]:
+        """In-neighbours of ``x`` in the materialised view."""
+        n = self.n
         if x >= self.aux_base:
             f, _ = self._slack_family(x)
             return list(self.fam_members[f])
@@ -177,22 +203,15 @@ class FlowGraph:
             for f in range(self.n_families):
                 res.extend(self.slack_ids(f))
             return res
-        if x == self.s_id:
-            return []
-        if x >= self.s_id + 2:  # gateway
-            return [self.s_id]
-        n = self.n
-        if x >= n:  # destination copy
-            v = x - n
-            matched_to = self.matching.mate_of_dst[v]
-            res = [u for u in self.graph.in_adj[v] if u != matched_to]
-            if self.y_in_node[x] >= 0:
-                res.append(self.y_in_node[x])
-            if self.gate_in_node[x] >= 0:
-                res.append(self.gate_in_node[x])
-            return res
-        v = self.matching.mate_of_src[x]
-        return [self.s_id] if v < 0 else [n + v]
+        if x < n:
+            v = self.mate_of_src[x]
+            return [self.s_id] if v < 0 else [n + v]
+        res = []
+        if x < 2 * n:
+            matched_to = self.mate_of_dst[x - n]
+            res = [u for u in self.in_adj[x - n] if u != matched_to]
+        res.extend(self.extra_in.get(x, ()))
+        return res
 
     def explicit_edges(self) -> list[tuple[int, int]]:
         """Every edge of the materialised view, slack families expanded."""

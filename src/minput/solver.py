@@ -108,8 +108,8 @@ def solve(problem: Problem, *, check: bool = False) -> Solution | Unsolvable:
     n = g.n
     forb = frozenset(problem.forbidden)
     for v in forb:
-        if not (0 <= v < n):
-            raise IndexOutOfRange(f"forbidden vertex {v} outside [0, {n})")
+        if isinstance(v, bool) or not isinstance(v, int) or not (0 <= v < n):
+            raise IndexOutOfRange(f"forbidden vertex {v!r} is not an id in [0, {n})")
 
     iso = isolated_vertices(g)
     iso_set = set(iso)
@@ -147,6 +147,8 @@ def solve(problem: Problem, *, check: bool = False) -> Solution | Unsolvable:
         )
 
     m_opt, diag = minimize(sub, scc, sub_forb, m0, check=check)
+    for it in diag.per_iteration:  # report costs of the whole instance
+        it.cost += len(iso)
     inner = recover_input_set(scc, m_opt, sub_forb)
     if old_ids is None:
         input_set = sorted(iso + inner)

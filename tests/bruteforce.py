@@ -59,8 +59,12 @@ def max_matching_size(n_left: int, n_right: int, adj: list[list[int]]) -> int:
 
 
 class ExplicitFlow:
-    """Flow-graph stand-in with fully explicit adjacency and no slack
-    families, duck-typed for layered_bfs / extract_paths."""
+    """Flow-graph stand-in with no core nodes and no slack families,
+    duck-typed for layered_bfs / extract_paths.
+
+    With ``n = 0`` there is no graph or matching behind the view, so
+    every node's edges sit in the ``extra_out`` / ``extra_in`` tables.
+    """
 
     def __init__(self, size: int, edges: list[tuple[int, int]], s_id: int, t_id: int):
         self.n = 0
@@ -68,21 +72,67 @@ class ExplicitFlow:
         self.n_families = 0
         self.fam_members: list[list[int]] = []
         self.fam_cap: list[int] = []
-        self.fam_comp: list[int] = []
         self.slack_offset = [0]
-        self.family_of_node = [-1] * size
         self.s_id = s_id
         self.t_id = t_id
-        self.adj: list[list[int]] = [[] for _ in range(size)]
-        self._in: list[list[int]] = [[] for _ in range(size)]
+        self.out_adj: list[list[int]] = []
+        self.in_adj: list[list[int]] = []
+        self.mate_of_src: list[int] = []
+        self.mate_of_dst: list[int] = []
+        self.extra_out: dict[int, list[int]] = {x: [] for x in range(size)}
+        self.extra_in: dict[int, list[int]] = {x: [] for x in range(size)}
         for a, b in sorted(set(edges)):
-            self.adj[a].append(b)
-            self._in[b].append(a)
-        self.t_in_direct = list(self._in[t_id])
+            self.extra_out[a].append(b)
+            self.extra_in[b].append(a)
+        self.t_in_direct = list(self.extra_in[t_id])
         self.build_work = 0
 
-    def in_neighbors(self, x: int) -> list[int]:
-        return list(self._in[x])
+
+def reference_flow_edges(
+    g: SparseDigraph, comp_of: list[int], m, forbidden
+) -> tuple[int, set[tuple[int, int]]]:
+    """(node count, edge set) of the materialised flow graph, written
+    straight from the construction rules in the ``minput.flowgraph``
+    docstring.
+
+    ``comp_of`` numbers the SCCs; gateways follow the fully matched
+    source components and slack families the source components with two
+    or more unmatched members, both in ascending component number.
+    """
+    n = g.n
+    s, t = 2 * n, 2 * n + 1
+    forb = set(forbidden)
+    ncomp = max(comp_of, default=-1) + 1
+    members = [[v for v in range(n) if comp_of[v] == c] for c in range(ncomp)]
+    free = [[v for v in members[c] if m.mate_of_dst[v] < 0] for c in range(ncomp)]
+    entered = {comp_of[v] for u, v in g.edges() if comp_of[u] != comp_of[v]}
+    sources = [c for c in range(ncomp) if c not in entered]
+
+    edges: set[tuple[int, int]] = set()
+    for u, v in g.edges():
+        edges.add((n + v, u) if m.mate_of_src[u] == v else (u, n + v))
+    for u in range(n):
+        if m.mate_of_src[u] < 0:
+            edges.add((s, u))
+    gated = [c for c in sources if not free[c]]
+    for i, c in enumerate(gated):
+        gate = 2 * n + 2 + i
+        edges.add((s, gate))
+        edges.update((gate, n + v) for v in members[c] if v not in forb)
+    nxt = 2 * n + 2 + len(gated)
+    for c in sources:
+        if len(free[c]) == 1:
+            y = free[c][0]
+            edges.update((n + y, n + v) for v in members[c] if v != y and v not in forb)
+        elif len(free[c]) >= 2:
+            slack = range(nxt, nxt + len(free[c]) - 1)
+            nxt += len(slack)
+            edges.update((n + v, z) for v in free[c] for z in slack)
+            edges.update((z, t) for z in slack)
+    for c in range(ncomp):
+        if c not in sources:
+            edges.update((n + v, t) for v in free[c])
+    return nxt, edges
 
 
 def all_shortest_paths(

@@ -318,7 +318,7 @@ def test_criterion_7_self_checks_clean(corpus, capsys):
 def test_criterion_8_scaling(capsys):
     # Wall time per size is averaged over two independent instances
     # (single draws vary +-30% in round count), each timed as the best
-    # of two runs with the garbage collector paused, timeit-style.
+    # of three runs with the garbage collector paused, timeit-style.
     sizes = [2 ** k for k in range(12, 18)]
     walls: dict[int, float] = {}
     work_ok = True
@@ -329,7 +329,7 @@ def test_criterion_8_scaling(capsys):
             g = erdos_renyi(n, 3.0 / n, random.Random(seed))
             best_wall = None
             best_sol = None
-            for _ in range(2):
+            for _ in range(3):
                 gc.collect()
                 gc.disable()
                 t0 = time.perf_counter()

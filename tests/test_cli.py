@@ -239,6 +239,27 @@ class TestRunErrors:
         assert run(["--graph", path]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_edge_list(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"3 2\n0 1\n1 \xff\n")
+        assert run(["--graph", str(path)]) == 1
+        assert "error:" in capsys.readouterr().err
+        with pytest.raises(ParseError):
+            ingest_edge_list(str(path))
+
+    def test_non_utf8_matrix_market(self, tmp_path, capsys):
+        path = tmp_path / "a.mtx"
+        path.write_bytes(b"%%MatrixMarket matrix coordinate pattern general\n% \xfe\n2 2 1\n1 2\n")
+        assert run(["--mm", str(path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_non_utf8_forbidden(self, tmp_path, capsys):
+        graph = _write(tmp_path / "g.txt", CHAIN3)
+        forb = tmp_path / "f.txt"
+        forb.write_bytes(b"1 \xc3\n")
+        assert run(["--graph", graph, "--forbidden", str(forb)]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "minput" in capsys.readouterr().out

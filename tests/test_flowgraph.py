@@ -1,6 +1,7 @@
 import random
 
-from minput import build_flow_graph, classify, find_allowed_matching, scc_decompose
+from bruteforce import reference_flow_edges
+from minput import Matching, build_flow_graph, classify, find_allowed_matching, scc_decompose
 from minput.families import erdos_renyi, random_forbidden
 
 AB = ["a", "b", "c", "d"]
@@ -191,3 +192,44 @@ class TestStructuralProperties:
         for x, y in fg.explicit_edges():
             assert x != fg.t_id
             assert y != fg.s_id
+
+
+def _random_matching(g, rng):
+    """A random, often not maximal, matching of the splitting."""
+    m = Matching(g.n)
+    edges = list(g.edges())
+    rng.shuffle(edges)
+    for u, v in edges:
+        if m.mate_of_src[u] < 0 and m.mate_of_dst[v] < 0 and rng.random() < 0.6:
+            m.add(u, v)
+    return m
+
+
+class TestImplicitView:
+    def test_matches_reference_construction(self):
+        rng = random.Random(42)
+        seen = {"gateway": 0, "swap": 0, "slack": 0}
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            g = erdos_renyi(n, rng.choice([0.15, 0.3, 0.5]), rng)
+            f = random_forbidden(n, 0.3, rng)
+            m = find_allowed_matching(g, f)
+            if m is None or rng.random() < 0.5:
+                m = _random_matching(g, rng)
+            scc = scc_decompose(g)
+            fg = build_flow_graph(g, scc, m, f)
+            count, want = reference_flow_edges(g, scc.comp_id, m, f)
+            edges = fg.explicit_edges()
+            assert fg.node_count() == count
+            assert len(edges) == len(set(edges))
+            assert set(edges) == want
+            nodes = range(fg.node_count())
+            assert {(x, y) for x in nodes for y in fg.out_neighbors(x)} == {
+                (x, y) for y in nodes for x in fg.in_neighbors(y)
+            }
+            seen["gateway"] += fg.r > 0
+            seen["slack"] += fg.n_families > 0
+            seen["swap"] += any(
+                n <= a < 2 * n and n <= b < 2 * n for a, b in edges
+            )
+        assert min(seen.values()) >= 20, seen

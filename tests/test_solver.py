@@ -78,6 +78,7 @@ class TestSolveIsolated:
         assert sol.cost == 2
         assert sorted(sol.certificate) == [(1, 2), (2, 3)]
         assert sol.b_pattern == [(0, 0), (1, 1)]
+        assert [it.cost for it in sol.diagnostics.per_iteration] == [2]
 
     def test_all_isolated(self):
         sol = solve(Problem(SparseDigraph(2, [])))
@@ -138,6 +139,9 @@ class TestSolveValidation:
             solve(Problem(g4, frozenset([4])))
         with pytest.raises(IndexOutOfRange):
             solve(Problem(g4, frozenset([-1])))
+        for bad in (True, 0.0, "0"):
+            with pytest.raises(IndexOutOfRange):
+                solve(Problem(g4, frozenset([bad])))
 
     def test_deterministic(self, g5):
         a = solve(Problem(g5, frozenset([3])))
@@ -178,6 +182,8 @@ class TestSolveRandom:
             assert sol.cost == len(sol.input_set)
             assert not set(sol.input_set) & set(f)
             assert sol.b_pattern == [(v, v) for v in sol.input_set]
+            rounds = sol.diagnostics.per_iteration
+            assert not rounds or rounds[-1].cost == sol.cost
             edge_set = set(g.edges())
             assert all(e in edge_set for e in sol.certificate)
             assert check_structural_controllability(g, sol.input_set)
