@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Collection, Sequence
+from typing import Collection
 
 from .errors import IterationBoundExceeded
 from .flowgraph import FlowGraph, build_flow_graph
@@ -81,7 +81,7 @@ class LayeredDag:
 # skipping the matched edge never links two nodes in the wrong direction.
 
 
-def _in_view(fg: FlowGraph, x: int) -> Sequence[int]:
+def _in_view(fg: FlowGraph, x: int) -> list[int]:
     """In-neighbours of ``x`` in the internal node space; for a
     destination copy this includes its matched source copy (see above)."""
     n = fg.n
@@ -91,7 +91,7 @@ def _in_view(fg: FlowGraph, x: int) -> Sequence[int]:
     if x < 2 * n:
         cands = fg.in_adj[x - n]
         extra = fg.extra_in.get(x)
-        return [*cands, *extra] if extra else cands
+        return cands + extra if extra else cands
     return fg.extra_in[x]
 
 
@@ -104,21 +104,11 @@ def _run_bfs(fg: FlowGraph) -> tuple[LayeredDag | None, int]:
     dist = [-1] * size
     dist[s_id] = 0
     frontier = [s_id]
-    # A matched destination copy's only out-neighbour is its mate's
-    # source copy, and that is the source copy's only in-neighbour, so
-    # the mate sits exactly one level deeper.  Matched destination copies
-    # therefore never enter the frontier: their mates wait in ``pending``
-    # and take their level when the search goes on to it.
-    pending: list[int] = []
     work = 0
     d = 0
-    while (frontier or pending) and dist[t_id] < 0:
+    while frontier and dist[t_id] < 0:
         d += 1
-        nxt = pending
-        for u in nxt:
-            dist[u] = d
-        work += 2 * len(nxt)
-        pending = []
+        nxt: list[int] = []
         for x in frontier:
             if x < n:
                 nbrs = out_adj[x]
@@ -127,20 +117,22 @@ def _run_bfs(fg: FlowGraph) -> tuple[LayeredDag | None, int]:
                     y = n + v
                     if dist[y] < 0:
                         dist[y] = d
-                        u = mate_dst[v]
-                        if u < 0:
-                            nxt.append(y)
-                        else:
-                            pending.append(u)
+                        nxt.append(y)
                 continue
+            if x < n2:
+                u = mate_dst[x - n]
+                if u >= 0:
+                    work += 2
+                    if dist[u] < 0:
+                        dist[u] = d
+                        nxt.append(u)
+                    continue
             nbrs = extra_out[x]
             work += len(nbrs) + 1
             for w in nbrs:
                 if dist[w] < 0:
                     dist[w] = d
-                    if n <= w < n2 and mate_dst[w - n] >= 0:
-                        pending.append(mate_dst[w - n])
-                    elif w != t_id:
+                    if w != t_id:
                         nxt.append(w)
         frontier = nxt
     if dist[t_id] < 0:
@@ -341,11 +333,6 @@ def minimize(
             raise IterationBoundExceeded(
                 f"augmentation still running after {cap} rounds on n={n}"
             )
-        if diag.iterations == 2:
-            # More rounds follow, each walking the adjacency again: switch
-            # to a packed copy.  Packing costs about two rounds at small n,
-            # so a solve that ends after one round does without it.
-            g = g.packed()
         cls = classify(scc, m)
         cur_cost = (n - m.size) + len(cls.x_comps)
         fg = build_flow_graph(g, scc, m, forb, cls)

@@ -20,9 +20,8 @@ class SparseDigraph:
     """Immutable directed graph on vertices ``0 .. n-1``.
 
     Parallel edges are collapsed; self loops are kept.  Adjacency is
-    stored both ways (``out_adj`` and ``in_adj``) as sorted lists (sorted
-    tuples in a ``packed`` copy), which makes every traversal in the
-    package deterministic.
+    stored both ways (``out_adj`` and ``in_adj``) as sorted lists, which
+    makes every traversal in the package deterministic.
 
     Parameters
     ----------
@@ -56,26 +55,6 @@ class SparseDigraph:
         self.out_adj = out_adj
         self.in_adj = in_adj
 
-    def packed(self) -> "SparseDigraph":
-        """Copy whose adjacency rows are tuples over one int object per vertex.
-
-        Ids from 257 up are heap objects, and in a graph built edge by
-        edge the rows hold separate ones, scattered over memory.  The copy
-        allocates one int per vertex, all together, and stores each row
-        inline in a tuple instead of a list with a separate item array:
-        for an Erdos-Renyi graph with n = 8192 and m = 24.6k the two
-        directions take 1.35 MB instead of 1.96 MB.  Worth it for code
-        that walks the graph many times, such as the rounds of
-        ``minimize``.
-        """
-        ids = list(range(self.n))
-        dup = SparseDigraph.__new__(SparseDigraph)
-        dup.n = self.n
-        dup.m = self.m
-        dup.out_adj = [tuple([ids[v] for v in row]) for row in self.out_adj]
-        dup.in_adj = [tuple([ids[u] for u in row]) for row in self.in_adj]
-        return dup
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges in ascending (source, destination) order."""
         for u in range(self.n):
@@ -88,9 +67,7 @@ class SparseDigraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseDigraph):
             return NotImplemented
-        return self.n == other.n and all(
-            tuple(a) == tuple(b) for a, b in zip(self.out_adj, other.out_adj)
-        )
+        return self.n == other.n and self.out_adj == other.out_adj
 
     def __repr__(self) -> str:
         return f"SparseDigraph(n={self.n}, m={self.m})"
@@ -190,11 +167,10 @@ def scc_decompose(g: SparseDigraph) -> SccInfo:
             work.pop()
             if low[v] == index[v]:
                 members = []
-                cid = len(comps)  # one int object shared by the members
                 while True:
                     w = tarjan_stack.pop()
                     on_stack[w] = 0
-                    comp_id[w] = cid
+                    comp_id[w] = len(comps)
                     members.append(w)
                     if w == v:
                         break

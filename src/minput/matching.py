@@ -284,20 +284,18 @@ class MatchClass:
 
 def classify(scc: SccInfo, m: Matching) -> MatchClass:
     ncomp = scc.n_comps
-    comp_id = scc.comp_id
     mate_dst = m.mate_of_dst
-    free = [v for v, u in enumerate(mate_dst) if u < 0]
     comp_unmatched = [0] * ncomp
-    for v in free:
-        comp_unmatched[comp_id[v]] += 1
+    for v, cid in enumerate(scc.comp_id):
+        if mate_dst[v] < 0:
+            comp_unmatched[cid] += 1
     x_comps: list[int] = []
     y_comps: list[int] = []
     y_free: list[int] = []
     z_comps: list[int] = []
     one_free = bytearray(ncomp)
-    is_source = scc.is_source
     for c in range(ncomp):
-        if is_source[c]:
+        if scc.is_source[c]:
             k = comp_unmatched[c]
             if k == 0:
                 x_comps.append(c)
@@ -309,7 +307,9 @@ def classify(scc: SccInfo, m: Matching) -> MatchClass:
                 z_comps.append(c)
         else:
             z_comps.append(c)
-    u_prime = [v for v in free if not one_free[comp_id[v]]]
+    u_prime = [
+        v for v in range(m.n) if mate_dst[v] < 0 and not one_free[scc.comp_id[v]]
+    ]
     return MatchClass(x_comps, y_comps, y_free, z_comps, u_prime, comp_unmatched)
 
 

@@ -11,6 +11,7 @@ source SCC, realise it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Collection
@@ -96,6 +97,20 @@ def recover_input_set(
     return sorted(m_opt.unmatched() + picks)
 
 
+def _vertex_id(v: object, n: int) -> int:
+    """``v`` as a plain ``int`` in ``[0, n)``; integer types such as
+    ``numpy.int64`` are accepted, ``bool`` and non-integers are not."""
+    if not isinstance(v, bool):
+        try:
+            i = operator.index(v)
+        except TypeError:
+            pass
+        else:
+            if 0 <= i < n:
+                return i
+    raise IndexOutOfRange(f"forbidden vertex {v!r} is not an id in [0, {n})")
+
+
 def solve(problem: Problem, *, check: bool = False) -> Solution | Unsolvable:
     """Solve an instance; ``check=True`` turns on per-round validation.
 
@@ -106,10 +121,7 @@ def solve(problem: Problem, *, check: bool = False) -> Solution | Unsolvable:
     """
     g = problem.graph
     n = g.n
-    forb = frozenset(problem.forbidden)
-    for v in forb:
-        if isinstance(v, bool) or not isinstance(v, int) or not (0 <= v < n):
-            raise IndexOutOfRange(f"forbidden vertex {v!r} is not an id in [0, {n})")
+    forb = frozenset(_vertex_id(v, n) for v in problem.forbidden)
 
     iso = isolated_vertices(g)
     iso_set = set(iso)

@@ -48,21 +48,6 @@ class TestSparseDigraph:
         assert a != SparseDigraph(2, [(1, 0)])
 
 
-    def test_packed_copy(self):
-        g = erdos_renyi(600, 3.0 / 600, random.Random(11))
-        p = g.packed()
-        assert p == g and g == p
-        assert (p.n, p.m) == (g.n, g.m)
-        assert [list(row) for row in p.out_adj] == g.out_adj
-        assert [list(row) for row in p.in_adj] == g.in_adj
-        assert all(isinstance(row, tuple) for row in p.out_adj + p.in_adj)
-        # one int object per vertex, shared by both directions
-        objs = {}
-        for row in p.out_adj + p.in_adj:
-            for v in row:
-                assert objs.setdefault(v, v) is v
-
-
 class TestBuildGraph:
     def test_entries_are_transposed(self):
         # A[0][0] and A[0][1] nonzero: edges 0 -> 0 and 1 -> 0

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from minput import (
@@ -142,6 +143,10 @@ class TestSolveValidation:
         for bad in (True, 0.0, "0"):
             with pytest.raises(IndexOutOfRange):
                 solve(Problem(g4, frozenset([bad])))
+        got = solve(Problem(g4, frozenset([np.int64(1)])))
+        want = solve(Problem(g4, frozenset([1])))
+        assert (got.input_set, got.certificate) == (want.input_set, want.certificate)
+        assert all(type(v) is int for pair in got.certificate for v in pair)
 
     def test_deterministic(self, g5):
         a = solve(Problem(g5, frozenset([3])))
