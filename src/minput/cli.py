@@ -19,7 +19,7 @@ from typing import TextIO
 from .errors import MinputError, NotSquare, ParseError
 from .families import chain, diagonal, erdos_renyi, preferential
 from .flowgraph import build_flow_graph
-from .graph import SparseDigraph, build_graph, induced_subgraph, isolated_vertices, scc_decompose
+from .graph import SparseDigraph, build_graph, scc_decompose
 from .matching import find_allowed_matching
 from .oracle import brute_force_min_input_set, check_structural_controllability
 from .solver import Problem, Solution, solve
@@ -170,21 +170,14 @@ def read_forbidden(path: str, n: int) -> frozenset[int]:
 
 
 def _flow_dump(problem: Problem) -> str:
-    """First-round flow graph of an instance (isolated vertices removed)."""
+    """First-round flow graph of an instance, every vertex included."""
     g = problem.graph
-    iso = set(isolated_vertices(g))
-    if iso:
-        keep = [v for v in range(g.n) if v not in iso]
-        sub, old_ids = induced_subgraph(g, keep)
-        forb = frozenset(i for i, v in enumerate(keep) if v in problem.forbidden)
-        labels = [str(v) for v in old_ids]
-    else:
-        sub, forb, labels = g, frozenset(problem.forbidden), problem.labels
-    m0 = find_allowed_matching(sub, forb)
+    forb = problem.forbidden
+    m0 = find_allowed_matching(g, forb)
     if m0 is None:
         return "# no allowed matching, flow graph undefined\n"
-    fg = build_flow_graph(sub, scc_decompose(sub), m0, forb)
-    return fg.dump(labels) + "\n"
+    fg = build_flow_graph(g, scc_decompose(g), m0, forb)
+    return fg.dump(problem.labels) + "\n"
 
 
 def _make_family(family: str, n: int, rng: random.Random) -> SparseDigraph:

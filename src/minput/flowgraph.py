@@ -47,9 +47,10 @@ class FlowGraph:
     """Flow graph for one (graph, SCC, matching) triple.
 
     Node ids: source copy of vertex ``u`` is ``u``; destination copy of
-    ``v`` is ``n + v``; ``s`` is ``2n``, ``t`` is ``2n + 1``; gateways
-    occupy ``2n + 2 .. 2n + 1 + r``; materialised slack nodes follow
-    from ``aux_base = 2n + 2 + r`` onwards, grouped by family.
+    ``v`` is ``n + v``; ``s`` is ``2n``, ``t`` is ``2n + 1``; the ``r``
+    gateways, one per fully matched source SCC, start at ``2n + 2``;
+    materialised slack nodes follow from ``aux_base = 2n + 2 + r``
+    onwards, grouped by family.
 
     ``extra_out[x]`` lists the non-core out-neighbours of ``x`` in the
     internal node space.  Every unmatched destination copy, ``s``, each
@@ -143,7 +144,6 @@ class FlowGraph:
             slack_offset.append(slack_offset[-1] + cap)
 
         self.n = n
-        self.r = r
         self.s_id = s_id
         self.t_id = t_id
         self.aux_base = aux_base

@@ -9,11 +9,26 @@ pairs while edges run from the influencing column to the influenced row.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import IndexOutOfRange
+
+
+def vertex_id(v: object, n: int, what: str) -> int:
+    """``v`` as a plain ``int`` in ``[0, n)``; integer types such as
+    ``numpy.int64`` are accepted, ``bool`` and non-integers are not."""
+    if not isinstance(v, bool):
+        try:
+            i = operator.index(v)
+        except TypeError:
+            pass
+        else:
+            if 0 <= i < n:
+                return i
+    raise IndexOutOfRange(f"{what} {v!r} is not an id in [0, {n})")
 
 
 class SparseDigraph:
@@ -28,7 +43,9 @@ class SparseDigraph:
     n : int
         Number of vertices.
     edges : iterable of (int, int)
-        Directed edges ``(u, v)`` meaning ``u -> v``.
+        Directed edges ``(u, v)`` meaning ``u -> v``.  Integer types such
+        as ``numpy.int64`` are stored as plain ``int``; ``bool`` and
+        non-integer endpoints raise IndexOutOfRange.
     """
 
     __slots__ = ("n", "m", "out_adj", "in_adj")
@@ -39,7 +56,10 @@ class SparseDigraph:
         out_adj: list[list[int]] = [[] for _ in range(n)]
         in_adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
+            if type(u) is not int or type(v) is not int:
+                u = vertex_id(u, n, "edge endpoint")
+                v = vertex_id(v, n, "edge endpoint")
+            elif not (0 <= u < n and 0 <= v < n):
                 raise IndexOutOfRange(f"edge ({u}, {v}) outside vertex range [0, {n})")
             out_adj[u].append(v)
         m = 0
@@ -82,6 +102,8 @@ def build_graph(n: int, nonzero_entries: Iterable[tuple[int, int]]) -> SparseDig
     return SparseDigraph(n, ((c, r) for r, c in nonzero_entries))
 
 
+# ``solve`` needs neither this nor ``induced_subgraph``; the benchmark's
+# traced replica (perfbench/replica.py) still calls both.
 def isolated_vertices(g: SparseDigraph) -> list[int]:
     """Vertices with no incident edges at all (a self loop counts as incident)."""
     return [v for v in range(g.n) if not g.out_adj[v] and not g.in_adj[v]]

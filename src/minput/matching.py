@@ -19,37 +19,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Collection, Iterator
+from typing import Collection
 
 from .errors import IndexOutOfRange
 from .graph import SccInfo, SparseDigraph
-
-
-class Splitting:
-    """Read-only bipartite view of a digraph's doubled vertex set."""
-
-    __slots__ = ("graph",)
-
-    def __init__(self, graph: SparseDigraph):
-        self.graph = graph
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield pairs ``(u, v)`` standing for ``u_src -> v_dst``."""
-        return self.graph.edges()
-
-    def src_name(self, u: int, labels: list[str] | None = None) -> str:
-        return f"{labels[u] if labels else u}.src"
-
-    def dst_name(self, v: int, labels: list[str] | None = None) -> str:
-        return f"{labels[v] if labels else v}.dst"
-
-
-def split(g: SparseDigraph) -> Splitting:
-    return Splitting(g)
 
 
 class Matching:
@@ -282,13 +255,20 @@ class MatchClass:
     comp_unmatched: list[int]
 
 
+def unmatched_per_comp(scc: SccInfo, m: Matching) -> list[int]:
+    """Number of unmatched vertices in each component."""
+    counts = [0] * scc.n_comps
+    comp_id = scc.comp_id
+    for v, u in enumerate(m.mate_of_dst):
+        if u < 0:
+            counts[comp_id[v]] += 1
+    return counts
+
+
 def classify(scc: SccInfo, m: Matching) -> MatchClass:
     ncomp = scc.n_comps
     mate_dst = m.mate_of_dst
-    comp_unmatched = [0] * ncomp
-    for v, cid in enumerate(scc.comp_id):
-        if mate_dst[v] < 0:
-            comp_unmatched[cid] += 1
+    comp_unmatched = unmatched_per_comp(scc, m)
     x_comps: list[int] = []
     y_comps: list[int] = []
     y_free: list[int] = []
@@ -315,9 +295,6 @@ def classify(scc: SccInfo, m: Matching) -> MatchClass:
 
 def cost(scc: SccInfo, m: Matching) -> int:
     """Unmatched vertex count plus fully matched source component count."""
-    unmatched_in = [0] * scc.n_comps
-    for v, u in enumerate(m.mate_of_dst):
-        if u < 0:
-            unmatched_in[scc.comp_id[v]] += 1
+    unmatched_in = unmatched_per_comp(scc, m)
     full = sum(1 for c in scc.source_ids if unmatched_in[c] == 0)
     return (m.n - m.size) + full

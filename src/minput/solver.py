@@ -11,21 +11,13 @@ source SCC, realise it.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Collection
 
 from .augment import Diagnostics, minimize
-from .errors import IndexOutOfRange
-from .graph import (
-    SccInfo,
-    SparseDigraph,
-    induced_subgraph,
-    isolated_vertices,
-    scc_decompose,
-)
-from .matching import Matching, find_allowed_matching
+from .graph import SccInfo, SparseDigraph, scc_decompose, vertex_id
+from .matching import Matching, find_allowed_matching, unmatched_per_comp
 
 
 @dataclass
@@ -78,10 +70,7 @@ def recover_input_set(
     that before ever minimising).
     """
     forb = frozenset(forbidden)
-    unmatched_in = [0] * scc.n_comps
-    for v, u in enumerate(m_opt.mate_of_dst):
-        if u < 0:
-            unmatched_in[scc.comp_id[v]] += 1
+    unmatched_in = unmatched_per_comp(scc, m_opt)
     picks: list[int] = []
     for c in scc.source_ids:
         if unmatched_in[c]:
@@ -97,81 +86,48 @@ def recover_input_set(
     return sorted(m_opt.unmatched() + picks)
 
 
-def _vertex_id(v: object, n: int) -> int:
-    """``v`` as a plain ``int`` in ``[0, n)``; integer types such as
-    ``numpy.int64`` are accepted, ``bool`` and non-integers are not."""
-    if not isinstance(v, bool):
-        try:
-            i = operator.index(v)
-        except TypeError:
-            pass
-        else:
-            if 0 <= i < n:
-                return i
-    raise IndexOutOfRange(f"forbidden vertex {v!r} is not an id in [0, {n})")
-
-
 def solve(problem: Problem, *, check: bool = False) -> Solution | Unsolvable:
     """Solve an instance; ``check=True`` turns on per-round validation.
 
-    Pipeline: vertices with no incident edge need their own input (and
-    make the instance unsolvable when forbidden); the remainder is
-    compacted, gated on every source SCC containing an allowed vertex,
-    seeded with an allowed matching, minimised, and read back out.
+    Pipeline: forbidden ids are checked; a forbidden vertex with no
+    incident edge makes the instance unsolvable at once; every source
+    SCC must contain an allowed vertex; an allowed matching is seeded,
+    minimised and read back out.  A vertex with no incident edge needs
+    no special handling past the first gate: it is a singleton source
+    SCC that stays unmatched, so the cost charges it one input.
     """
     g = problem.graph
     n = g.n
-    forb = frozenset(_vertex_id(v, n) for v in problem.forbidden)
+    forb = frozenset(vertex_id(v, n, "forbidden vertex") for v in problem.forbidden)
 
-    iso = isolated_vertices(g)
-    iso_set = set(iso)
-    blocked = sorted(iso_set & forb)
+    blocked = sorted(v for v in forb if not g.out_adj[v] and not g.in_adj[v])
     if blocked:
         return Unsolvable(
             UnsolvableReason.ISOLATED_FORBIDDEN,
             f"isolated vertices {blocked} are forbidden but need their own input",
         )
-    if len(iso) == n:
-        return Solution(list(iso), n, [], [(v, v) for v in iso])
 
-    if iso:
-        keep = [v for v in range(n) if v not in iso_set]
-        sub, old_ids = induced_subgraph(g, keep)
-        sub_forb = frozenset(i for i, v in enumerate(keep) if v in forb)
-    else:
-        sub, old_ids = g, None
-        sub_forb = forb
-
-    scc = scc_decompose(sub)
+    scc = scc_decompose(g)
     for c in scc.source_ids:
-        if all(v in sub_forb for v in scc.comps[c]):
-            members = scc.comps[c] if old_ids is None else [old_ids[v] for v in scc.comps[c]]
+        if all(v in forb for v in scc.comps[c]):
             return Unsolvable(
                 UnsolvableReason.SOURCE_SCC_ALL_FORBIDDEN,
-                f"source component {members} has no allowed vertex",
+                f"source component {scc.comps[c]} has no allowed vertex",
             )
 
-    m0 = find_allowed_matching(sub, sub_forb)
+    m0 = find_allowed_matching(g, forb)
     if m0 is None:
         return Unsolvable(
             UnsolvableReason.NO_ALLOWED_MATCHING,
             "some forbidden vertex cannot be covered by any matching",
         )
 
-    m_opt, diag = minimize(sub, scc, sub_forb, m0, check=check)
-    for it in diag.per_iteration:  # report costs of the whole instance
-        it.cost += len(iso)
-    inner = recover_input_set(scc, m_opt, sub_forb)
-    if old_ids is None:
-        input_set = sorted(iso + inner)
-        certificate = m_opt.edges()
-    else:
-        input_set = sorted(iso + [old_ids[v] for v in inner])
-        certificate = [(old_ids[u], old_ids[v]) for u, v in m_opt.edges()]
+    m_opt, diag = minimize(g, scc, forb, m0, check=check)
+    input_set = recover_input_set(scc, m_opt, forb)
     return Solution(
         input_set,
         len(input_set),
-        certificate,
+        m_opt.edges(),
         [(v, v) for v in input_set],
         diag,
     )

@@ -1,12 +1,18 @@
-"""Small brute-force utilities shared by the test modules.
+"""Brute-force and reference utilities shared by the test modules.
 
-Everything here favours obviousness over speed and is only ever run on
-tiny instances.
+Everything here favours obviousness over speed.  Only the scipy
+assignment reference is meant for instances beyond a few vertices.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Collection
+
+import numpy as np
+from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from minput import SparseDigraph
 
@@ -34,6 +40,50 @@ def scc_partition(g: SparseDigraph) -> set[frozenset[int]]:
         frozenset(w for w in range(g.n) if v in reach[w] and w in reach[v])
         for v in range(g.n)
     }
+
+
+def assignment_min_inputs(g: SparseDigraph, forbidden: Collection[int]) -> int | None:
+    """Minimum input count as a min-cost assignment, solved by scipy.
+
+    Rows are the destination copies.  Columns are the source copies, at
+    cost 0 along each edge; one column per source SCC, at cost 0 for its
+    allowed members (the input every source SCC needs anyway, placed on
+    an otherwise unmatched member or left unused); and one dedicated
+    column per allowed vertex at cost 1.  The optimum is the number of
+    source SCCs plus the dedicated columns used.  None when a source SCC
+    has no allowed member or no assignment covers every row.  SCCs come
+    from scipy, not from ``minput``.
+    """
+    n = g.n
+    if n == 0:
+        return 0
+    forb = set(forbidden)
+    edges = np.array(list(g.edges()), dtype=np.int64).reshape(-1, 2)
+    src, dst = edges[:, 0], edges[:, 1]
+    adj = csr_matrix((np.ones(len(edges)), (src, dst)), shape=(n, n))
+    _, label = connected_components(adj, directed=True, connection="strong")
+    fed = set(label[dst[label[src] != label[dst]]].tolist())
+    sources = sorted(set(label.tolist()) - fed)
+    members = {c: [] for c in sources}
+    for v in range(n):
+        if label[v] in members:
+            members[label[v]].append(v)
+    if any(all(v in forb for v in members[c]) for c in sources):
+        return None
+    allowed = [v for v in range(n) if v not in forb]
+    weight = np.full((n, n + len(sources) + len(allowed)), np.inf)
+    weight[dst, src] = 0.0
+    for i, c in enumerate(sources):
+        for v in members[c]:
+            if v not in forb:
+                weight[v, n + i] = 0.0
+    for i, v in enumerate(allowed):
+        weight[v, n + len(sources) + i] = 1.0
+    try:
+        rows, cols = linear_sum_assignment(weight)
+    except ValueError:  # no assignment covers every row
+        return None
+    return len(sources) + int(weight[rows, cols].sum())
 
 
 def max_matching_size(n_left: int, n_right: int, adj: list[list[int]]) -> int:

@@ -210,6 +210,13 @@ class TestRunSolve:
         capsys.readouterr()
         assert dest.read_text() == "1.dst -> 0.src\ns -> 1.src\n"
 
+    def test_dump_flow_lists_isolated_vertices(self, tmp_path, capsys):
+        gpath = _write(tmp_path / "g.txt", "3 1\n1 2\n")
+        dest = tmp_path / "flow.txt"
+        assert run(["--graph", gpath, "--dump-flow", str(dest)]) == 0
+        capsys.readouterr()
+        assert dest.read_text() == "2.dst -> 1.src\ns -> 0.src\ns -> 2.src\n"
+
     def test_dump_flow_without_matching(self, tmp_path, capsys):
         gpath = _write(tmp_path / "g.txt", "3 2\n0 1\n0 2\n")
         fpath = _write(tmp_path / "f.txt", "1 2\n")

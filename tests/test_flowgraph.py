@@ -60,13 +60,13 @@ class TestGoldenDumps:
     def test_one_free_source_component(self, g4, m2):
         fg = _flow(g4, m2)
         assert fg.dump(AB) == DUMP_ONE_FREE
-        assert fg.n_families == 0 and fg.r == 0
+        assert fg.n_families == 0 and fg.aux_base == fg.t_id + 1  # no gateway
         assert fg.t_in_direct == []
 
     def test_gateway_component(self, g4, m1):
         fg = _flow(g4, m1)
         assert fg.dump(AB) == DUMP_GATEWAY
-        assert fg.r == 1
+        assert fg.aux_base == fg.t_id + 2  # one gateway
         assert fg.t_in_direct == [4 + 2]
 
     def test_slack_family(self, g5, m3):
@@ -227,7 +227,7 @@ class TestImplicitView:
             assert {(x, y) for x in nodes for y in fg.out_neighbors(x)} == {
                 (x, y) for y in nodes for x in fg.in_neighbors(y)
             }
-            seen["gateway"] += fg.r > 0
+            seen["gateway"] += fg.aux_base > fg.t_id + 1
             seen["slack"] += fg.n_families > 0
             seen["swap"] += any(
                 n <= a < 2 * n and n <= b < 2 * n for a, b in edges

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from bruteforce import closure, scc_partition
@@ -35,6 +36,20 @@ class TestSparseDigraph:
             SparseDigraph(2, [(-1, 0)])
         with pytest.raises(IndexOutOfRange):
             SparseDigraph(-1, [])
+
+    @pytest.mark.parametrize("bad", [1.0, "1", None, True, False])
+    def test_rejects_non_integer_endpoints(self, bad):
+        with pytest.raises(IndexOutOfRange):
+            SparseDigraph(2, [(0, bad)])
+        with pytest.raises(IndexOutOfRange):
+            SparseDigraph(2, [(bad, 0)])
+
+    def test_numpy_endpoints_stored_as_int(self):
+        g = SparseDigraph(3, [(np.int64(0), np.int32(2)), (1, np.int64(0))])
+        assert g.out_adj == [[2], [0], []] and g.in_adj == [[1], [], [0]]
+        assert all(type(v) is int for adj in g.out_adj + g.in_adj for v in adj)
+        with pytest.raises(IndexOutOfRange):
+            SparseDigraph(2, [(0, np.int64(2))])
 
     def test_empty(self):
         g = SparseDigraph(0, [])

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from bruteforce import max_matching_size
-from conftest import G4_EDGES
 from minput import (
     IndexOutOfRange,
     Matching,
@@ -13,22 +12,8 @@ from minput import (
     find_allowed_matching,
     hopcroft_karp,
     scc_decompose,
-    split,
 )
 from minput.families import chain, erdos_renyi, random_forbidden
-
-
-class TestSplitting:
-    def test_edges_mirror_graph(self, g4):
-        s = split(g4)
-        assert s.n == 4
-        assert list(s.edges()) == sorted(G4_EDGES)
-
-    def test_names(self, g4):
-        s = split(g4)
-        assert s.src_name(0) == "0.src"
-        assert s.dst_name(2) == "2.dst"
-        assert s.src_name(0, ["a", "b", "c", "d"]) == "a.src"
 
 
 class TestMatching:

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from bruteforce import assignment_min_inputs
 from minput import (
     IndexOutOfRange,
     Matching,
@@ -86,7 +87,9 @@ class TestSolveIsolated:
         assert sol.input_set == [0, 1]
         assert sol.cost == 2
         assert sol.certificate == []
-        assert sol.diagnostics.iterations == 0
+        # one terminal round, as on every other solved instance
+        assert sol.diagnostics.iterations == 1
+        assert [it.cost for it in sol.diagnostics.per_iteration] == [2]
 
     def test_empty_instance(self):
         sol = solve(Problem(SparseDigraph(0, [])))
@@ -117,7 +120,7 @@ class TestUnsolvable:
         assert out.reason is UnsolvableReason.SOURCE_SCC_ALL_FORBIDDEN
 
     def test_source_gate_reports_original_ids(self):
-        # vertex 0 isolated, compacted chain has forbidden head 1
+        # vertex 0 isolated; the chain 1 -> 2 has its forbidden head 1
         g = SparseDigraph(3, [(1, 2)])
         out = solve(Problem(g, frozenset([1])))
         assert out.reason is UnsolvableReason.SOURCE_SCC_ALL_FORBIDDEN
@@ -210,3 +213,45 @@ class TestSolveRandom:
                 assert not check_structural_controllability(g, rest)
             tried += 1
         assert tried > 40
+
+
+class TestSolveAtScale:
+    def test_assignment_reference_matches_subset_sweep(self):
+        rng = random.Random(63)
+        for _ in range(300):
+            n = rng.randint(0, 6)
+            g = erdos_renyi(n, rng.choice([0.15, 0.3, 0.5]), rng)
+            f = random_forbidden(n, 0.3, rng)
+            want = brute_force_min_input_set(g, f)
+            assert assignment_min_inputs(g, f) == (None if want is None else want[0])
+
+    def test_matches_assignment_reference(self):
+        rng = random.Random(64)
+        solved = unsolved = with_isolated = 0
+        for k in range(30):
+            n = rng.randint(200, 1000)
+            g = erdos_renyi(n, rng.uniform(1.0, 3.0) / n, rng)
+            if k % 3 == 0:
+                f = frozenset()
+            elif k % 3 == 1:
+                f = random_forbidden(n, 0.05, rng)
+            else:
+                # destinations of a greedy matching: coverable, so often solvable
+                taken = set()
+                for u in range(n):
+                    v = next((v for v in g.out_adj[u] if v not in taken), None)
+                    if v is not None:
+                        taken.add(v)
+                f = frozenset(v for v in sorted(taken) if rng.random() < 0.3)
+            with_isolated += any(not g.out_adj[v] and not g.in_adj[v] for v in range(n))
+            got = solve(Problem(g, f))
+            want = assignment_min_inputs(g, f)
+            if isinstance(got, Unsolvable):
+                assert want is None, (k, got.reason)
+                unsolved += 1
+                continue
+            assert got.cost == want, k
+            assert not set(got.input_set) & f
+            assert check_structural_controllability(g, got.input_set)
+            solved += 1
+        assert solved >= 15 and unsolved >= 3 and with_isolated >= 15
