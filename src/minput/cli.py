@@ -93,8 +93,12 @@ def ingest_matrix_market(path: str, zero_tol: float = 0.0) -> SparseDigraph:
     A stored entry (row, col, value) with ``|value| > zero_tol`` means
     the matrix couples state ``col`` into state ``row``, i.e. edge
     col -> row after shifting the 1-based file indices down.  Accepts
-    real, integer and pattern fields, general or symmetric.
+    real, integer and pattern fields, general or symmetric.  A NaN
+    entry value, or a ``zero_tol`` that is NaN, infinite or negative,
+    is a ParseError: NaN is neither zero nor a coupling.
     """
+    if not 0.0 <= zero_tol < math.inf:
+        raise ParseError(f"zero tolerance must be finite and >= 0, got {zero_tol!r}")
     with open(path, "r", encoding="utf-8") as fh:
         banner = fh.readline()
         fields = banner.split()
@@ -142,6 +146,8 @@ def ingest_matrix_market(path: str, zero_tol: float = 0.0) -> SparseDigraph:
                 entries.append((r - 1, c - 1))
                 if symmetry == "symmetric" and r != c:
                     entries.append((c - 1, r - 1))
+            elif value != value:
+                raise ParseError(f"entry ({r}, {c}) is NaN", lineno)
     if dims is None:
         raise ParseError("size line missing")
     if seen != dims[1]:

@@ -37,7 +37,7 @@ present the fully materialised view.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Collection
+from typing import Collection, Sequence
 
 from .graph import SccInfo, SparseDigraph
 from .matching import Matching, MatchClass, classify
@@ -54,13 +54,19 @@ class FlowGraph:
 
     ``extra_out[x]`` lists the non-core out-neighbours of ``x`` in the
     internal node space.  Every unmatched destination copy, ``s``, each
-    gateway and each family token has an entry; matched destination
-    copies and ``t`` have none.  ``extra_in[x]`` does the same for
-    in-neighbours of gateways, tokens, ``t`` and the destination copies
-    a swap or a gateway enters.  The core edges come from ``out_adj``,
+    gateway and each family token has an entry (an empty tuple for the
+    free member of a singleton one-free component, which has nothing to
+    swap with); matched destination copies and ``t`` have none.
+    ``extra_in[x]`` does the same for in-neighbours of gateways, tokens,
+    ``t`` and the destination copies a swap or a gateway enters.  The core edges come from ``out_adj``,
     ``in_adj``, ``mate_of_src`` and ``mate_of_dst``, shared with the
     graph and the matching, so the view is valid only until the
     matching changes.
+
+    A build makes one comprehension over ``mate_of_src`` (the edges
+    out of ``s``); the rest costs O(1) per unmatched vertex and per
+    source component, plus the members of each component that gets
+    swap, gateway or slack edges.
     """
 
     def __init__(
@@ -82,18 +88,20 @@ class FlowGraph:
         s_id = 2 * n
         t_id = 2 * n + 1
         aux_base = 2 * n + 2 + r
-        extra_out: dict[int, list[int]] = {}
-        extra_in: dict[int, list[int]] = {}
-        work = 0
-
-        for c, yfree in zip(cls.y_comps, cls.y_free):
+        y_sizes = [len(comps[c]) for c in cls.y_comps]
+        work = sum(y_sizes)
+        # Every one-free member gets an entry; a singleton component has
+        # no swap target, so only the others get a list and a loop body.
+        extra_out: dict[int, Sequence[int]] = dict.fromkeys([n + v for v in cls.y_free], ())
+        extra_in: dict[int, Sequence[int]] = {}
+        swaps = [(c, v) for c, v, k in zip(cls.y_comps, cls.y_free, y_sizes) if k > 1]
+        for c, yfree in swaps:
             x = n + yfree
             targets = [n + v for v in comps[c] if v != yfree and v not in forb]
             extra_out[x] = targets
             via = [x]
             for y in targets:
                 extra_in[y] = via
-            work += len(comps[c])
 
         from_s = [s_id]
         gates = list(range(s_id + 2, aux_base))
@@ -109,9 +117,8 @@ class FlowGraph:
         to_t = [t_id]
         fam_members: list[list[int]] = []
         fam_cap: list[int] = []
-        for c in scc.source_ids:
-            if cls.comp_unmatched[c] < 2:
-                continue
+        comp_unmatched = cls.comp_unmatched
+        for c in [c for c in scc.source_ids if comp_unmatched[c] >= 2]:
             members = [n + v for v in comps[c] if mate_dst[v] < 0]
             token = aux_base + len(fam_members)
             via = [token]
@@ -124,13 +131,10 @@ class FlowGraph:
             work += len(comps[c])
         work += len(scc.source_ids)
 
-        t_in_direct: list[int] = []
         comp_id = scc.comp_id
         is_source = scc.is_source
-        for v in cls.u_prime:
-            if not is_source[comp_id[v]]:
-                extra_out[n + v] = to_t
-                t_in_direct.append(n + v)
+        t_in_direct = [n + v for v in cls.u_prime if not is_source[comp_id[v]]]
+        extra_out.update(dict.fromkeys(t_in_direct, to_t))
         work += len(cls.u_prime)
         extra_in[t_id] = t_in_direct + list(range(aux_base, aux_base + len(fam_members)))
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Collection
+from itertools import compress
+from typing import Collection, Iterable
 
 from .errors import IndexOutOfRange
 from .graph import SccInfo, SparseDigraph
@@ -244,7 +245,14 @@ class MatchClass:
     the rest: those source components plus every non-source component.
     ``u_prime`` lists the unmatched vertices outside one-free source
     components; they are the unmatched vertices no in-component swap
-    could relocate for free.
+    could relocate for free.  Every list is ascending except ``y_free``,
+    which follows ``y_comps``; ``comp_unmatched`` holds the unmatched
+    count of every component.
+
+    Per round, ``classify`` makes one comprehension over the
+    destination mates and one C-level pass over the components (for
+    ``z_comps``); every other step costs O(1) per unmatched vertex or
+    per source component, and no step walks a component's members.
     """
 
     x_comps: list[int]
@@ -255,46 +263,34 @@ class MatchClass:
     comp_unmatched: list[int]
 
 
-def unmatched_per_comp(scc: SccInfo, m: Matching) -> list[int]:
-    """Number of unmatched vertices in each component."""
+def unmatched_per_comp(scc: SccInfo, unmatched: Iterable[int]) -> list[int]:
+    """Number of the given unmatched vertices in each component."""
     counts = [0] * scc.n_comps
-    comp_id = scc.comp_id
-    for v, u in enumerate(m.mate_of_dst):
-        if u < 0:
-            counts[comp_id[v]] += 1
+    for c in map(scc.comp_id.__getitem__, unmatched):
+        counts[c] += 1
     return counts
 
 
 def classify(scc: SccInfo, m: Matching) -> MatchClass:
-    ncomp = scc.n_comps
-    mate_dst = m.mate_of_dst
-    comp_unmatched = unmatched_per_comp(scc, m)
-    x_comps: list[int] = []
-    y_comps: list[int] = []
-    y_free: list[int] = []
-    z_comps: list[int] = []
-    one_free = bytearray(ncomp)
-    for c in range(ncomp):
-        if scc.is_source[c]:
-            k = comp_unmatched[c]
-            if k == 0:
-                x_comps.append(c)
-            elif k == 1:
-                y_comps.append(c)
-                one_free[c] = 1
-                y_free.append(next(v for v in scc.comps[c] if mate_dst[v] < 0))
-            else:
-                z_comps.append(c)
-        else:
-            z_comps.append(c)
-    u_prime = [
-        v for v in range(m.n) if mate_dst[v] < 0 and not one_free[scc.comp_id[v]]
-    ]
+    """Sort the components by unmatched count; see ``MatchClass``."""
+    comp_id = scc.comp_id
+    unmatched = m.unmatched()
+    comp_unmatched = unmatched_per_comp(scc, unmatched)
+    x_comps = [c for c in scc.source_ids if comp_unmatched[c] == 0]
+    y_comps = [c for c in scc.source_ids if comp_unmatched[c] == 1]
+    # the free vertex of a one-free component is the only one stored under it
+    free_of = dict(zip(map(comp_id.__getitem__, unmatched), unmatched))
+    y_free = [free_of[c] for c in y_comps]
+    in_z = bytearray(b"\x01") * scc.n_comps
+    for c in x_comps + y_comps:
+        in_z[c] = 0
+    z_comps = list(compress(range(scc.n_comps), in_z))
+    u_prime = [v for v in unmatched if in_z[comp_id[v]]]
     return MatchClass(x_comps, y_comps, y_free, z_comps, u_prime, comp_unmatched)
 
 
 def cost(scc: SccInfo, m: Matching) -> int:
     """Unmatched vertex count plus fully matched source component count."""
-    unmatched_in = unmatched_per_comp(scc, m)
+    unmatched_in = unmatched_per_comp(scc, m.unmatched())
     full = sum(1 for c in scc.source_ids if unmatched_in[c] == 0)
     return (m.n - m.size) + full

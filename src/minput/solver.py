@@ -70,7 +70,8 @@ def recover_input_set(
     that before ever minimising).
     """
     forb = frozenset(forbidden)
-    unmatched_in = unmatched_per_comp(scc, m_opt)
+    unmatched = m_opt.unmatched()
+    unmatched_in = unmatched_per_comp(scc, unmatched)
     picks: list[int] = []
     for c in scc.source_ids:
         if unmatched_in[c]:
@@ -83,7 +84,7 @@ def recover_input_set(
         if rep < 0:
             raise ValueError(f"source component {c} is entirely forbidden")
         picks.append(rep)
-    return sorted(m_opt.unmatched() + picks)
+    return sorted(unmatched + picks)
 
 
 def solve(problem: Problem, *, check: bool = False) -> Solution | Unsolvable:

@@ -1,0 +1,150 @@
+"""Per-round bookkeeping: ``classify`` against a naive reference, and the
+deterministic work counters of whole solves pinned to fixed values."""
+
+import dataclasses
+import random
+
+from bruteforce import reference_classify
+from minput import (
+    Matching,
+    Problem,
+    Solution,
+    SparseDigraph,
+    build_flow_graph,
+    classify,
+    find_allowed_matching,
+    scc_decompose,
+    solve,
+)
+from minput.families import erdos_renyi, preferential, random_forbidden
+from minput.matching import MatchClass
+
+
+def _random_matching(g, rng, keep):
+    """A random matching of the splitting; with ``keep < 1`` often not
+    maximal."""
+    m = Matching(g.n)
+    edges = list(g.edges())
+    rng.shuffle(edges)
+    for u, v in edges:
+        if m.mate_of_src[u] < 0 and m.mate_of_dst[v] < 0 and rng.random() < keep:
+            m.add(u, v)
+    return m
+
+
+class TestClassifyReference:
+    def test_fields_in_order(self):
+        names = [f.name for f in dataclasses.fields(MatchClass)]
+        assert names == ["x_comps", "y_comps", "y_free", "z_comps", "u_prime", "comp_unmatched"]
+
+    def test_matches_reference(self):
+        rng = random.Random(44)
+        seen = {"single_one_free": 0, "multi_one_free": 0, "gateway": 0, "slack": 0}
+        for _ in range(400):
+            n = rng.randint(1, 12)
+            g = erdos_renyi(n, rng.choice([0.1, 0.2, 0.35, 0.5]), rng)
+            scc = scc_decompose(g)
+            m = find_allowed_matching(g, random_forbidden(n, 0.2, rng))
+            if m is None or rng.random() < 0.7:
+                m = _random_matching(g, rng, rng.choice([0.3, 0.6, 1.0]))
+            cls = classify(scc, m)
+            got = tuple(getattr(cls, f.name) for f in dataclasses.fields(MatchClass))
+            assert got == reference_classify(scc, m)
+            sizes = [len(scc.comps[c]) for c in cls.y_comps]
+            seen["single_one_free"] += sizes.count(1) > 0
+            seen["multi_one_free"] += len(sizes) > sizes.count(1)
+            seen["gateway"] += len(cls.x_comps) > 0
+            seen["slack"] += any(cls.comp_unmatched[c] >= 2 for c in scc.source_ids)
+        assert min(seen.values()) >= 20, seen
+
+
+def _greedy_forbidden(g, share, rng):
+    """``share`` of the destinations of a greedy matching taken in a
+    seeded edge order; an allowed matching always exists."""
+    order = list(g.edges())
+    rng.shuffle(order)
+    src_used, dst_used, matched = set(), set(), []
+    for u, v in order:
+        if u not in src_used and v not in dst_used:
+            src_used.add(u)
+            dst_used.add(v)
+            matched.append(v)
+    return frozenset(rng.sample(sorted(matched), round(share * len(matched))))
+
+
+def _stars_and_cycles(rng):
+    """Source-rich graph: 30 stars (hub <-> leaves, which keep all but one
+    leaf unmatched and so form slack families), 40 cycles of length 1-5,
+    and as many random forward links as vertices."""
+    edges = set()
+    n = 0
+    for _ in range(30):
+        k = rng.randint(2, 5)
+        for leaf in range(n + 1, n + 1 + k):
+            edges.add((n, leaf))
+            edges.add((leaf, n))
+        n += k + 1
+    for _ in range(40):
+        k = rng.randint(1, 5)
+        for i in range(k):
+            edges.add((n + i, n + (i + 1) % k))
+        n += k
+    for _ in range(n):
+        a, b = sorted(rng.sample(range(n), 2))
+        edges.add((a, b))
+    return SparseDigraph(n, sorted(edges))
+
+
+def _er():
+    rng = random.Random(101)
+    return erdos_renyi(400, 3.0 / 400, rng), frozenset()
+
+
+def _pa_greedy():
+    rng = random.Random(102)
+    g = preferential(600, 3, rng)
+    return g, _greedy_forbidden(g, 0.3, rng)
+
+
+def _mixed():
+    rng = random.Random(103)
+    g = _stars_and_cycles(rng)
+    return g, _greedy_forbidden(g, 0.2, rng)
+
+
+class TestRoundCounters:
+    """Every round's ``(dist, paths, cost, work)`` and the first round's
+    ``build_work``.  Work counts are deterministic and the scaling gate
+    relies on them, so a performance change must leave them alone."""
+
+    def _check(self, g, forbidden, rounds, build_work):
+        res = solve(Problem(g, forbidden))
+        assert isinstance(res, Solution)
+        got = [(it.dist, it.paths, it.cost, it.work) for it in res.diagnostics.per_iteration]
+        assert got == rounds
+        fg = build_flow_graph(g, scc_decompose(g), find_allowed_matching(g, forbidden), forbidden)
+        assert fg.build_work == build_work
+        return fg
+
+    def test_erdos_renyi(self):
+        g, f = _er()
+        self._check(g, f, [
+            (5, 34, 56, 3329), (7, 8, 48, 2025), (9, 6, 42, 2070), (11, 5, 37, 2237),
+            (13, 1, 36, 1460), (15, 1, 35, 1760), (19, 1, 34, 2153), (None, 0, 34, 2122),
+        ], 512)
+
+    def test_preferential_greedy_forbidden(self):
+        g, f = _pa_greedy()
+        assert len(f) == 71
+        self._check(g, f, [
+            (5, 9, 353, 4246), (7, 1, 352, 3859), (9, 1, 351, 3874), (None, 0, 351, 3758),
+        ], 1297)
+
+    def test_mixed_with_gateways_and_slack(self):
+        g, f = _mixed()
+        assert (g.n, g.m, len(f)) == (255, 577, 38)
+        fg = self._check(g, f, [
+            (5, 10, 53, 1521), (7, 3, 50, 1321), (11, 1, 49, 1258), (None, 0, 49, 1085),
+        ], 379)
+        assert fg.aux_base - fg.t_id - 1 == 2  # gateways
+        assert fg.n_families == 7

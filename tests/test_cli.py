@@ -72,6 +72,11 @@ MM_GENERAL = """%%MatrixMarket matrix coordinate real general
 """
 
 
+# Cost 1 with both couplings kept (0 -> 1 -> 0 is one source SCC), cost 2
+# when both are dropped.
+MM_NAN_TOL = "%%MatrixMarket matrix coordinate real general\n2 2 2\n2 1 1.0\n1 2 -1.0\n"
+
+
 class TestMatrixMarket:
     def test_general_real(self, tmp_path):
         g = ingest_matrix_market(_write(tmp_path / "a.mtx", MM_GENERAL))
@@ -131,6 +136,23 @@ class TestMatrixMarket:
         with pytest.raises(ParseError) as err:
             ingest_matrix_market(_write(tmp_path / "a.mtx", text))
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -0.5])
+    def test_rejects_bad_zero_tol(self, tmp_path, tol):
+        path = _write(tmp_path / "a.mtx", MM_NAN_TOL)
+        with pytest.raises(ParseError):
+            ingest_matrix_market(path, zero_tol=tol)
+
+    @pytest.mark.parametrize("value", ["nan", "-nan", "NaN"])
+    def test_rejects_nan_entry(self, tmp_path, value):
+        text = f"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 1 {value}\n"
+        with pytest.raises(ParseError) as err:
+            ingest_matrix_market(_write(tmp_path / "a.mtx", text))
+        assert err.value.line == 4
+
+    def test_infinite_entry_is_a_coupling(self, tmp_path):
+        text = "%%MatrixMarket matrix coordinate real general\n2 2 1\n2 1 -inf\n"
+        assert list(ingest_matrix_market(_write(tmp_path / "a.mtx", text)).edges()) == [(0, 1)]
 
 
 class TestReadForbidden:
@@ -266,6 +288,21 @@ class TestRunErrors:
         forb.write_bytes(b"1 \xc3\n")
         assert run(["--graph", graph, "--forbidden", str(forb)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_nan_zero_tol(self, tmp_path, capsys):
+        path = _write(tmp_path / "a.mtx", MM_NAN_TOL)
+        assert run(["--mm", path]) == 0
+        assert json.loads(capsys.readouterr().out)["cost"] == 1
+        assert run(["--mm", path, "--zero-tol", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+
+    def test_nan_entry(self, tmp_path, capsys):
+        text = "%%MatrixMarket matrix coordinate real general\n2 2 2\n2 1 nan\n1 2 -1.0\n"
+        path = _write(tmp_path / "a.mtx", text)
+        assert run(["--mm", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "line 3" in captured.err and "error:" in captured.err
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
