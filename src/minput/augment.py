@@ -42,8 +42,12 @@ class IterationStats:
 
 @dataclass
 class Diagnostics:
-    iterations: int = 0
     per_iteration: list[IterationStats] = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        """Rounds run, one per entry of ``per_iteration``."""
+        return len(self.per_iteration)
 
     def distances(self) -> list[int]:
         return [it.dist for it in self.per_iteration if it.dist is not None]
@@ -74,27 +78,6 @@ class LayeredDag:
         self.work = work
 
 
-# The core edges are read straight off the graph and the matching.  A
-# matched source copy's only in-neighbour is its mate's destination copy,
-# so the matched pair always sits in consecutive BFS levels with the
-# destination copy first: scanning ``out_adj`` or ``in_adj`` without
-# skipping the matched edge never links two nodes in the wrong direction.
-
-
-def _in_view(fg: FlowGraph, x: int) -> list[int]:
-    """In-neighbours of ``x`` in the internal node space; for a
-    destination copy this includes its matched source copy (see above)."""
-    n = fg.n
-    if x < n:
-        v = fg.mate_of_src[x]
-        return [fg.s_id] if v < 0 else [n + v]
-    if x < 2 * n:
-        cands = fg.in_adj[x - n]
-        extra = fg.extra_in.get(x)
-        return cands + extra if extra else cands
-    return fg.extra_in[x]
-
-
 def _run_bfs(fg: FlowGraph) -> tuple[LayeredDag | None, int]:
     n = fg.n
     n2 = 2 * n
@@ -106,6 +89,8 @@ def _run_bfs(fg: FlowGraph) -> tuple[LayeredDag | None, int]:
     frontier = [s_id]
     work = 0
     d = 0
+    # The scan is ``fg.out_view`` written inline, as it touches every
+    # node and edge once and the view would build a list per source copy.
     while frontier and dist[t_id] < 0:
         d += 1
         nxt: list[int] = []
@@ -142,6 +127,7 @@ def _run_bfs(fg: FlowGraph) -> tuple[LayeredDag | None, int]:
     # still reach t along a shortest path and counts their useful
     # in-edges.  Candidates at the right level are reachable from s by
     # construction, hence useful themselves.
+    in_view = fg.in_view
     useful = bytearray(size)
     indeg = [0] * size
     useful[t_id] = 1
@@ -149,7 +135,7 @@ def _run_bfs(fg: FlowGraph) -> tuple[LayeredDag | None, int]:
     while stack:
         x = stack.pop()
         level = dist[x] - 1
-        cands = _in_view(fg, x)
+        cands = in_view(x)
         work += len(cands) + 1
         count = 0
         for u in cands:
@@ -172,103 +158,93 @@ def layered_bfs(fg: FlowGraph) -> LayeredDag | None:
 def extract_paths(dag: LayeredDag) -> PathSet:
     """Maximal set of vertex-disjoint shortest s -> t paths.
 
-    Paths are traced backwards from t, always picking the lowest-id
-    live in-neighbour; used vertices die and every node whose useful
-    in-degree drains to zero dies with them, so the loop stops exactly
-    when no shortest path survives.  Slack nodes of one family are
-    interchangeable: up to capacity many paths may pass through a
-    family, each claiming a fresh materialised slack id.  Consumes the
-    DAG.
+    Paths start from the useful entries of ``extra_in[t]`` in order
+    (direct destination copies, then family tokens) and are traced
+    backwards, always picking the lowest-id live in-neighbour; used
+    vertices die and every node whose useful in-degree drains to zero
+    dies with them, so the loop stops exactly when no shortest path
+    survives.  A direct copy starts at most one path.  A token starts
+    one path per slack id of its family while it lives, each through
+    its lowest live useful member and a fresh materialised slack id.
+    Consumes the DAG.
     """
     fg = dag.fg
     n = fg.n
-    n2 = 2 * n
     aux_base = fg.aux_base
     s_id, t_id = fg.s_id, fg.t_id
-    out_adj, mate_dst, extra_out = fg.out_adj, fg.mate_of_dst, fg.extra_out
+    out_adj, extra_in, slack_offset = fg.out_adj, fg.extra_in, fg.slack_offset
+    in_view, out_view = fg.in_view, fg.out_view
     dist = dag.dist
     useful = dag.useful
     indeg = dag.indeg
     alive = bytearray(b"\x01") * dag.size
     work = 0
-
-    # A family token dies once its useful in-degree drains to zero.
-    direct = [x for x in fg.t_in_direct if useful[x]]
-    fams = [f for f in range(fg.n_families) if useful[aux_base + f]]
-    fam_used = [0] * fg.n_families
-    member_ptr = [0] * fg.n_families
-    dptr = 0
-    fptr = 0
     paths: PathSet = []
 
-    while True:
-        while dptr < len(direct) and not alive[direct[dptr]]:
-            dptr += 1
-        if dptr < len(direct):
-            cur = direct[dptr]
-            rev = [t_id, cur]
+    for head in extra_in[t_id]:
+        if not (useful[head] and alive[head]):
+            continue
+        if head < aux_base:
+            members, prefixes = [head], ([t_id],)
         else:
-            while fptr < len(fams) and (
-                not alive[aux_base + fams[fptr]] or fam_used[fams[fptr]] >= fg.fam_cap[fams[fptr]]
-            ):
-                fptr += 1
-            if fptr == len(fams):
+            f = head - aux_base
+            members = extra_in[head]
+            prefixes = ([t_id, z] for z in range(aux_base + slack_offset[f],
+                                                 aux_base + slack_offset[f + 1]))
+        # A token whose slack ids run out is left alive, not killed:
+        # a kill would cascade and add to ``work``.
+        p = 0
+        for rev in prefixes:
+            if not alive[head]:
                 break
-            use_f = fams[fptr]
-            slack = aux_base + fg.slack_offset[use_f] + fam_used[use_f]
-            fam_used[use_f] += 1
-            members = fg.fam_members[use_f]
-            p = member_ptr[use_f]
             while not (useful[members[p]] and alive[members[p]]):
                 p += 1
                 work += 1
-            member_ptr[use_f] = p
             cur = members[p]
-            rev = [t_id, slack, cur]
-        while cur != s_id:
-            cands = _in_view(fg, cur)
-            work += len(cands)
-            level = dist[cur] - 1
-            best = -1
-            for u in cands:
-                if dist[u] == level and useful[u] and alive[u] and (best < 0 or u < best):
-                    best = u
-            cur = best
             rev.append(cur)
-        rev.reverse()
-        paths.append(rev)
+            while cur != s_id:
+                cands = in_view(cur)
+                work += len(cands)
+                level = dist[cur] - 1
+                best = -1
+                for u in cands:
+                    if dist[u] == level and useful[u] and alive[u] and (best < 0 or u < best):
+                        best = u
+                cur = best
+                rev.append(cur)
+            rev.reverse()
+            paths.append(rev)
 
-        # kill interior vertices, then cascade useful in-degree drains
-        queue: list[int] = []
-        for x in rev[1:-1]:
-            if x < aux_base:
-                alive[x] = 0
-                queue.append(x)
-        while queue:
-            x = queue.pop()
-            dx1 = dist[x] + 1
-            if x < n:
-                nbrs = out_adj[x]
+            # kill interior vertices, then cascade useful in-degree drains
+            queue: list[int] = []
+            for x in rev[1:-1]:
+                if x < aux_base:
+                    alive[x] = 0
+                    queue.append(x)
+            while queue:
+                x = queue.pop()
+                dx1 = dist[x] + 1
+                # A source copy's ``out_view`` is written inline, as the
+                # view would build a fresh list per dead source copy.
+                if x < n:
+                    nbrs = out_adj[x]
+                    work += len(nbrs) + 1
+                    for v in nbrs:
+                        w = n + v
+                        if dist[w] == dx1 and useful[w] and alive[w]:
+                            indeg[w] -= 1
+                            if indeg[w] == 0:
+                                alive[w] = 0
+                                queue.append(w)
+                    continue
+                nbrs = out_view(x)
                 work += len(nbrs) + 1
-                for v in nbrs:
-                    w = n + v
-                    if dist[w] == dx1 and useful[w] and alive[w]:
+                for w in nbrs:
+                    if w != t_id and dist[w] == dx1 and useful[w] and alive[w]:
                         indeg[w] -= 1
                         if indeg[w] == 0:
                             alive[w] = 0
                             queue.append(w)
-                continue
-            if x < n2 and mate_dst[x - n] >= 0:
-                nbrs = (mate_dst[x - n],)
-            else:
-                nbrs = extra_out[x]
-            work += len(nbrs) + 1
-            for w in nbrs:
-                if w != t_id and dist[w] == dx1 and useful[w] and alive[w]:
-                    indeg[w] -= 1
-                    if indeg[w] == 0:
-                        alive[w] = 0
-                        queue.append(w)
     dag.work += work
     return paths
 
@@ -328,8 +304,7 @@ def minimize(
     m = m0.copy()
     prev_dist = 0
     while True:
-        diag.iterations += 1
-        if diag.iterations > cap:
+        if len(diag.per_iteration) >= cap:
             raise IterationBoundExceeded(
                 f"augmentation still running after {cap} rounds on n={n}"
             )

@@ -293,46 +293,34 @@ def run(argv: list[str] | None = None) -> int:
             with open(args.dump_flow, "w", encoding="utf-8") as fh:
                 fh.write(_flow_dump(problem))
         result = solve(problem)
-        code = 0
-        if isinstance(result, Solution):
-            payload = {
-                "solvable": True,
-                "input_set": result.input_set,
-                "cost": result.cost,
-                "iterations": result.diagnostics.iterations,
-                "per_iteration": [
-                    {"dist": it.dist, "paths": it.paths, "cost": it.cost}
-                    for it in result.diagnostics.per_iteration
-                ],
-            }
-            if args.verify:
-                payload["verify"] = check_structural_controllability(g, result.input_set)
-                if not payload["verify"]:
-                    print("error: verification failed on the returned set", file=sys.stderr)
-                    code = 1
-            if args.oracle:
-                answer = brute_force_min_input_set(g, forb)
-                payload["oracle_cost"] = None if answer is None else answer[0]
-                if answer is None or answer[0] != result.cost:
-                    print("error: oracle disagrees with the solver", file=sys.stderr)
-                    code = 1
+        solved = isinstance(result, Solution)
+        if solved:
+            payload = {"solvable": True}
+            input_set, cost = result.input_set, result.cost
+            rounds = result.diagnostics.per_iteration
         else:
-            payload = {
-                "solvable": False,
-                "reason": result.reason.value,
-                "input_set": [],
-                "cost": None,
-                "iterations": 0,
-                "per_iteration": [],
-            }
-            if args.oracle:
-                answer = brute_force_min_input_set(g, forb)
-                payload["oracle_cost"] = None if answer is None else answer[0]
-                if answer is not None:
-                    print("error: oracle disagrees with the solver", file=sys.stderr)
-                    code = 1
-            if code == 0:
-                code = 2
+            payload = {"solvable": False, "reason": result.reason.value}
+            input_set, cost, rounds = [], None, []
+        payload.update({
+            "input_set": input_set,
+            "cost": cost,
+            "iterations": len(rounds),
+            "per_iteration": [
+                {"dist": it.dist, "paths": it.paths, "cost": it.cost} for it in rounds
+            ],
+        })
+        code = 0 if solved else 2
+        if args.verify and solved:
+            payload["verify"] = check_structural_controllability(g, input_set)
+            if not payload["verify"]:
+                print("error: verification failed on the returned set", file=sys.stderr)
+                code = 1
+        if args.oracle:
+            answer = brute_force_min_input_set(g, forb)
+            payload["oracle_cost"] = None if answer is None else answer[0]
+            if payload["oracle_cost"] != payload["cost"]:
+                print("error: oracle disagrees with the solver", file=sys.stderr)
+                code = 1
         text = json.dumps(payload, indent=2) + "\n"
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -25,13 +25,15 @@ Edges, for a matching M on the splitting of G:
 The core edges are never stored: ``g.out_adj``, ``g.in_adj`` and the
 mate arrays answer them, as the residual graph in Hopcroft-Karp is never
 stored.  A round only tabulates the other edges, which touch ``s``,
-``t``, the gateways and the unmatched destination copies, in the
-internal node space where each slack family is a single token node
-``aux_base + f`` with edges ``member -> token -> t``.  Slack families
-are complete bipartite and would cost Theta(k^2) edges if materialised;
-the token keeps every traversal O(n + m).  Public accessors
+``t``, the gateways and the unmatched destination copies, in the tables
+``extra_out`` and ``extra_in`` of the internal node space, where each
+slack family is a single token node ``aux_base + f`` with edges
+``member -> token -> t``.  Slack families are complete bipartite and
+would cost Theta(k^2) edges if materialised; the token keeps every
+traversal O(n + m).  ``FlowGraph.out_view`` and ``FlowGraph.in_view``
+state the edge rule of that space once; the public accessors
 (``out_neighbors``, ``in_neighbors``, ``explicit_edges``, ``dump``)
-present the fully materialised view.
+apply them and present the fully materialised view.
 """
 
 from __future__ import annotations
@@ -58,10 +60,23 @@ class FlowGraph:
     free member of a singleton one-free component, which has nothing to
     swap with); matched destination copies and ``t`` have none.
     ``extra_in[x]`` does the same for in-neighbours of gateways, tokens,
-    ``t`` and the destination copies a swap or a gateway enters.  The core edges come from ``out_adj``,
-    ``in_adj``, ``mate_of_src`` and ``mate_of_dst``, shared with the
-    graph and the matching, so the view is valid only until the
-    matching changes.
+    ``t`` and the destination copies a swap or a gateway enters;
+    ``extra_in[t]`` ascends, direct destination copies before tokens,
+    and ``extra_in[token]`` lists the family's members.  Family ``f``
+    owns one slack id fewer than its members, from ``aux_base +
+    slack_offset[f]`` up to ``aux_base + slack_offset[f + 1]``.  The
+    core edges come from ``out_adj``, ``in_adj``, ``mate_of_src`` and
+    ``mate_of_dst``, shared with the graph and the matching, so the view
+    is valid only until the matching changes.
+
+    ``out_view`` and ``in_view`` return one token per family and keep
+    the matched edge in its forward direction too; a level check drops
+    it, as a matched source copy's only in-neighbour, its mate's
+    destination copy, sits one BFS level below it.  ``out_neighbors``
+    and ``in_neighbors`` drop that edge and expand tokens into slack
+    ids.  ``augment`` writes ``out_view`` inline in the BFS forward scan
+    and for source copies in the extraction cascade: both scan each
+    edge once and the view would build a list per source copy.
 
     A build makes one comprehension over ``mate_of_src`` (the edges
     out of ``s``); the rest costs O(1) per unmatched vertex and per
@@ -115,37 +130,33 @@ class FlowGraph:
             work += len(comps[c])
 
         to_t = [t_id]
-        fam_members: list[list[int]] = []
-        fam_cap: list[int] = []
+        tokens: list[int] = []
+        slack_offset = [0]
         comp_unmatched = cls.comp_unmatched
         for c in [c for c in scc.source_ids if comp_unmatched[c] >= 2]:
             members = [n + v for v in comps[c] if mate_dst[v] < 0]
-            token = aux_base + len(fam_members)
+            token = aux_base + len(tokens)
             via = [token]
             for x in members:
                 extra_out[x] = via
             extra_out[token] = to_t
             extra_in[token] = members
-            fam_members.append(members)
-            fam_cap.append(len(members) - 1)
+            tokens.append(token)
+            slack_offset.append(slack_offset[-1] + len(members) - 1)
             work += len(comps[c])
         work += len(scc.source_ids)
 
         comp_id = scc.comp_id
         is_source = scc.is_source
-        t_in_direct = [n + v for v in cls.u_prime if not is_source[comp_id[v]]]
-        extra_out.update(dict.fromkeys(t_in_direct, to_t))
+        direct = [n + v for v in cls.u_prime if not is_source[comp_id[v]]]
+        extra_out.update(dict.fromkeys(direct, to_t))
         work += len(cls.u_prime)
-        extra_in[t_id] = t_in_direct + list(range(aux_base, aux_base + len(fam_members)))
+        extra_in[t_id] = direct + tokens
 
         s_out = [u for u, v in enumerate(mate_src) if v < 0]
         s_out.extend(gates)
         extra_out[s_id] = s_out
         work += n + r
-
-        slack_offset = [0]
-        for cap in fam_cap:
-            slack_offset.append(slack_offset[-1] + cap)
 
         self.n = n
         self.s_id = s_id
@@ -157,11 +168,8 @@ class FlowGraph:
         self.mate_of_dst = mate_dst
         self.extra_out = extra_out
         self.extra_in = extra_in
-        self.fam_members = fam_members
-        self.fam_cap = fam_cap
-        self.n_families = len(fam_members)
+        self.n_families = len(tokens)
         self.slack_offset = slack_offset
-        self.t_in_direct = t_in_direct
         self.build_work = work
 
     def node_count(self) -> int:
@@ -169,8 +177,8 @@ class FlowGraph:
         return self.aux_base + self.slack_offset[-1]
 
     def slack_ids(self, f: int) -> range:
-        base = self.aux_base + self.slack_offset[f]
-        return range(base, base + self.fam_cap[f])
+        base = self.aux_base
+        return range(base + self.slack_offset[f], base + self.slack_offset[f + 1])
 
     def _slack_family(self, x: int) -> tuple[int, int]:
         """(family, slot) of a materialised slack node id."""
@@ -178,44 +186,58 @@ class FlowGraph:
         f = bisect_right(self.slack_offset, rel) - 1
         return f, rel - self.slack_offset[f]
 
-    def out_neighbors(self, x: int) -> list[int]:
-        """Neighbours of ``x`` in the materialised view."""
-        n, aux_base = self.n, self.aux_base
-        if x >= aux_base:
-            return [self.t_id]
+    def out_view(self, x: int) -> Sequence[int]:
+        """Out-neighbours of ``x`` in the internal node space; for a
+        source copy this includes its matched destination copy."""
+        n = self.n
         if x < n:
-            w = self.mate_of_src[x]
-            return [n + v for v in self.out_adj[x] if v != w]
-        if x < 2 * n and self.mate_of_dst[x - n] >= 0:
-            return [self.mate_of_dst[x - n]]
+            return [n + v for v in self.out_adj[x]]
+        if x < 2 * n:
+            u = self.mate_of_dst[x - n]
+            if u >= 0:
+                return [u]
+        return self.extra_out.get(x, ())
+
+    def in_view(self, x: int) -> Sequence[int]:
+        """In-neighbours of ``x`` in the internal node space; for a
+        destination copy this includes its matched source copy."""
+        n = self.n
+        if x < n:
+            v = self.mate_of_src[x]
+            return [self.s_id] if v < 0 else [n + v]
+        if x < 2 * n:
+            cands = self.in_adj[x - n]
+            extra = self.extra_in.get(x)
+            return cands + extra if extra else cands
+        return self.extra_in.get(x, ())
+
+    def _materialise(self, view: Sequence[int], matched: int) -> list[int]:
+        """``view`` without the forward ``matched`` node, each family
+        token replaced by its slack ids."""
+        aux_base = self.aux_base
         nbrs: list[int] = []
-        for y in self.extra_out.get(x, ()):
+        for y in view:
             if y >= aux_base:
                 nbrs.extend(self.slack_ids(y - aux_base))
-            else:
+            elif y != matched:
                 nbrs.append(y)
         return nbrs
+
+    def out_neighbors(self, x: int) -> list[int]:
+        """Out-neighbours of ``x`` in the materialised view."""
+        n = self.n
+        if x >= self.aux_base:
+            return [self.t_id]
+        matched = n + self.mate_of_src[x] if x < n and self.mate_of_src[x] >= 0 else -1
+        return self._materialise(self.out_view(x), matched)
 
     def in_neighbors(self, x: int) -> list[int]:
         """In-neighbours of ``x`` in the materialised view."""
         n = self.n
         if x >= self.aux_base:
-            f, _ = self._slack_family(x)
-            return list(self.fam_members[f])
-        if x == self.t_id:
-            res = list(self.t_in_direct)
-            for f in range(self.n_families):
-                res.extend(self.slack_ids(f))
-            return res
-        if x < n:
-            v = self.mate_of_src[x]
-            return [self.s_id] if v < 0 else [n + v]
-        res = []
-        if x < 2 * n:
-            matched_to = self.mate_of_dst[x - n]
-            res = [u for u in self.in_adj[x - n] if u != matched_to]
-        res.extend(self.extra_in.get(x, ()))
-        return res
+            x = self.aux_base + self._slack_family(x)[0]
+        matched = self.mate_of_dst[x - n] if n <= x < 2 * n else -1
+        return self._materialise(self.in_view(x), matched)
 
     def explicit_edges(self) -> list[tuple[int, int]]:
         """Every edge of the materialised view, slack families expanded."""

@@ -17,18 +17,23 @@ from typing import Iterable, Iterator
 from .errors import IndexOutOfRange
 
 
+def _plain_int(v: object) -> int | None:
+    """``v`` as a plain ``int``; integer types such as ``numpy.int64``
+    are accepted, ``bool`` and non-integers give None."""
+    if isinstance(v, bool):
+        return None
+    try:
+        return operator.index(v)
+    except TypeError:
+        return None
+
+
 def vertex_id(v: object, n: int, what: str) -> int:
-    """``v`` as a plain ``int`` in ``[0, n)``; integer types such as
-    ``numpy.int64`` are accepted, ``bool`` and non-integers are not."""
-    if not isinstance(v, bool):
-        try:
-            i = operator.index(v)
-        except TypeError:
-            pass
-        else:
-            if 0 <= i < n:
-                return i
-    raise IndexOutOfRange(f"{what} {v!r} is not an id in [0, {n})")
+    """``v`` as a plain ``int`` in ``[0, n)``, by the ``_plain_int`` rule."""
+    i = _plain_int(v)
+    if i is None or not 0 <= i < n:
+        raise IndexOutOfRange(f"{what} {v!r} is not an id in [0, {n})")
+    return i
 
 
 class SparseDigraph:
@@ -41,7 +46,8 @@ class SparseDigraph:
     Parameters
     ----------
     n : int
-        Number of vertices.
+        Number of vertices, stored as a plain ``int``; ``bool``,
+        non-integer and negative counts raise IndexOutOfRange.
     edges : iterable of (int, int)
         Directed edges ``(u, v)`` meaning ``u -> v``.  Integer types such
         as ``numpy.int64`` are stored as plain ``int``; ``bool`` and
@@ -51,8 +57,10 @@ class SparseDigraph:
     __slots__ = ("n", "m", "out_adj", "in_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if n < 0:
-            raise IndexOutOfRange(f"vertex count must be nonnegative, got {n}")
+        count = _plain_int(n)
+        if count is None or count < 0:
+            raise IndexOutOfRange(f"vertex count must be a nonnegative integer, got {n!r}")
+        n = count
         out_adj: list[list[int]] = [[] for _ in range(n)]
         in_adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:

@@ -15,6 +15,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from minput import SparseDigraph
+from minput.flowgraph import FlowGraph
 
 
 def closure(g: SparseDigraph) -> list[set[int]]:
@@ -113,15 +114,17 @@ class ExplicitFlow:
     duck-typed for layered_bfs / extract_paths.
 
     With ``n = 0`` there is no graph or matching behind the view, so
-    every node's edges sit in the ``extra_out`` / ``extra_in`` tables.
+    every node's edges sit in the ``extra_out`` / ``extra_in`` tables,
+    which ``FlowGraph``'s own views read.
     """
+
+    out_view = FlowGraph.out_view
+    in_view = FlowGraph.in_view
 
     def __init__(self, size: int, edges: list[tuple[int, int]], s_id: int, t_id: int):
         self.n = 0
         self.aux_base = size
         self.n_families = 0
-        self.fam_members: list[list[int]] = []
-        self.fam_cap: list[int] = []
         self.slack_offset = [0]
         self.s_id = s_id
         self.t_id = t_id
@@ -134,7 +137,6 @@ class ExplicitFlow:
         for a, b in sorted(set(edges)):
             self.extra_out[a].append(b)
             self.extra_in[b].append(a)
-        self.t_in_direct = list(self.extra_in[t_id])
         self.build_work = 0
 
 

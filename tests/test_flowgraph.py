@@ -1,7 +1,15 @@
 import random
+from collections import deque
 
 from bruteforce import reference_flow_edges
-from minput import Matching, build_flow_graph, classify, find_allowed_matching, scc_decompose
+from minput import (
+    Matching,
+    build_flow_graph,
+    classify,
+    find_allowed_matching,
+    layered_bfs,
+    scc_decompose,
+)
 from minput.families import erdos_renyi, random_forbidden
 
 AB = ["a", "b", "c", "d"]
@@ -61,20 +69,20 @@ class TestGoldenDumps:
         fg = _flow(g4, m2)
         assert fg.dump(AB) == DUMP_ONE_FREE
         assert fg.n_families == 0 and fg.aux_base == fg.t_id + 1  # no gateway
-        assert fg.t_in_direct == []
+        assert fg.extra_in[fg.t_id] == []
 
     def test_gateway_component(self, g4, m1):
         fg = _flow(g4, m1)
         assert fg.dump(AB) == DUMP_GATEWAY
         assert fg.aux_base == fg.t_id + 2  # one gateway
-        assert fg.t_in_direct == [4 + 2]
+        assert fg.extra_in[fg.t_id] == [4 + 2]
 
     def test_slack_family(self, g5, m3):
         fg = _flow(g5, m3)
         assert fg.dump(ABE) == DUMP_SLACK
         assert fg.n_families == 1
-        assert fg.fam_members == [[7, 8, 9]]
-        assert fg.fam_cap == [2]
+        assert fg.extra_in[fg.aux_base] == [7, 8, 9]
+        assert fg.slack_offset == [0, 2]
         assert list(fg.slack_ids(0)) == [12, 13]
 
 
@@ -205,20 +213,40 @@ def _random_matching(g, rng):
     return m
 
 
+def _implicit_view_cases():
+    """300 random (graph, forbidden, matching, flow graph) cases, half of
+    them on a random matching that need not be maximal or allowed."""
+    rng = random.Random(42)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        g = erdos_renyi(n, rng.choice([0.15, 0.3, 0.5]), rng)
+        f = random_forbidden(n, 0.3, rng)
+        m = find_allowed_matching(g, f)
+        if m is None or rng.random() < 0.5:
+            m = _random_matching(g, rng)
+        yield g, f, m, build_flow_graph(g, scc_decompose(g), m, f)
+
+
+def _plain_bfs(fg):
+    """Distances from s over ``out_view``, -1 where unreached."""
+    dist = [-1] * (fg.aux_base + fg.n_families)
+    dist[fg.s_id] = 0
+    queue = deque([fg.s_id])
+    while queue:
+        x = queue.popleft()
+        for y in fg.out_view(x):
+            if dist[y] < 0:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
+
+
 class TestImplicitView:
     def test_matches_reference_construction(self):
-        rng = random.Random(42)
         seen = {"gateway": 0, "swap": 0, "slack": 0}
-        for _ in range(300):
-            n = rng.randint(1, 9)
-            g = erdos_renyi(n, rng.choice([0.15, 0.3, 0.5]), rng)
-            f = random_forbidden(n, 0.3, rng)
-            m = find_allowed_matching(g, f)
-            if m is None or rng.random() < 0.5:
-                m = _random_matching(g, rng)
-            scc = scc_decompose(g)
-            fg = build_flow_graph(g, scc, m, f)
-            count, want = reference_flow_edges(g, scc.comp_id, m, f)
+        for g, f, m, fg in _implicit_view_cases():
+            n = g.n
+            count, want = reference_flow_edges(g, scc_decompose(g).comp_id, m, f)
             edges = fg.explicit_edges()
             assert fg.node_count() == count
             assert len(edges) == len(set(edges))
@@ -233,3 +261,25 @@ class TestImplicitView:
                 n <= a < 2 * n and n <= b < 2 * n for a, b in edges
             )
         assert min(seen.values()) >= 20, seen
+
+    def test_views_mirror_each_other(self):
+        for _, _, _, fg in _implicit_view_cases():
+            nodes = range(fg.aux_base + fg.n_families)
+            assert {(x, y) for x in nodes for y in fg.out_view(x)} == {
+                (x, y) for y in nodes for x in fg.in_view(y)
+            }
+
+    def test_layered_bfs_follows_out_view(self):
+        # The BFS forward scan is written inline; it must label every
+        # node up to t's level exactly as a plain BFS over the view does.
+        reached = 0
+        for _, _, _, fg in _implicit_view_cases():
+            want = _plain_bfs(fg)
+            dag = layered_bfs(fg)
+            if want[fg.t_id] < 0:
+                assert dag is None
+                continue
+            reached += 1
+            assert dag.dist_t == want[fg.t_id]
+            assert dag.dist == [d if d <= dag.dist_t else -1 for d in want]
+        assert reached >= 100, reached

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import random
 
 import numpy as np
@@ -6,12 +8,14 @@ import pytest
 from bruteforce import closure, scc_partition
 from minput import (
     IndexOutOfRange,
+    Problem,
     SparseDigraph,
     build_graph,
     induced_subgraph,
     isolated_vertices,
     reachable_from,
     scc_decompose,
+    solve,
 )
 from minput.families import erdos_renyi
 
@@ -50,6 +54,19 @@ class TestSparseDigraph:
         assert all(type(v) is int for adj in g.out_adj + g.in_adj for v in adj)
         with pytest.raises(IndexOutOfRange):
             SparseDigraph(2, [(0, np.int64(2))])
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, "3", None, True, False])
+    def test_rejects_bad_vertex_count(self, bad):
+        with pytest.raises(IndexOutOfRange):
+            SparseDigraph(bad, [])
+
+    def test_numpy_vertex_count_stored_as_int(self):
+        g = SparseDigraph(np.int64(3), [(0, 1)])
+        assert type(g.n) is int and g.n == 3
+        sol = solve(Problem(g))
+        stats = sol.diagnostics.per_iteration[0]
+        assert all(type(v) is int for v in (sol.cost, stats.cost, stats.work))
+        json.dumps(dataclasses.asdict(sol))
 
     def test_empty(self):
         g = SparseDigraph(0, [])

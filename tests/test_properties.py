@@ -1,9 +1,11 @@
-"""Hypothesis properties of ``solve`` on small random instances."""
+"""Hypothesis properties of ``solve`` on small random instances, and of
+the file parsers on line soup."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minput import Problem, Solution, SparseDigraph, solve
+from minput import MinputError, Problem, Solution, SparseDigraph, cli, solve
 
 # Bounded and derandomised: the same examples run every time, and no
 # per-example deadline can turn a slow machine into a failure.
@@ -45,3 +47,78 @@ def test_relabelling_invariance(inst, rng):
     rng.shuffle(perm)
     relabelled = SparseDigraph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
     assert _outcome(relabelled, frozenset(perm[v] for v in forbidden)) == _outcome(g, forbidden)
+
+
+# Line soup for the parsers: a near-valid edge list, Matrix Market file
+# or forbidden list with junk lines spliced in.  Sizes stay at most 64,
+# so no size line asks for a large allocation.
+BANNERS = [
+    f"%%MatrixMarket matrix {layout} {field} {symmetry}"
+    for layout in ("coordinate", "array")
+    for field in ("real", "integer", "pattern", "complex")
+    for symmetry in ("general", "symmetric", "hermitian")
+]
+SUPPORTED = [b for b in BANNERS if not {"array", "complex", "hermitian"} & set(b.split())]
+TOKENS = st.one_of(
+    st.integers(-2, 64).map(str), st.floats().map(repr), st.sampled_from(["nan", "0x1", "x"])
+)
+JUNK = st.one_of(
+    st.lists(TOKENS | st.sampled_from(["%", "#"]), max_size=4).map(" ".join),
+    st.sampled_from(BANNERS + ["% comment", "# comment", "1 2 # trailing", ""]),
+)
+
+
+@st.composite
+def soup(draw, kind):
+    n = draw(st.integers(0, 64))
+    ids = st.integers(-1, n)
+    entries = draw(st.lists(st.tuples(ids, ids, TOKENS), max_size=8))
+    if kind == "edges":
+        lines = [f"{n} {len(entries)}"] + [f"{a} {b}" for a, b, _ in entries]
+    elif kind == "mm":
+        banner = draw(st.sampled_from(SUPPORTED) | st.sampled_from(BANNERS))
+        lines = [banner, f"{n} {draw(st.sampled_from([n, n + 1]))} {len(entries)}"]
+        for a, b, value in entries:
+            lines.append(f"{a + 1} {b + 1}" + ("" if "pattern" in banner else f" {value}"))
+    else:
+        lines = [" ".join(str(a) for a, _, _ in entries)]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(JUNK))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def soup_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("soup")
+
+
+def _check_soup(soup_dir, text, parse, argv, *args):
+    """``parse`` returns or raises a MinputError on ``text``, and
+    ``cli.run`` on ``argv`` plus the file exits 0, 1 or 2."""
+    path = soup_dir / "soup.txt"
+    path.write_text(text, encoding="utf-8")
+    try:
+        parse(str(path), *args)
+    except MinputError:
+        pass
+    assert cli.run([*argv, str(path), "--out", str(soup_dir / "out.json")]) in (0, 1, 2)
+
+
+@BOUNDED
+@given(soup("edges"))
+def test_edge_list_soup(soup_dir, text):
+    _check_soup(soup_dir, text, cli.ingest_edge_list, ["--graph"])
+
+
+@BOUNDED
+@given(soup("mm"))
+def test_matrix_market_soup(soup_dir, text):
+    _check_soup(soup_dir, text, cli.ingest_matrix_market, ["--mm"])
+
+
+@BOUNDED
+@given(soup("ids"), st.integers(0, 8))
+def test_forbidden_soup(soup_dir, text, n):
+    graph = soup_dir / "graph.txt"
+    graph.write_text(f"{n} 0\n", encoding="utf-8")
+    _check_soup(soup_dir, text, cli.read_forbidden, ["--graph", str(graph), "--forbidden"], n)
