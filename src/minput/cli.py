@@ -299,7 +299,8 @@ def run(argv: list[str] | None = None) -> int:
             input_set, cost = result.input_set, result.cost
             rounds = result.diagnostics.per_iteration
         else:
-            payload = {"solvable": False, "reason": result.reason.value}
+            payload = {"solvable": False, "reason": result.reason.value,
+                       "witness": result.witness}
             input_set, cost, rounds = [], None, []
         payload.update({
             "input_set": input_set,

@@ -159,64 +159,57 @@ class SccInfo:
 
 
 def scc_decompose(g: SparseDigraph) -> SccInfo:
-    """Tarjan's algorithm, iterative so deep graphs cannot overflow the stack."""
+    """Tarjan's algorithm, iterative so deep graphs cannot overflow the stack.
+
+    Source flags come out of the same scan.  An edge joins two
+    components exactly when it is scanned into a component that has
+    already closed, or is a tree edge whose child closes its component
+    on return; either way the component it enters is not a source.
+    """
     n = g.n
     out = g.out_adj
     index = [-1] * n
     low = [0] * n
-    on_stack = bytearray(n)
-    comp_id = [-1] * n
+    comp_id = [-1] * n  # a visited vertex is on the Tarjan stack while this is -1
     comps: list[list[int]] = []
+    is_source: list[bool] = []
     tarjan_stack: list[int] = []
     counter = 0
     for root in range(n):
         if index[root] >= 0:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        tarjan_stack.append(root)  # the stack is empty between trees
+        # frame: vertex, its adjacency iterator, its position on the Tarjan stack
+        work = [(root, iter(out[root]), 0)]
         while work:
-            v, ptr = work[-1]
-            if ptr == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                tarjan_stack.append(v)
-                on_stack[v] = 1
-            descended = False
-            nbrs = out[v]
-            while ptr < len(nbrs):
-                w = nbrs[ptr]
-                ptr += 1
+            v, nbrs, base = work[-1]
+            for w in nbrs:
                 if index[w] < 0:
-                    work[-1] = (v, ptr)
-                    work.append((w, 0))
-                    descended = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    work.append((w, iter(out[w]), len(tarjan_stack)))
+                    tarjan_stack.append(w)
                     break
-                if on_stack[w] and index[w] < low[v]:
+                c = comp_id[w]
+                if c >= 0:
+                    is_source[c] = False
+                elif index[w] < low[v]:
                     low[v] = index[w]
-            if descended:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                members = []
-                while True:
-                    w = tarjan_stack.pop()
-                    on_stack[w] = 0
-                    comp_id[w] = len(comps)
-                    members.append(w)
-                    if w == v:
-                        break
-                members.sort()
-                comps.append(members)
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-    is_source = [True] * len(comps)
-    for u in range(n):
-        cu = comp_id[u]
-        for v in out[u]:
-            cv = comp_id[v]
-            if cv != cu:
-                is_source[cv] = False
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    c = len(comps)
+                    members = tarjan_stack[base:]
+                    del tarjan_stack[base:]
+                    for w in members:
+                        comp_id[w] = c
+                    members.sort()
+                    comps.append(members)
+                    is_source.append(not work)
+                elif low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
     source_ids = [c for c, flag in enumerate(is_source) if flag]
     return SccInfo(comp_id, comps, is_source, source_ids)
 

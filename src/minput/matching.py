@@ -13,6 +13,11 @@ unmatched vertex lies outside F.  The cost of a matching is the number
 of unmatched vertices plus the number of source SCCs whose members are
 all matched; minimising this cost over allowed matchings is what the
 rest of the package is about.
+
+``find_allowed_matching`` builds the start that minimisation improves:
+a Hopcroft-Karp cover of the forbidden destinations, run from the
+forbidden side, extended by the Karp-Sipser rule in O(n + m).  The
+closer that start is to optimal, the fewer rounds remain.
 """
 
 from __future__ import annotations
@@ -195,44 +200,147 @@ def hopcroft_karp(
                         via.pop()
 
 
+def _cover_forbidden(
+    g: SparseDigraph, f_list: list[int]
+) -> tuple[list[int], list[int]]:
+    """Hopcroft-Karp from the forbidden side: ``f_list`` is the left
+    side and every vertex's source copy the right, so each phase starts
+    from at most ``len(f_list)`` free forbidden destinations."""
+    return hopcroft_karp(len(f_list), g.n, [g.in_adj[f] for f in f_list])
+
+
+def _forbidden_list(g: SparseDigraph, forbidden: Collection[int]) -> list[int]:
+    """Sorted distinct forbidden ids, each checked to lie in ``[0, n)``."""
+    f_list = sorted(set(forbidden))
+    if f_list and not (0 <= f_list[0] and f_list[-1] < g.n):
+        raise IndexOutOfRange(f"forbidden vertex outside [0, {g.n})")
+    return f_list
+
+
 def find_allowed_matching(g: SparseDigraph, forbidden: Collection[int]) -> Matching | None:
     """Maximal matching whose unmatched vertices all avoid ``forbidden``.
 
-    First covers every forbidden destination via maximum matching on the
-    subgraph of the splitting spanned by forbidden destination copies
-    and their source-side neighbours.  If some forbidden vertex cannot
-    be covered there is no allowed matching at all and the result is
-    None.  Otherwise the cover is extended greedily, scanning edges in
-    ascending (source, destination) order, never unmatching a forbidden
-    destination.
+    First covers every forbidden destination by a maximum matching
+    between the forbidden destination copies and their in-neighbours'
+    source copies, found by Hopcroft-Karp with the forbidden side on
+    the left.  If some forbidden vertex cannot be covered there is no
+    allowed matching at all and the result is None (``hall_violator``
+    says why).  Otherwise the cover is extended by the Karp-Sipser rule
+    in O(n + m), never unmatching a forbidden destination:
+
+    * every free source and free destination keeps the number of its
+      free neighbours on the other side;
+    * a free vertex with exactly one free neighbour is matched to it.
+      Such vertices wait on a stack: the ones present after the cover
+      come off in ascending order, sources before destinations, and a
+      vertex whose count drops to one is pushed when it does, so it
+      comes off before every vertex pushed earlier;
+    * when the stack holds no such vertex, the lowest free source with
+      a free neighbour takes its lowest free destination.
+
+    A degree-one match never shrinks the largest matching still
+    reachable, so the start is close to maximum and ``minimize`` has
+    few rounds left to run.
     """
     n = g.n
-    f_list = sorted(set(forbidden))
-    if f_list and not (0 <= f_list[0] and f_list[-1] < n):
-        raise IndexOutOfRange(f"forbidden vertex outside [0, {n})")
+    f_list = _forbidden_list(g, forbidden)
     match = Matching(n)
     if f_list:
-        srcs = sorted({u for f in f_list for u in g.in_adj[f]})
-        src_index = {u: i for i, u in enumerate(srcs)}
-        adj: list[list[int]] = [[] for _ in srcs]
-        for fi, f in enumerate(f_list):
-            for u in g.in_adj[f]:
-                adj[src_index[u]].append(fi)
-        _, mate_right = hopcroft_karp(len(srcs), len(f_list), adj)
-        if any(side < 0 for side in mate_right):
+        mate_f, _ = _cover_forbidden(g, f_list)
+        if min(mate_f) < 0:
             return None
-        for fi, f in enumerate(f_list):
-            match.add(srcs[mate_right[fi]], f)
-    mate_src = match.mate_of_src
-    mate_dst = match.mate_of_dst
-    for u in range(n):
-        if mate_src[u] >= 0:
-            continue
-        for v in g.out_adj[u]:
-            if mate_dst[v] < 0:
-                match.add(u, v)
+        for f, u in zip(f_list, mate_f):
+            match.add(u, f)
+    out_adj, in_adj = g.out_adj, g.in_adj
+    mate_src, mate_dst = match.mate_of_src, match.mate_of_dst
+    # Free neighbours of each free source and destination.  A vertex's
+    # entry is zeroed when it is matched and only falls from there, so a
+    # count of 1 always belongs to a free vertex.
+    free_out = list(map(len, out_adj))
+    free_in = list(map(len, in_adj))
+    for f in f_list:
+        u = mate_dst[f]
+        free_out[u] = free_in[f] = 0
+        for w in in_adj[f]:
+            free_out[w] -= 1
+        for w in out_adj[u]:
+            free_in[w] -= 1
+    # degree-one vertices wait on a stack, a source u as u and a
+    # destination v as ~v; the first ones come off in ascending order
+    stack = [u for u, count in enumerate(free_out) if count == 1]
+    stack += [~v for v, count in enumerate(free_in) if count == 1]
+    stack.reverse()
+    sources = iter(range(n))  # passed-over sources stay matched or stuck
+    size = match.size
+    while True:
+        if stack:
+            u = stack.pop()
+            if u >= 0:
+                if free_out[u] != 1:
+                    continue
+                for v in out_adj[u]:
+                    if mate_dst[v] < 0:
+                        break
+                dsts, srcs = (), in_adj[v]  # u's other destinations are matched
+            else:
+                v = ~u
+                if free_in[v] != 1:
+                    continue
+                for u in in_adj[v]:
+                    if mate_src[u] < 0:
+                        break
+                dsts, srcs = out_adj[u], ()  # v's other sources are matched
+        else:
+            for u in sources:
+                if free_out[u] > 0:
+                    break
+            else:
                 break
+            for v in out_adj[u]:
+                if mate_dst[v] < 0:
+                    break
+            dsts, srcs = out_adj[u], in_adj[v]
+        mate_src[u] = v
+        mate_dst[v] = u
+        size += 1
+        free_out[u] = free_in[v] = 0
+        for w in dsts:
+            count = free_in[w] - 1
+            free_in[w] = count
+            if count == 1:
+                stack.append(~w)
+        for w in srcs:
+            count = free_out[w] - 1
+            free_out[w] = count
+            if count == 1:
+                stack.append(w)
+    match.size = size
     return match
+
+
+def hall_violator(g: SparseDigraph, forbidden: Collection[int]) -> list[int]:
+    """Forbidden vertices ``S`` with fewer in-neighbours than members.
+
+    Empty when every forbidden vertex can be covered.  Otherwise ``S``
+    holds the lowest forbidden vertex the Hopcroft-Karp cover leaves
+    uncovered plus every forbidden vertex reachable from it by
+    alternating paths (any in-neighbour, then that source's mate).  All
+    of ``S``'s in-neighbours are matched into ``S`` minus its start, so
+    ``|N_in(S)| = |S| - 1``: no matching covers ``S``.  Sorted.
+    """
+    f_list = _forbidden_list(g, forbidden)
+    mate_f, f_of_src = _cover_forbidden(g, f_list)
+    if not f_list or min(mate_f) >= 0:
+        return []
+    seen = {mate_f.index(-1)}
+    queue = deque(seen)
+    while queue:
+        for u in g.in_adj[f_list[queue.popleft()]]:
+            fi = f_of_src[u]  # matched, or the cover would not be maximum
+            if fi not in seen:
+                seen.add(fi)
+                queue.append(fi)
+    return sorted(f_list[fi] for fi in seen)
 
 
 @dataclass

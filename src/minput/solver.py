@@ -17,7 +17,7 @@ from typing import Collection
 
 from .augment import Diagnostics, minimize
 from .graph import SccInfo, SparseDigraph, scc_decompose, vertex_id
-from .matching import Matching, find_allowed_matching, unmatched_per_comp
+from .matching import Matching, find_allowed_matching, hall_violator, unmatched_per_comp
 
 
 @dataclass
@@ -37,10 +37,18 @@ class UnsolvableReason(str, Enum):
 
 @dataclass
 class Unsolvable:
-    """No admissible input set exists; ``reason`` says which gate failed."""
+    """No admissible input set exists; ``reason`` says which gate failed.
+
+    ``witness`` is the sorted vertex set that proves it: the forbidden
+    isolated vertices (``IsolatedForbidden``), the members of an
+    all-forbidden source component (``SourceSccAllForbidden``), or
+    forbidden vertices with fewer in-neighbours than members, so that no
+    matching covers them (``NoAllowedMatching``).
+    """
 
     reason: UnsolvableReason
     detail: str = ""
+    witness: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -106,6 +114,7 @@ def solve(problem: Problem, *, check: bool = False) -> Solution | Unsolvable:
         return Unsolvable(
             UnsolvableReason.ISOLATED_FORBIDDEN,
             f"isolated vertices {blocked} are forbidden but need their own input",
+            blocked,
         )
 
     scc = scc_decompose(g)
@@ -114,13 +123,17 @@ def solve(problem: Problem, *, check: bool = False) -> Solution | Unsolvable:
             return Unsolvable(
                 UnsolvableReason.SOURCE_SCC_ALL_FORBIDDEN,
                 f"source component {scc.comps[c]} has no allowed vertex",
+                list(scc.comps[c]),
             )
 
     m0 = find_allowed_matching(g, forb)
     if m0 is None:
+        hall = hall_violator(g, forb)
         return Unsolvable(
             UnsolvableReason.NO_ALLOWED_MATCHING,
-            "some forbidden vertex cannot be covered by any matching",
+            f"forbidden vertices {hall} have fewer distinct in-neighbours "
+            "than members, so no matching covers them all",
+            hall,
         )
 
     m_opt, diag = minimize(g, scc, forb, m0, check=check)

@@ -15,7 +15,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from minput import SparseDigraph
+from minput.errors import IndexOutOfRange
 from minput.flowgraph import FlowGraph
+from minput.matching import Matching, hopcroft_karp
 
 
 def closure(g: SparseDigraph) -> list[set[int]]:
@@ -85,6 +87,41 @@ def assignment_min_inputs(g: SparseDigraph, forbidden: Collection[int]) -> int |
     except ValueError:  # no assignment covers every row
         return None
     return len(sources) + int(weight[rows, cols].sum())
+
+
+def greedy_allowed_matching(g: SparseDigraph, forbidden: Collection[int]) -> Matching | None:
+    """The package's first allowed-matching start, kept as a fixed
+    input for the pinned work counters: a Hopcroft-Karp cover of the
+    forbidden destinations with the in-neighbour sources on the left,
+    then a greedy extension in ascending (source, destination) order.
+    """
+    n = g.n
+    f_list = sorted(set(forbidden))
+    if f_list and not (0 <= f_list[0] and f_list[-1] < n):
+        raise IndexOutOfRange(f"forbidden vertex outside [0, {n})")
+    match = Matching(n)
+    if f_list:
+        srcs = sorted({u for f in f_list for u in g.in_adj[f]})
+        src_index = {u: i for i, u in enumerate(srcs)}
+        adj: list[list[int]] = [[] for _ in srcs]
+        for fi, f in enumerate(f_list):
+            for u in g.in_adj[f]:
+                adj[src_index[u]].append(fi)
+        _, mate_right = hopcroft_karp(len(srcs), len(f_list), adj)
+        if any(side < 0 for side in mate_right):
+            return None
+        for fi, f in enumerate(f_list):
+            match.add(srcs[mate_right[fi]], f)
+    mate_src = match.mate_of_src
+    mate_dst = match.mate_of_dst
+    for u in range(n):
+        if mate_src[u] >= 0:
+            continue
+        for v in g.out_adj[u]:
+            if mate_dst[v] < 0:
+                match.add(u, v)
+                break
+    return match
 
 
 def max_matching_size(n_left: int, n_right: int, adj: list[list[int]]) -> int:

@@ -1,10 +1,11 @@
 """Per-round bookkeeping: ``classify`` against a naive reference, and the
-deterministic work counters of whole solves pinned to fixed values."""
+deterministic work counters of the augmentation loop and of whole solves
+pinned to fixed values."""
 
 import dataclasses
 import random
 
-from bruteforce import reference_classify
+from bruteforce import greedy_allowed_matching, reference_classify
 from minput import (
     Matching,
     Problem,
@@ -13,6 +14,7 @@ from minput import (
     build_flow_graph,
     classify,
     find_allowed_matching,
+    minimize,
     scc_decompose,
     solve,
 )
@@ -112,17 +114,23 @@ def _mixed():
     return g, _greedy_forbidden(g, 0.2, rng)
 
 
+def _rounds(diagnostics):
+    return [(it.dist, it.paths, it.cost, it.work) for it in diagnostics.per_iteration]
+
+
 class TestRoundCounters:
     """Every round's ``(dist, paths, cost, work)`` and the first round's
-    ``build_work``.  Work counts are deterministic and the scaling gate
-    relies on them, so a performance change must leave them alone."""
+    ``build_work`` of ``minimize`` driven from the greedy start
+    (``greedy_allowed_matching``), so the pins guard the loop whatever
+    start ``solve`` uses.  Work counts are deterministic and the scaling
+    gate relies on them, so a performance change must leave them alone."""
 
     def _check(self, g, forbidden, rounds, build_work):
-        res = solve(Problem(g, forbidden))
-        assert isinstance(res, Solution)
-        got = [(it.dist, it.paths, it.cost, it.work) for it in res.diagnostics.per_iteration]
-        assert got == rounds
-        fg = build_flow_graph(g, scc_decompose(g), find_allowed_matching(g, forbidden), forbidden)
+        scc = scc_decompose(g)
+        m0 = greedy_allowed_matching(g, forbidden)
+        _, diagnostics = minimize(g, scc, forbidden, m0)
+        assert _rounds(diagnostics) == rounds
+        fg = build_flow_graph(g, scc, m0, forbidden)
         assert fg.build_work == build_work
         return fg
 
@@ -148,3 +156,40 @@ class TestRoundCounters:
         ], 379)
         assert fg.aux_base - fg.t_id - 1 == 2  # gateways
         assert fg.n_families == 7
+
+
+class TestSolveRounds:
+    """``solve``'s rounds on the same instances, and the unmatched count
+    of its Karp-Sipser start (90, 362 and 61 from the greedy start): the
+    start decides how many rounds remain, so a change to it shows here."""
+
+    def _check(self, g, forbidden, unmatched, rounds):
+        assert g.n - find_allowed_matching(g, forbidden).size == unmatched
+        res = solve(Problem(g, forbidden))
+        assert isinstance(res, Solution)
+        assert _rounds(res.diagnostics) == rounds
+
+    def test_erdos_renyi(self):
+        g, f = _er()
+        self._check(g, f, 34, [(None, 0, 34, 2122)])
+
+    def test_preferential_greedy_forbidden(self):
+        g, f = _pa_greedy()
+        self._check(g, f, 355, [
+            (5, 2, 353, 3836), (7, 1, 352, 3844), (9, 1, 351, 3874), (None, 0, 351, 3758),
+        ])
+
+    def test_mixed_with_gateways_and_slack(self):
+        g, f = _mixed()
+        self._check(g, f, 56, [
+            (5, 7, 51, 1339), (7, 1, 50, 1162), (9, 1, 49, 1212), (None, 0, 49, 1085),
+        ])
+
+    def test_few_rounds_at_n_4096(self):
+        # a near-maximum start leaves little for the loop: the greedy
+        # start needed 17 to 25 rounds on these instances
+        for seed in range(900, 905):
+            g = erdos_renyi(4096, 3.0 / 4096, random.Random(seed))
+            res = solve(Problem(g))
+            assert isinstance(res, Solution)
+            assert res.diagnostics.iterations <= 8, seed

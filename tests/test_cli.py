@@ -188,7 +188,17 @@ class TestRunSolve:
         payload = json.loads(capsys.readouterr().out)
         assert payload["solvable"] is False
         assert payload["reason"] == "SourceSccAllForbidden"
+        assert payload["witness"] == [0]
         assert payload["cost"] is None
+
+    def test_unsolvable_witness(self, tmp_path, capsys):
+        # one source cannot cover two forbidden destinations
+        gpath = _write(tmp_path / "g.txt", "3 2\n0 1\n0 2\n")
+        fpath = _write(tmp_path / "f.txt", "1 2\n")
+        assert run(["--graph", gpath, "--forbidden", fpath]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["reason"] == "NoAllowedMatching"
+        assert payload["witness"] == [1, 2]
 
     def test_verify_flag(self, tmp_path, capsys):
         path = _write(tmp_path / "g.txt", CHAIN3)

@@ -120,8 +120,14 @@ class TestHopcroftKarp:
 
 
 class TestFindAllowedMatching:
-    def test_four_vertex_no_forbidden(self, g4, m1):
-        assert find_allowed_matching(g4, []) == m1
+    def test_four_vertex_no_forbidden(self, g4, m2):
+        # Free-neighbour counts: sources 2, 3, 1, 0 and destinations
+        # 2, 2, 1, 1.  Source 2 comes off the stack first: (2, 3).  Then
+        # destination 2 takes its only free source: (1, 2).  Taking source
+        # 1 leaves destinations 0 and 1 one free source each (source 0);
+        # both are pushed, 1 last, so (0, 1) comes next and destination 0
+        # is left with none.
+        assert find_allowed_matching(g4, []) == m2
 
     def test_chain_with_forbidden_tail(self):
         g = chain(3)
@@ -136,9 +142,21 @@ class TestFindAllowedMatching:
         assert find_allowed_matching(g, [1, 2]) is None
 
     def test_five_vertex_no_forbidden(self, g5):
+        # Degree-one vertices after the (empty) cover: sources 1 and 4,
+        # then destinations 2 and 4.  Source 1 takes (1, 0); that leaves
+        # source 0 one free destination, so it is pushed and comes off
+        # next: (0, 1).  That leaves source 2 one: (2, 3), and source 4
+        # none.  Then destination 2 takes (3, 2), and destination 4 is
+        # left with no free source.
         m = find_allowed_matching(g5, [])
         assert m is not None
-        assert m.edges() == [(0, 0), (2, 1), (3, 2), (4, 3)]
+        assert m.edges() == [(0, 1), (1, 0), (2, 3), (3, 2)]
+
+    def test_degree_one_first(self):
+        # destination 1 has the single free source 0, so (0, 1) is taken
+        # before source 0 can take its lowest destination 0
+        m = find_allowed_matching(SparseDigraph(2, [(0, 0), (0, 1), (1, 0)]), [])
+        assert m is not None and m.size == 2
 
     def test_forbidden_out_of_range(self, g4):
         with pytest.raises(IndexOutOfRange):

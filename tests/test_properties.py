@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minput import MinputError, Problem, Solution, SparseDigraph, cli, solve
+from bruteforce import assignment_min_inputs
+from minput import (
+    MinputError,
+    Problem,
+    Solution,
+    SparseDigraph,
+    check_structural_controllability,
+    cli,
+    solve,
+)
 
 # Bounded and derandomised: the same examples run every time, and no
 # per-example deadline can turn a slow machine into a failure.
@@ -47,6 +56,22 @@ def test_relabelling_invariance(inst, rng):
     rng.shuffle(perm)
     relabelled = SparseDigraph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
     assert _outcome(relabelled, frozenset(perm[v] for v in forbidden)) == _outcome(g, forbidden)
+
+
+@BOUNDED
+@given(instances())
+def test_checked_solve_is_exact(inst):
+    """Per-round validation stays silent, and a solved result is a
+    controllable input set that avoids F at the reference cost."""
+    g, forbidden = inst
+    res = solve(Problem(g, forbidden), check=True)
+    want = assignment_min_inputs(g, forbidden)
+    if not isinstance(res, Solution):
+        assert want is None
+        return
+    assert res.cost == len(res.input_set) == want
+    assert not set(res.input_set) & forbidden
+    assert check_structural_controllability(g, res.input_set)
 
 
 # Line soup for the parsers: a near-valid edge list, Matrix Market file

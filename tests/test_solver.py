@@ -42,10 +42,10 @@ class TestSolveExamples:
     def test_four_vertex(self, g4):
         sol = solve(Problem(g4))
         assert isinstance(sol, Solution)
-        assert sol.input_set == [1]
+        assert sol.input_set == [0]
         assert sol.cost == 1
-        assert sol.b_pattern == [(1, 1)]
-        assert sorted(sol.certificate) == [(0, 0), (1, 2), (2, 3)]
+        assert sol.b_pattern == [(0, 0)]
+        assert sorted(sol.certificate) == [(0, 1), (1, 2), (2, 3)]
 
     def test_five_vertex(self, g5):
         sol = solve(Problem(g5), check=True)
@@ -108,6 +108,7 @@ class TestUnsolvable:
         assert isinstance(out, Unsolvable)
         assert out.reason is UnsolvableReason.ISOLATED_FORBIDDEN
         assert "[2]" in out.detail
+        assert out.witness == [2]
 
     def test_isolated_gate_fires_first(self):
         # vertex 0 is isolated and forbidden; that verdict wins
@@ -125,11 +126,34 @@ class TestUnsolvable:
         out = solve(Problem(g, frozenset([1])))
         assert out.reason is UnsolvableReason.SOURCE_SCC_ALL_FORBIDDEN
         assert "[1]" in out.detail
+        assert out.witness == [1]
 
     def test_no_allowed_matching(self):
         out = solve(Problem(SparseDigraph(3, [(0, 1), (0, 2)]), frozenset([1, 2])))
         assert isinstance(out, Unsolvable)
         assert out.reason is UnsolvableReason.NO_ALLOWED_MATCHING
+        # the one source 0 cannot cover both forbidden destinations
+        assert out.witness == [1, 2]
+
+    def test_no_allowed_matching_witness_is_a_hall_violator(self):
+        # forbidding only vertices outside source components leaves the
+        # matching gate as the one that can fail
+        rng = random.Random(40)
+        seen = 0
+        for _ in range(400):
+            n = rng.randint(2, 40)
+            g = erdos_renyi(n, rng.choice([0.03, 0.08, 0.15]), rng)
+            scc = scc_decompose(g)
+            inner = [v for v in range(n) if not scc.is_source[scc.comp_id[v]]]
+            f = frozenset(v for v in inner if rng.random() < 0.7)
+            out = solve(Problem(g, f))
+            if isinstance(out, Unsolvable):
+                assert out.reason is UnsolvableReason.NO_ALLOWED_MATCHING
+                seen += 1
+                s = set(out.witness)
+                assert out.witness == sorted(s) and s and s <= f
+                assert len({u for v in s for u in g.in_adj[v]}) < len(s)
+        assert seen >= 30
 
     def test_reason_values_are_stable(self):
         assert UnsolvableReason.ISOLATED_FORBIDDEN.value == "IsolatedForbidden"
