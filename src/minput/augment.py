@@ -172,7 +172,7 @@ def extract_paths(dag: LayeredDag) -> PathSet:
     n = fg.n
     aux_base = fg.aux_base
     s_id, t_id = fg.s_id, fg.t_id
-    out_adj, extra_in, slack_offset = fg.out_adj, fg.extra_in, fg.slack_offset
+    out_adj, extra_in = fg.out_adj, fg.extra_in
     in_view, out_view = fg.in_view, fg.out_view
     dist = dag.dist
     useful = dag.useful
@@ -187,10 +187,8 @@ def extract_paths(dag: LayeredDag) -> PathSet:
         if head < aux_base:
             members, prefixes = [head], ([t_id],)
         else:
-            f = head - aux_base
             members = extra_in[head]
-            prefixes = ([t_id, z] for z in range(aux_base + slack_offset[f],
-                                                 aux_base + slack_offset[f + 1]))
+            prefixes = ([t_id, z] for z in fg.slack_ids(head - aux_base))
         # A token whose slack ids run out is left alive, not killed:
         # a kill would cascade and add to ``work``.
         p = 0
@@ -309,12 +307,11 @@ def minimize(
                 f"augmentation still running after {cap} rounds on n={n}"
             )
         cls = classify(scc, m)
-        cur_cost = (n - m.size) + len(cls.x_comps)
         fg = build_flow_graph(g, scc, m, forb, cls)
         dag, bfs_work = _run_bfs(fg)
         if dag is None:
             diag.per_iteration.append(
-                IterationStats(None, 0, cur_cost, fg.build_work + bfs_work)
+                IterationStats(None, 0, cls.cost, fg.build_work + bfs_work)
             )
             break
         if check:
@@ -323,7 +320,7 @@ def minimize(
         paths = extract_paths(dag)
         pre_mate_src = list(m.mate_of_src) if check else None
         augment_on_paths(m, paths)
-        new_cost = cur_cost - len(paths)
+        new_cost = cls.cost - len(paths)
         diag.per_iteration.append(
             IterationStats(dag.dist_t, len(paths), new_cost, fg.build_work + dag.work)
         )
@@ -331,8 +328,7 @@ def minimize(
             m.validate(g)
             assert m.is_allowed(forb), "augmentation lost the forbidden cover"
             post = classify(scc, m)
-            real_cost = (n - m.size) + len(post.x_comps)
-            assert real_cost == new_cost, "each path must lower the cost by one"
+            assert post.cost == new_cost, "each path must lower the cost by one"
             for u in range(n):
                 if pre_mate_src[u] >= 0:
                     assert m.mate_of_src[u] >= 0, (

@@ -183,32 +183,33 @@ def _flow_dump(problem: Problem) -> str:
     if m0 is None:
         return "# no allowed matching, flow graph undefined\n"
     fg = build_flow_graph(g, scc_decompose(g), m0, forb)
-    return fg.dump(problem.labels) + "\n"
+    return fg.dump() + "\n"
 
 
 def _make_family(family: str, n: int, rng: random.Random) -> SparseDigraph:
+    """An instance of one of ``BENCH_FAMILIES``."""
     if family == "erdos-renyi":
         return erdos_renyi(n, 3.0 / n, rng)
     if family == "preferential":
         return preferential(n, 3, rng)
     if family == "diagonal":
         return diagonal(n)
-    if family == "chain":
-        return chain(n)
-    raise ParseError(f"unknown family {family!r}, pick one of {', '.join(BENCH_FAMILIES)}")
+    return chain(n)
 
 
 def bench(family: str, nmin: int, nmax: int, reps: int, seed: int = 0,
-          out: TextIO | None = None) -> bool:
+          out: TextIO | None = None) -> None:
     """Solve generated instances over doubling sizes and emit CSV rows.
 
-    Returns False when any run exceeds the 6*sqrt(n) iteration bound,
-    which would mean a bug in the augmentation loop.
+    An unknown family is a ParseError raised before any output.  A run
+    past the 6*sqrt(n) round cap, which would mean a bug in the
+    augmentation loop, raises IterationBoundExceeded from ``solve``.
     """
+    if family not in BENCH_FAMILIES:
+        raise ParseError(f"unknown family {family!r}, pick one of {', '.join(BENCH_FAMILIES)}")
     out = out if out is not None else sys.stdout
     print("family,n,m,iterations,wall_nanos,cost", file=out)
-    findex = BENCH_FAMILIES.index(family) if family in BENCH_FAMILIES else 0
-    ok = True
+    findex = BENCH_FAMILIES.index(family)
     n = nmin
     while n <= nmax:
         for rep in range(reps):
@@ -220,14 +221,7 @@ def bench(family: str, nmin: int, nmax: int, reps: int, seed: int = 0,
             assert isinstance(result, Solution)  # no forbidden set, always solvable
             iters = result.diagnostics.iterations
             print(f"{family},{n},{g.m},{iters},{wall},{result.cost}", file=out)
-            if iters > 6 * math.sqrt(n):
-                print(
-                    f"iteration bound broken: {iters} rounds on n={n} {family}",
-                    file=sys.stderr,
-                )
-                ok = False
         n *= 2
-    return ok
 
 
 def _parse_bench(flag: str) -> tuple[str, int, int, int]:
@@ -276,7 +270,8 @@ def run(argv: list[str] | None = None) -> int:
     try:
         if args.bench:
             family, nmin, nmax, reps = _parse_bench(args.bench)
-            return 0 if bench(family, nmin, nmax, reps, seed=args.seed) else 1
+            bench(family, nmin, nmax, reps, seed=args.seed)
+            return 0
         if args.graph and args.mm:
             print("error: --graph and --mm are mutually exclusive", file=sys.stderr)
             return 1

@@ -17,7 +17,8 @@ Edges, for a matching M on the splitting of G:
   gateway caps path flow into ``X_i`` at one, since freeing one member
   of ``X_i`` already pays for the component);
 * unmatched destination copies outside one-free source components reach
-  ``t``: directly when their SCC is not a source, otherwise through a
+  ``t``: directly when their SCC is not a source (the build reads these
+  from the round's ``MatchClass.unmatched``), otherwise through a
   family of ``k - 1`` interchangeable slack nodes shared by the ``k``
   unmatched members of their SCC (the component must keep at least one
   unmatched member, so only ``k - 1`` paths may drain it).
@@ -148,9 +149,11 @@ class FlowGraph:
 
         comp_id = scc.comp_id
         is_source = scc.is_source
-        direct = [n + v for v in cls.u_prime if not is_source[comp_id[v]]]
+        direct = [n + v for v in cls.unmatched if not is_source[comp_id[v]]]
         extra_out.update(dict.fromkeys(direct, to_t))
-        work += len(cls.u_prime)
+        # unmatched vertices outside one-free components, as each
+        # one-free component holds exactly one
+        work += len(cls.unmatched) - len(cls.y_comps)
         extra_in[t_id] = direct + tokens
 
         s_out = [u for u, v in enumerate(mate_src) if v < 0]

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress
-from typing import Collection, Iterable
+from typing import Collection
 
 from .errors import IndexOutOfRange
 from .graph import SccInfo, SparseDigraph
@@ -345,60 +344,49 @@ def hall_violator(g: SparseDigraph, forbidden: Collection[int]) -> list[int]:
 
 @dataclass
 class MatchClass:
-    """Classification of SCCs and unmatched vertices for one matching.
+    """Classification of source SCCs and unmatched vertices for one matching.
 
     Source components split by their number of unmatched members: none
     (``x_comps``), exactly one (``y_comps``, with the free vertex kept
-    side by side in ``y_free``), or two and more.  ``z_comps`` collects
-    the rest: those source components plus every non-source component.
-    ``u_prime`` lists the unmatched vertices outside one-free source
-    components; they are the unmatched vertices no in-component swap
-    could relocate for free.  Every list is ascending except ``y_free``,
-    which follows ``y_comps``; ``comp_unmatched`` holds the unmatched
-    count of every component.
+    side by side in ``y_free``), or two and more.  ``unmatched`` lists
+    every unmatched vertex and ``comp_unmatched`` holds the unmatched
+    count of every component.  Every list is ascending except
+    ``y_free``, which follows ``y_comps``.
 
     Per round, ``classify`` makes one comprehension over the
-    destination mates and one C-level pass over the components (for
-    ``z_comps``); every other step costs O(1) per unmatched vertex or
-    per source component, and no step walks a component's members.
+    destination mates and allocates one zeroed count per component;
+    every other step costs O(1) per unmatched vertex or per source
+    component, and no Python loop walks all components or a
+    component's members.
     """
 
     x_comps: list[int]
     y_comps: list[int]
     y_free: list[int]
-    z_comps: list[int]
-    u_prime: list[int]
+    unmatched: list[int]
     comp_unmatched: list[int]
 
-
-def unmatched_per_comp(scc: SccInfo, unmatched: Iterable[int]) -> list[int]:
-    """Number of the given unmatched vertices in each component."""
-    counts = [0] * scc.n_comps
-    for c in map(scc.comp_id.__getitem__, unmatched):
-        counts[c] += 1
-    return counts
+    @property
+    def cost(self) -> int:
+        """Unmatched vertex count plus fully matched source component count."""
+        return len(self.unmatched) + len(self.x_comps)
 
 
 def classify(scc: SccInfo, m: Matching) -> MatchClass:
-    """Sort the components by unmatched count; see ``MatchClass``."""
-    comp_id = scc.comp_id
+    """Sort the source components by unmatched count; see ``MatchClass``."""
     unmatched = m.unmatched()
-    comp_unmatched = unmatched_per_comp(scc, unmatched)
+    comps_of_free = list(map(scc.comp_id.__getitem__, unmatched))
+    comp_unmatched = [0] * scc.n_comps
+    for c in comps_of_free:
+        comp_unmatched[c] += 1
     x_comps = [c for c in scc.source_ids if comp_unmatched[c] == 0]
     y_comps = [c for c in scc.source_ids if comp_unmatched[c] == 1]
     # the free vertex of a one-free component is the only one stored under it
-    free_of = dict(zip(map(comp_id.__getitem__, unmatched), unmatched))
+    free_of = dict(zip(comps_of_free, unmatched))
     y_free = [free_of[c] for c in y_comps]
-    in_z = bytearray(b"\x01") * scc.n_comps
-    for c in x_comps + y_comps:
-        in_z[c] = 0
-    z_comps = list(compress(range(scc.n_comps), in_z))
-    u_prime = [v for v in unmatched if in_z[comp_id[v]]]
-    return MatchClass(x_comps, y_comps, y_free, z_comps, u_prime, comp_unmatched)
+    return MatchClass(x_comps, y_comps, y_free, unmatched, comp_unmatched)
 
 
 def cost(scc: SccInfo, m: Matching) -> int:
-    """Unmatched vertex count plus fully matched source component count."""
-    unmatched_in = unmatched_per_comp(scc, m.unmatched())
-    full = sum(1 for c in scc.source_ids if unmatched_in[c] == 0)
-    return (m.n - m.size) + full
+    """Cost of ``m``; see ``MatchClass.cost``."""
+    return classify(scc, m).cost

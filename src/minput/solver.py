@@ -17,16 +17,15 @@ from typing import Collection
 
 from .augment import Diagnostics, minimize
 from .graph import SccInfo, SparseDigraph, scc_decompose, vertex_id
-from .matching import Matching, find_allowed_matching, hall_violator, unmatched_per_comp
+from .matching import Matching, classify, find_allowed_matching, hall_violator
 
 
 @dataclass
 class Problem:
-    """An instance: influence graph, forbidden vertices, display labels."""
+    """An instance: influence graph and forbidden vertices."""
 
     graph: SparseDigraph
     forbidden: frozenset[int] = frozenset()
-    labels: list[str] | None = None
 
 
 class UnsolvableReason(str, Enum):
@@ -78,12 +77,9 @@ def recover_input_set(
     that before ever minimising).
     """
     forb = frozenset(forbidden)
-    unmatched = m_opt.unmatched()
-    unmatched_in = unmatched_per_comp(scc, unmatched)
+    cls = classify(scc, m_opt)
     picks: list[int] = []
-    for c in scc.source_ids:
-        if unmatched_in[c]:
-            continue
+    for c in cls.x_comps:
         rep = -1
         for v in scc.comps[c]:
             if v not in forb:
@@ -92,7 +88,7 @@ def recover_input_set(
         if rep < 0:
             raise ValueError(f"source component {c} is entirely forbidden")
         picks.append(rep)
-    return sorted(unmatched + picks)
+    return sorted(cls.unmatched + picks)
 
 
 def solve(problem: Problem, *, check: bool = False) -> Solution | Unsolvable:

@@ -229,26 +229,23 @@ def reference_classify(scc, m) -> tuple[list[int], ...]:
     from its docstring with one naive pass per component.
 
     Source components with no unmatched member are ``x_comps``, with
-    exactly one are ``y_comps`` (their free vertex in ``y_free``), and
-    every other component, source or not, is in ``z_comps``.  ``u_prime``
-    holds the unmatched vertices outside ``y_comps``, ascending, and
+    exactly one are ``y_comps`` (their free vertex in ``y_free``).
+    ``unmatched`` holds every unmatched vertex, ascending, and
     ``comp_unmatched`` the unmatched count of each component.
     """
-    x_comps, y_comps, y_free, z_comps = [], [], [], []
+    x_comps, y_comps, y_free = [], [], []
     comp_unmatched = []
-    u_prime = []
+    unmatched = []
     for c, members in enumerate(scc.comps):
         free = [v for v in members if m.mate_of_dst[v] < 0]
         comp_unmatched.append(len(free))
+        unmatched.extend(free)
         if scc.is_source[c] and not free:
             x_comps.append(c)
         elif scc.is_source[c] and len(free) == 1:
             y_comps.append(c)
             y_free.append(free[0])
-        else:
-            z_comps.append(c)
-            u_prime.extend(free)
-    return x_comps, y_comps, y_free, z_comps, sorted(u_prime), comp_unmatched
+    return x_comps, y_comps, y_free, sorted(unmatched), comp_unmatched
 
 
 def all_shortest_paths(

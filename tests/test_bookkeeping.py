@@ -37,7 +37,7 @@ def _random_matching(g, rng, keep):
 class TestClassifyReference:
     def test_fields_in_order(self):
         names = [f.name for f in dataclasses.fields(MatchClass)]
-        assert names == ["x_comps", "y_comps", "y_free", "z_comps", "u_prime", "comp_unmatched"]
+        assert names == ["x_comps", "y_comps", "y_free", "unmatched", "comp_unmatched"]
 
     def test_matches_reference(self):
         rng = random.Random(44)

@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from minput import NotSquare, ParseError, SparseDigraph
+import minput
+from minput import IterationBoundExceeded, NotSquare, ParseError, SparseDigraph, cli
 from minput.cli import (
     bench,
     dump_edge_list,
@@ -181,6 +186,17 @@ class TestRunSolve:
         assert payload["iterations"] >= 1
         assert {"dist", "paths", "cost"} <= set(payload["per_iteration"][0])
 
+    def test_python_dash_m(self, tmp_path):
+        path = _write(tmp_path / "g.txt", CHAIN3)
+        src = str(pathlib.Path(minput.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "minput", "--graph", path],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["cost"] == 1
+
     def test_unsolvable_exit_2(self, tmp_path, capsys):
         gpath = _write(tmp_path / "g.txt", "2 1\n0 1\n")
         fpath = _write(tmp_path / "f.txt", "0\n")
@@ -330,13 +346,14 @@ class TestRunErrors:
 
     def test_unknown_bench_family(self, capsys):
         assert run(["--bench", "moebius,4,8,1"]) == 1
-        assert "unknown family" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unknown family" in captured.err
 
 
 class TestBench:
     def test_csv_shape(self):
         sink = io.StringIO()
-        assert bench("chain", 4, 8, 2, seed=1, out=sink) is True
+        bench("chain", 4, 8, 2, seed=1, out=sink)
         lines = sink.getvalue().strip().split("\n")
         assert lines[0] == "family,n,m,iterations,wall_nanos,cost"
         assert len(lines) == 1 + 2 * 2  # two sizes, two reps
@@ -348,6 +365,14 @@ class TestBench:
             assert int(iters) >= 1
             assert int(wall) > 0
             assert int(cost) == 1
+
+    def test_round_cap_breach(self, monkeypatch, capsys):
+        def breach(problem):
+            raise IterationBoundExceeded("augmentation still running")
+
+        monkeypatch.setattr(cli, "solve", breach)
+        assert run(["--bench", "chain,4,4,1"]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_deterministic_modulo_timing(self):
         def rows(seed):

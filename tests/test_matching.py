@@ -201,8 +201,7 @@ class TestClassify:
         cls = classify(scc, m1)
         assert [scc.comps[c] for c in cls.x_comps] == [[0, 1]]
         assert cls.y_comps == [] and cls.y_free == []
-        assert sorted(scc.comps[c][0] for c in cls.z_comps) == [2, 3]
-        assert cls.u_prime == [2]
+        assert cls.unmatched == [2]
         assert sum(cls.comp_unmatched) == 1
 
     def test_one_free_source(self, g4, m2):
@@ -211,14 +210,13 @@ class TestClassify:
         assert cls.x_comps == []
         assert [scc.comps[c] for c in cls.y_comps] == [[0, 1]]
         assert cls.y_free == [0]
-        assert cls.u_prime == []
+        assert cls.unmatched == [0]
 
     def test_slack_source(self, g5, m3):
         scc = scc_decompose(g5)
         cls = classify(scc, m3)
         assert cls.x_comps == [] and cls.y_comps == []
-        assert len(cls.z_comps) == scc.n_comps
-        assert cls.u_prime == [2, 3, 4]
+        assert cls.unmatched == [2, 3, 4]
 
     def test_partition_property(self):
         rng = random.Random(33)
@@ -229,20 +227,17 @@ class TestClassify:
             assert m is not None
             scc = scc_decompose(g)
             cls = classify(scc, m)
-            tagged = sorted(cls.x_comps + cls.y_comps + cls.z_comps)
+            rest = [c for c in range(scc.n_comps) if c not in cls.x_comps + cls.y_comps]
+            tagged = sorted(cls.x_comps + cls.y_comps + rest)
             assert tagged == list(range(scc.n_comps))
+            for c in rest:
+                assert not scc.is_source[c] or cls.comp_unmatched[c] >= 2
             for c in cls.x_comps:
                 assert scc.is_source[c] and cls.comp_unmatched[c] == 0
             for c, free in zip(cls.y_comps, cls.y_free):
                 assert scc.is_source[c] and cls.comp_unmatched[c] == 1
                 assert scc.comp_id[free] == c and m.mate_of_dst[free] < 0
-            one_free = set(cls.y_comps)
-            expect_up = [
-                v
-                for v in range(n)
-                if m.mate_of_dst[v] < 0 and scc.comp_id[v] not in one_free
-            ]
-            assert cls.u_prime == expect_up
+            assert cls.unmatched == [v for v in range(n) if m.mate_of_dst[v] < 0]
 
 
 class TestCost:
@@ -267,3 +262,4 @@ class TestCost:
                 if not any(v in free for v in scc.comps[c])
             )
             assert cost(scc, m) == len(free) + full_sources
+            assert classify(scc, m).cost == len(free) + full_sources
