@@ -169,10 +169,9 @@ def extract_paths(dag: LayeredDag) -> PathSet:
     Consumes the DAG.
     """
     fg = dag.fg
-    n = fg.n
     aux_base = fg.aux_base
     s_id, t_id = fg.s_id, fg.t_id
-    out_adj, extra_in = fg.out_adj, fg.extra_in
+    extra_in = fg.extra_in
     in_view, out_view = fg.in_view, fg.out_view
     dist = dag.dist
     useful = dag.useful
@@ -222,19 +221,6 @@ def extract_paths(dag: LayeredDag) -> PathSet:
             while queue:
                 x = queue.pop()
                 dx1 = dist[x] + 1
-                # A source copy's ``out_view`` is written inline, as the
-                # view would build a fresh list per dead source copy.
-                if x < n:
-                    nbrs = out_adj[x]
-                    work += len(nbrs) + 1
-                    for v in nbrs:
-                        w = n + v
-                        if dist[w] == dx1 and useful[w] and alive[w]:
-                            indeg[w] -= 1
-                            if indeg[w] == 0:
-                                alive[w] = 0
-                                queue.append(w)
-                    continue
                 nbrs = out_view(x)
                 work += len(nbrs) + 1
                 for w in nbrs:

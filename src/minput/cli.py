@@ -1,4 +1,4 @@
-"""Command line front end: solve instances from files, verify, benchmark.
+"""Command line front end: solve instances from files and verify the result.
 
 Exit codes: 0 solved, 2 no admissible input set exists, 1 anything
 else (bad flags, malformed files, oracle bound exceeded, internal
@@ -11,20 +11,14 @@ import argparse
 import functools
 import json
 import math
-import random
 import sys
-import time
-from typing import TextIO
 
 from .errors import MinputError, NotSquare, ParseError
-from .families import chain, diagonal, erdos_renyi, preferential
 from .flowgraph import build_flow_graph
 from .graph import SparseDigraph, build_graph, scc_decompose
 from .matching import find_allowed_matching
 from .oracle import brute_force_min_input_set, check_structural_controllability
 from .solver import Problem, Solution, solve
-
-BENCH_FAMILIES = ("erdos-renyi", "preferential", "diagonal", "chain")
 
 
 def _utf8_input(parse):
@@ -186,58 +180,6 @@ def _flow_dump(problem: Problem) -> str:
     return fg.dump() + "\n"
 
 
-def _make_family(family: str, n: int, rng: random.Random) -> SparseDigraph:
-    """An instance of one of ``BENCH_FAMILIES``."""
-    if family == "erdos-renyi":
-        return erdos_renyi(n, 3.0 / n, rng)
-    if family == "preferential":
-        return preferential(n, 3, rng)
-    if family == "diagonal":
-        return diagonal(n)
-    return chain(n)
-
-
-def bench(family: str, nmin: int, nmax: int, reps: int, seed: int = 0,
-          out: TextIO | None = None) -> None:
-    """Solve generated instances over doubling sizes and emit CSV rows.
-
-    An unknown family is a ParseError raised before any output.  A run
-    past the 6*sqrt(n) round cap, which would mean a bug in the
-    augmentation loop, raises IterationBoundExceeded from ``solve``.
-    """
-    if family not in BENCH_FAMILIES:
-        raise ParseError(f"unknown family {family!r}, pick one of {', '.join(BENCH_FAMILIES)}")
-    out = out if out is not None else sys.stdout
-    print("family,n,m,iterations,wall_nanos,cost", file=out)
-    findex = BENCH_FAMILIES.index(family)
-    n = nmin
-    while n <= nmax:
-        for rep in range(reps):
-            rng = random.Random(((seed * 8 + findex) * (nmax + 1) + n) * 1000003 + rep)
-            g = _make_family(family, n, rng)
-            t0 = time.perf_counter_ns()
-            result = solve(Problem(g))
-            wall = time.perf_counter_ns() - t0
-            assert isinstance(result, Solution)  # no forbidden set, always solvable
-            iters = result.diagnostics.iterations
-            print(f"{family},{n},{g.m},{iters},{wall},{result.cost}", file=out)
-        n *= 2
-
-
-def _parse_bench(flag: str) -> tuple[str, int, int, int]:
-    parts = flag.split(",")
-    if len(parts) != 4:
-        raise ParseError("--bench wants FAMILY,NMIN,NMAX,REPS")
-    family = parts[0]
-    try:
-        nmin, nmax, reps = int(parts[1]), int(parts[2]), int(parts[3])
-    except ValueError:
-        raise ParseError("--bench sizes and reps must be integers") from None
-    if nmin < 1 or nmax < nmin or reps < 1:
-        raise ParseError("--bench wants 1 <= NMIN <= NMAX and REPS >= 1")
-    return family, nmin, nmax, reps
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="minput",
@@ -252,10 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="re-check the result with the independent controllability test")
     p.add_argument("--oracle", action="store_true",
                    help="also run the exhaustive oracle (small instances only)")
-    p.add_argument("--seed", type=int, default=0, help="seed for --bench generation")
     p.add_argument("--out", metavar="PATH", help="write the JSON result to this file")
-    p.add_argument("--bench", metavar="FAMILY,NMIN,NMAX,REPS",
-                   help=f"benchmark harness (families: {', '.join(BENCH_FAMILIES)}); CSV on stdout")
     p.add_argument("--dump-flow", metavar="PATH",
                    help="write the first-round flow graph as a text edge list")
     return p
@@ -268,10 +207,6 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        if args.bench:
-            family, nmin, nmax, reps = _parse_bench(args.bench)
-            bench(family, nmin, nmax, reps, seed=args.seed)
-            return 0
         if args.graph and args.mm:
             print("error: --graph and --mm are mutually exclusive", file=sys.stderr)
             return 1

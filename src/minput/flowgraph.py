@@ -76,8 +76,8 @@ class FlowGraph:
     destination copy, sits one BFS level below it.  ``out_neighbors``
     and ``in_neighbors`` drop that edge and expand tokens into slack
     ids.  ``augment`` writes ``out_view`` inline in the BFS forward scan
-    and for source copies in the extraction cascade: both scan each
-    edge once and the view would build a list per source copy.
+    only: that scan reaches every node, and the view would build a list
+    per source copy.
 
     A build makes one comprehension over ``mate_of_src`` (the edges
     out of ``s``); the rest costs O(1) per unmatched vertex and per

@@ -11,8 +11,6 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Collection
 
-import numpy as np
-
 from .errors import BoundExceeded, IndexOutOfRange
 from .graph import SparseDigraph, reachable_from, scc_decompose
 from .matching import hopcroft_karp
@@ -37,8 +35,7 @@ def check_structural_controllability(g: SparseDigraph, input_set: Collection[int
         return False
     if len(reachable_from(g, iset)) != n:
         return False
-    adj = [list(g.out_adj[u]) for u in range(n)]
-    adj.extend([i] for i in iset)
+    adj = g.out_adj + [[i] for i in iset]
     _, mate_right = hopcroft_karp(n + len(iset), n, adj)
     return all(u >= 0 for u in mate_right)
 
@@ -134,6 +131,8 @@ def numeric_rank_spot_check(
     full rank, which certifies structural controllability; best kept to
     small n where conditioning cannot mask the generic rank.
     """
+    import numpy as np  # only this checker needs numpy
+
     n = g.n
     if n == 0:
         return True

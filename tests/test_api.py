@@ -1,7 +1,11 @@
-"""The package surface: the user API in ``__all__``, and every name the
-benchmark scripts under ``perfbench/`` read off the package."""
+"""The package surface: the user API in ``__all__``, every name the
+benchmark scripts under ``perfbench/`` read off the package, and what
+importing the package loads."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import minput
@@ -40,3 +44,17 @@ def test_perfbench_names_resolve():
                 break
             obj = getattr(obj, part)
     assert not missing
+
+
+def test_import_does_not_load_numpy():
+    """Only the numeric rank checker uses numpy, so importing the package
+    and its CLI, as every ``minput`` invocation does, must not load it."""
+    src = str(Path(minput.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, minput, minput.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
