@@ -320,9 +320,7 @@ def minimize(
                     assert m.mate_of_src[u] >= 0, (
                         f"source copy of {u} lost its outgoing matched edge"
                     )
-            for c in range(scc.n_comps):
-                if not scc.is_source[c]:
-                    continue
+            for c in scc.source_ids:
                 if cls.comp_unmatched[c] >= 1:
                     assert post.comp_unmatched[c] >= 1, (
                         f"source component {c} lost its last unmatched member"

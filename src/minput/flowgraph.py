@@ -32,9 +32,9 @@ slack family is a single token node ``aux_base + f`` with edges
 ``member -> token -> t``.  Slack families are complete bipartite and
 would cost Theta(k^2) edges if materialised; the token keeps every
 traversal O(n + m).  ``FlowGraph.out_view`` and ``FlowGraph.in_view``
-state the edge rule of that space once; the public accessors
-(``out_neighbors``, ``in_neighbors``, ``explicit_edges``, ``dump``)
-apply them and present the fully materialised view.
+state the edge rule of that space once; ``FlowGraph.explicit_edges`` is
+the one materialiser, expanding ``out_view`` into the paper's graph, and
+``dump`` prints what it returns.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ class FlowGraph:
     ``out_view`` and ``in_view`` return one token per family and keep
     the matched edge in its forward direction too; a level check drops
     it, as a matched source copy's only in-neighbour, its mate's
-    destination copy, sits one BFS level below it.  ``out_neighbors``
-    and ``in_neighbors`` drop that edge and expand tokens into slack
+    destination copy, sits one BFS level below it.  ``explicit_edges``,
+    the only materialiser, drops that edge and expands tokens into slack
     ids.  ``augment`` writes ``out_view`` inline in the BFS forward scan
     only: that scan reaches every node, and the view would build a list
     per source copy.
@@ -214,42 +214,23 @@ class FlowGraph:
             return cands + extra if extra else cands
         return self.extra_in.get(x, ())
 
-    def _materialise(self, view: Sequence[int], matched: int) -> list[int]:
-        """``view`` without the forward ``matched`` node, each family
-        token replaced by its slack ids."""
-        aux_base = self.aux_base
-        nbrs: list[int] = []
-        for y in view:
-            if y >= aux_base:
-                nbrs.extend(self.slack_ids(y - aux_base))
-            elif y != matched:
-                nbrs.append(y)
-        return nbrs
-
-    def out_neighbors(self, x: int) -> list[int]:
-        """Out-neighbours of ``x`` in the materialised view."""
-        n = self.n
-        if x >= self.aux_base:
-            return [self.t_id]
-        matched = n + self.mate_of_src[x] if x < n and self.mate_of_src[x] >= 0 else -1
-        return self._materialise(self.out_view(x), matched)
-
-    def in_neighbors(self, x: int) -> list[int]:
-        """In-neighbours of ``x`` in the materialised view."""
-        n = self.n
-        if x >= self.aux_base:
-            x = self.aux_base + self._slack_family(x)[0]
-        matched = self.mate_of_dst[x - n] if n <= x < 2 * n else -1
-        return self._materialise(self.in_view(x), matched)
-
     def explicit_edges(self) -> list[tuple[int, int]]:
-        """Every edge of the materialised view, slack families expanded."""
+        """Every edge of the materialised view: ``out_view`` of each node
+        below ``aux_base`` without a source copy's forward matched edge,
+        each family token expanded into its slack ids, then each slack
+        id's edge to ``t``."""
+        n = self.n
+        aux_base = self.aux_base
         edges = []
-        for x in range(self.aux_base):
-            for y in self.out_neighbors(x):
-                edges.append((x, y))
-        for x in range(self.aux_base, self.node_count()):
-            edges.append((x, self.t_id))
+        for x in range(aux_base):
+            mate = self.mate_of_src[x] if x < n else -1
+            matched = n + mate if mate >= 0 else -1
+            for y in self.out_view(x):
+                if y >= aux_base:
+                    edges.extend((x, z) for z in self.slack_ids(y - aux_base))
+                elif y != matched:
+                    edges.append((x, y))
+        edges.extend((x, self.t_id) for x in range(aux_base, self.node_count()))
         return edges
 
     def node_name(self, x: int, labels: list[str] | None = None) -> str:
@@ -268,9 +249,6 @@ class FlowGraph:
         f, j = self._slack_family(x)
         return f"slack{f + 1}.{j + 1}"
 
-    def node_names(self, labels: list[str] | None = None) -> list[str]:
-        return [self.node_name(x, labels) for x in range(self.node_count())]
-
     def dump(self, labels: list[str] | None = None) -> str:
         """Edge list of the materialised view, one ``a -> b`` line, sorted."""
         lines = sorted(
@@ -280,11 +258,4 @@ class FlowGraph:
         return "\n".join(lines)
 
 
-def build_flow_graph(
-    g: SparseDigraph,
-    scc: SccInfo,
-    m: Matching,
-    forbidden: Collection[int],
-    cls: MatchClass | None = None,
-) -> FlowGraph:
-    return FlowGraph(g, scc, m, forbidden, cls)
+build_flow_graph = FlowGraph

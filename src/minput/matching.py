@@ -39,13 +39,12 @@ class Matching:
     snapshot must ``copy()``.
     """
 
-    __slots__ = ("n", "mate_of_src", "mate_of_dst", "size")
+    __slots__ = ("n", "mate_of_src", "mate_of_dst")
 
     def __init__(self, n: int):
         self.n = n
         self.mate_of_src = [-1] * n
         self.mate_of_dst = [-1] * n
-        self.size = 0
 
     @classmethod
     def from_edges(cls, n: int, pairs: Collection[tuple[int, int]]) -> "Matching":
@@ -59,14 +58,17 @@ class Matching:
             raise ValueError(f"cannot add ({u}, {v}): an endpoint is already matched")
         self.mate_of_src[u] = v
         self.mate_of_dst[v] = u
-        self.size += 1
 
     def remove(self, u: int, v: int) -> None:
         if self.mate_of_src[u] != v:
             raise ValueError(f"cannot remove ({u}, {v}): not in the matching")
         self.mate_of_src[u] = -1
         self.mate_of_dst[v] = -1
-        self.size -= 1
+
+    @property
+    def size(self) -> int:
+        """Number of matched pairs."""
+        return self.n - self.mate_of_src.count(-1)
 
     def edges(self) -> list[tuple[int, int]]:
         """Matched pairs as edges of G, ascending by source."""
@@ -84,18 +86,15 @@ class Matching:
         dup.n = self.n
         dup.mate_of_src = list(self.mate_of_src)
         dup.mate_of_dst = list(self.mate_of_dst)
-        dup.size = self.size
         return dup
 
     def validate(self, g: SparseDigraph) -> None:
         """Raise ValueError unless this is a consistent matching on g's splitting."""
         if self.n != g.n:
             raise ValueError("matching and graph sizes differ")
-        count = 0
         for u, v in enumerate(self.mate_of_src):
             if v < 0:
                 continue
-            count += 1
             if self.mate_of_dst[v] != u:
                 raise ValueError(f"mate arrays disagree on ({u}, {v})")
             if v not in g.out_adj[u]:
@@ -103,8 +102,6 @@ class Matching:
         for v, u in enumerate(self.mate_of_dst):
             if u >= 0 and self.mate_of_src[u] != v:
                 raise ValueError(f"mate arrays disagree on ({u}, {v})")
-        if count != self.size:
-            raise ValueError("stored size is stale")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matching):
@@ -270,7 +267,6 @@ def find_allowed_matching(g: SparseDigraph, forbidden: Collection[int]) -> Match
     stack += [~v for v, count in enumerate(free_in) if count == 1]
     stack.reverse()
     sources = iter(range(n))  # passed-over sources stay matched or stuck
-    size = match.size
     while True:
         if stack:
             u = stack.pop()
@@ -301,7 +297,6 @@ def find_allowed_matching(g: SparseDigraph, forbidden: Collection[int]) -> Match
             dsts, srcs = out_adj[u], in_adj[v]
         mate_src[u] = v
         mate_dst[v] = u
-        size += 1
         free_out[u] = free_in[v] = 0
         for w in dsts:
             count = free_in[w] - 1
@@ -313,7 +308,6 @@ def find_allowed_matching(g: SparseDigraph, forbidden: Collection[int]) -> Match
             free_out[w] = count
             if count == 1:
                 stack.append(w)
-    match.size = size
     return match
 
 

@@ -124,6 +124,43 @@ def greedy_allowed_matching(g: SparseDigraph, forbidden: Collection[int]) -> Mat
     return match
 
 
+def greedy_forbidden(g: SparseDigraph, share: float, rng) -> frozenset[int]:
+    """``share`` of the destinations of a greedy matching taken in a
+    seeded edge order; an allowed matching always exists."""
+    order = list(g.edges())
+    rng.shuffle(order)
+    src_used, dst_used, matched = set(), set(), []
+    for u, v in order:
+        if u not in src_used and v not in dst_used:
+            src_used.add(u)
+            dst_used.add(v)
+            matched.append(v)
+    return frozenset(rng.sample(sorted(matched), round(share * len(matched))))
+
+
+def stars_and_cycles(rng) -> SparseDigraph:
+    """Source-rich graph: 30 stars (hub <-> leaves, which keep all but one
+    leaf unmatched and so form slack families), 40 cycles of length 1-5,
+    and as many random forward links as vertices."""
+    edges = set()
+    n = 0
+    for _ in range(30):
+        k = rng.randint(2, 5)
+        for leaf in range(n + 1, n + 1 + k):
+            edges.add((n, leaf))
+            edges.add((leaf, n))
+        n += k + 1
+    for _ in range(40):
+        k = rng.randint(1, 5)
+        for i in range(k):
+            edges.add((n + i, n + (i + 1) % k))
+        n += k
+    for _ in range(n):
+        a, b = sorted(rng.sample(range(n), 2))
+        edges.add((a, b))
+    return SparseDigraph(n, sorted(edges))
+
+
 def max_matching_size(n_left: int, n_right: int, adj: list[list[int]]) -> int:
     """Maximum bipartite matching size by full enumeration."""
     best = 0

@@ -1,0 +1,153 @@
+"""Digest of what minput outputs on a fixed set of seeded instances.
+
+Solves 3000 seeded instances (Erdos-Renyi, preferential attachment and
+star/cycle mixes; no, 10% or 30% forbidden, drawn at random or from a
+greedy matching; every third solve with ``check=True``) and prints one
+SHA-256 per output category plus coverage counts.  Two source trees
+that produce the same outputs print the same digests, so this is the
+check that a refactor changed nothing users or the tests can observe:
+
+    python3 tests/outputs_digest.py              # the package beside tests/
+    python3 tests/outputs_digest.py OTHER/src    # another checkout's src/
+
+Categories:
+
+* ``solution``: input set, cost, certificate and ``b_pattern``;
+* ``rounds``: every round's ``(dist, paths, cost, work)``;
+* ``unsolvable``: reason, detail and witness;
+* ``flow``: the first round's ``build_work``, ``node_count``,
+  ``explicit_edges`` and ``dump()``;
+* ``cli``: exit code, stdout, stderr, ``--out`` and ``--dump-flow``
+  bytes of ``--graph`` and ``--mm`` runs, with and without
+  ``--verify``, and with ``--oracle`` at ``n <= 6``.
+
+The first line names the package imported and differs between trees.
+Pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+INSTANCES = 3000
+
+
+def _instance(rng: random.Random):
+    """One seeded (graph, forbidden) pair."""
+    from bruteforce import greedy_forbidden, stars_and_cycles
+    from minput.families import erdos_renyi, preferential, random_forbidden
+
+    kind = rng.randrange(6)
+    if kind == 5:
+        g = stars_and_cycles(rng)
+    else:
+        n = rng.randint(2, 6) if rng.random() < 0.2 else rng.randint(2, 120)
+        if kind < 3:
+            g = erdos_renyi(n, rng.choice([0.5, 1.0, 2.0, 3.0]) / n, rng)
+        else:
+            g = preferential(n, rng.randint(1, 3), rng)
+    share = rng.choice([0.0, 0.1, 0.3])
+    if rng.random() < 0.5:
+        forbidden = greedy_forbidden(g, share, rng)
+    else:
+        forbidden = random_forbidden(g.n, share, rng)
+    return g, forbidden
+
+
+def _matrix_market(g, rng: random.Random) -> str:
+    """``g`` as a real general Matrix Market file: edge ``u -> v`` is
+    entry ``(v + 1, u + 1)``, with a few explicit zeros mixed in."""
+    entries = [(v + 1, u + 1, rng.choice(["1", "-2.5", "0.75"])) for u, v in g.edges()]
+    for _ in range(rng.randint(0, 2)):
+        entries.append((rng.randint(1, g.n), rng.randint(1, g.n), "0"))
+    lines = ["%%MatrixMarket matrix coordinate real general", f"{g.n} {g.n} {len(entries)}"]
+    lines += [f"{r} {c} {value}" for r, c, value in entries]
+    return "\n".join(lines) + "\n"
+
+
+def _run_cli(cli, argv: list[str]) -> tuple:
+    """Exit code, stdout, stderr, ``--out`` and ``--dump-flow`` bytes."""
+    files = [Path("out.json"), Path("flow.txt")]
+    for path in files:
+        path.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return (code, out.getvalue(), err.getvalue(),
+            *(path.read_bytes() if path.exists() else None for path in files))
+
+
+def main(src: Path) -> None:
+    sys.path.insert(0, str(src))
+    import minput
+    from minput import Problem, Solution, build_flow_graph, cli, scc_decompose, solve
+    from minput.matching import find_allowed_matching
+
+    digests = {k: hashlib.sha256() for k in ("solution", "rounds", "unsolvable", "flow", "cli")}
+    seen = dict.fromkeys(["solved", "unsolvable", "gateways", "slack", "checked", "oracle"], 0)
+
+    def record(category: str, *fields) -> None:
+        digests[category].update(repr(fields).encode() + b"\n")
+
+    print(f"package {Path(minput.__file__).resolve().parent}")
+    with tempfile.TemporaryDirectory() as tmp:
+        home = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for i in range(INSTANCES):
+                rng = random.Random(i)
+                g, forbidden = _instance(rng)
+                check = i % 3 == 0
+                seen["checked"] += check
+                res = solve(Problem(g, forbidden), check=check)
+                if isinstance(res, Solution):
+                    seen["solved"] += 1
+                    record("solution", i, res.input_set, res.cost, res.certificate, res.b_pattern)
+                    record("rounds", i, [
+                        (it.dist, it.paths, it.cost, it.work)
+                        for it in res.diagnostics.per_iteration
+                    ])
+                else:
+                    seen["unsolvable"] += 1
+                    record("unsolvable", i, res.reason.value, res.detail, res.witness)
+
+                m0 = find_allowed_matching(g, forbidden)
+                if m0 is not None:
+                    fg = build_flow_graph(g, scc_decompose(g), m0, forbidden)
+                    seen["gateways"] += fg.aux_base > fg.t_id + 1
+                    seen["slack"] += fg.n_families > 0
+                    record("flow", i, fg.build_work, fg.node_count(), fg.explicit_edges(), fg.dump())
+
+                Path("g.txt").write_text(cli.dump_edge_list(g), encoding="utf-8")
+                Path("g.mtx").write_text(_matrix_market(g, rng), encoding="utf-8")
+                Path("f.txt").write_text(" ".join(map(str, sorted(forbidden))) + "\n", encoding="utf-8")
+                calls = [
+                    ["--graph", "g.txt", "--forbidden", "f.txt", "--dump-flow", "flow.txt"],
+                    ["--graph", "g.txt", "--forbidden", "f.txt", "--verify", "--out", "out.json"],
+                    ["--mm", "g.mtx", "--forbidden", "f.txt", "--out", "out.json",
+                     "--dump-flow", "flow.txt"],
+                    ["--mm", "g.mtx", "--forbidden", "f.txt", "--verify"],
+                ]
+                if g.n <= 6:
+                    seen["oracle"] += 1
+                    calls.append(["--graph", "g.txt", "--forbidden", "f.txt", "--oracle",
+                                  "--verify", "--out", "out.json"])
+                record("cli", i, [_run_cli(cli, argv) for argv in calls])
+        finally:
+            os.chdir(home)
+
+    for category, digest in digests.items():
+        print(f"{category:<11} {digest.hexdigest()}")
+    print("coverage    instances", INSTANCES, *(f"{k} {v}" for k, v in seen.items()))
+
+
+if __name__ == "__main__":
+    default = Path(__file__).resolve().parents[1] / "src"
+    main(Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else default)

@@ -5,12 +5,16 @@ pinned to fixed values."""
 import dataclasses
 import random
 
-from bruteforce import greedy_allowed_matching, reference_classify
+from bruteforce import (
+    greedy_allowed_matching,
+    greedy_forbidden,
+    reference_classify,
+    stars_and_cycles,
+)
 from minput import (
     Matching,
     Problem,
     Solution,
-    SparseDigraph,
     build_flow_graph,
     classify,
     find_allowed_matching,
@@ -60,43 +64,6 @@ class TestClassifyReference:
         assert min(seen.values()) >= 20, seen
 
 
-def _greedy_forbidden(g, share, rng):
-    """``share`` of the destinations of a greedy matching taken in a
-    seeded edge order; an allowed matching always exists."""
-    order = list(g.edges())
-    rng.shuffle(order)
-    src_used, dst_used, matched = set(), set(), []
-    for u, v in order:
-        if u not in src_used and v not in dst_used:
-            src_used.add(u)
-            dst_used.add(v)
-            matched.append(v)
-    return frozenset(rng.sample(sorted(matched), round(share * len(matched))))
-
-
-def _stars_and_cycles(rng):
-    """Source-rich graph: 30 stars (hub <-> leaves, which keep all but one
-    leaf unmatched and so form slack families), 40 cycles of length 1-5,
-    and as many random forward links as vertices."""
-    edges = set()
-    n = 0
-    for _ in range(30):
-        k = rng.randint(2, 5)
-        for leaf in range(n + 1, n + 1 + k):
-            edges.add((n, leaf))
-            edges.add((leaf, n))
-        n += k + 1
-    for _ in range(40):
-        k = rng.randint(1, 5)
-        for i in range(k):
-            edges.add((n + i, n + (i + 1) % k))
-        n += k
-    for _ in range(n):
-        a, b = sorted(rng.sample(range(n), 2))
-        edges.add((a, b))
-    return SparseDigraph(n, sorted(edges))
-
-
 def _er():
     rng = random.Random(101)
     return erdos_renyi(400, 3.0 / 400, rng), frozenset()
@@ -105,13 +72,13 @@ def _er():
 def _pa_greedy():
     rng = random.Random(102)
     g = preferential(600, 3, rng)
-    return g, _greedy_forbidden(g, 0.3, rng)
+    return g, greedy_forbidden(g, 0.3, rng)
 
 
 def _mixed():
     rng = random.Random(103)
-    g = _stars_and_cycles(rng)
-    return g, _greedy_forbidden(g, 0.2, rng)
+    g = stars_and_cycles(rng)
+    return g, greedy_forbidden(g, 0.2, rng)
 
 
 def _rounds(diagnostics):

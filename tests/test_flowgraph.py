@@ -64,6 +64,14 @@ def _flow(g, m, forbidden=()):
     return build_flow_graph(g, scc_decompose(g), m, forbidden)
 
 
+def _out(fg, x):
+    return [b for a, b in fg.explicit_edges() if a == x]
+
+
+def _in(fg, y):
+    return [a for a, b in fg.explicit_edges() if b == y]
+
+
 class TestGoldenDumps:
     def test_one_free_source_component(self, g4, m2):
         fg = _flow(g4, m2)
@@ -91,7 +99,7 @@ class TestNodeIds:
         fg = _flow(g4, m1)
         assert (fg.s_id, fg.t_id, fg.aux_base) == (8, 9, 11)
         assert fg.node_count() == 11
-        assert fg.node_names(AB) == [
+        assert [fg.node_name(x, AB) for x in range(fg.node_count())] == [
             "a.src", "b.src", "c.src", "d.src",
             "a.dst", "b.dst", "c.dst", "d.dst",
             "s", "t", "gate1",
@@ -112,44 +120,44 @@ class TestNodeIds:
 class TestNeighbors:
     def test_out_examples(self, g5, m3):
         fg = _flow(g5, m3)
-        assert fg.out_neighbors(fg.s_id) == [0, 3, 4]
-        assert fg.out_neighbors(0) == [5, 6]  # a.src -> a.dst, b.dst
-        assert fg.out_neighbors(5) == [1]  # a.dst -> b.src (reversed match)
-        assert fg.out_neighbors(7) == [12, 13]  # c.dst -> slack family
-        assert fg.out_neighbors(12) == [fg.t_id]
-        assert fg.out_neighbors(fg.t_id) == []
+        assert _out(fg, fg.s_id) == [0, 3, 4]
+        assert _out(fg, 0) == [5, 6]  # a.src -> a.dst, b.dst
+        assert _out(fg, 5) == [1]  # a.dst -> b.src (reversed match)
+        assert _out(fg, 7) == [12, 13]  # c.dst -> slack family
+        assert _out(fg, 12) == [fg.t_id]
+        assert _out(fg, fg.t_id) == []
 
     def test_in_examples(self, g5, m3):
         fg = _flow(g5, m3)
-        assert fg.in_neighbors(fg.s_id) == []
-        assert fg.in_neighbors(fg.t_id) == [12, 13]
-        assert fg.in_neighbors(12) == [7, 8, 9]
-        assert fg.in_neighbors(0) == [fg.s_id]  # a.src is unmatched
-        assert fg.in_neighbors(1) == [5]  # b.src matched through a.dst
-        assert fg.in_neighbors(8) == [2, 4]  # d.dst from c.src, e.src
+        assert _in(fg, fg.s_id) == []
+        assert _in(fg, fg.t_id) == [12, 13]
+        assert _in(fg, 12) == [7, 8, 9]
+        assert _in(fg, 0) == [fg.s_id]  # a.src is unmatched
+        assert _in(fg, 1) == [5]  # b.src matched through a.dst
+        assert _in(fg, 8) == [2, 4]  # d.dst from c.src, e.src
 
     def test_gateway_neighbors(self, g4, m1):
         fg = _flow(g4, m1)
         gate = fg.s_id + 2
-        assert fg.out_neighbors(gate) == [4, 5]
-        assert fg.in_neighbors(gate) == [fg.s_id]
-        assert fg.in_neighbors(4) == [1, gate]  # a.dst: b.src plus gateway
+        assert _out(fg, gate) == [4, 5]
+        assert _in(fg, gate) == [fg.s_id]
+        assert _in(fg, 4) == [1, gate]  # a.dst: b.src plus gateway
 
 
 class TestForbiddenExclusion:
     def test_free_swap_skips_forbidden(self, g4, m2):
         plain = _flow(g4, m2)
-        assert plain.out_neighbors(4) == [5]
-        assert plain.in_neighbors(5) == [1, 4]
+        assert _out(plain, 4) == [5]
+        assert _in(plain, 5) == [1, 4]
         fg = _flow(g4, m2, forbidden=[1])
         # the free vertex may only swap with non-forbidden members
-        assert fg.out_neighbors(4) == []
-        assert fg.in_neighbors(5) == [1]
+        assert _out(fg, 4) == []
+        assert _in(fg, 5) == [1]
 
     def test_gateway_skips_forbidden(self, g4, m1):
         fg = _flow(g4, m1, forbidden=[0])
         gate = fg.s_id + 2
-        assert fg.out_neighbors(gate) == [5]
+        assert _out(fg, gate) == [5]
         assert "gate1 -> a.dst" not in fg.dump(AB)
 
 
@@ -165,21 +173,7 @@ class TestStructuralProperties:
                 continue
             scc = scc_decompose(g)
             fg = build_flow_graph(g, scc, m, f, classify(scc, m))
-            total = fg.node_count()
-            assert total <= 3 * n + 2
-            out_sets = [fg.out_neighbors(x) for x in range(total)]
-            in_sets = [fg.in_neighbors(x) for x in range(total)]
-            for x, nbrs in enumerate(out_sets):
-                assert len(nbrs) == len(set(nbrs))
-                for y in nbrs:
-                    assert x in in_sets[y]
-            for y, nbrs in enumerate(in_sets):
-                assert len(nbrs) == len(set(nbrs))
-                for x in nbrs:
-                    assert y in out_sets[x]
-            assert sorted(fg.explicit_edges()) == sorted(
-                (x, y) for x, nbrs in enumerate(out_sets) for y in nbrs
-            )
+            assert fg.node_count() <= 3 * n + 2
             assert fg.build_work <= 20 * (n + g.m + 1)
 
     def test_source_copies_have_one_in_edge(self):
@@ -193,7 +187,7 @@ class TestStructuralProperties:
             for u in range(n):
                 mate = m.mate_of_src[u]
                 expect = [fg.s_id] if mate < 0 else [n + mate]
-                assert fg.in_neighbors(u) == expect
+                assert fg.in_view(u) == expect
 
     def test_t_has_no_out_edges(self, g5, m3):
         fg = _flow(g5, m3)
@@ -251,10 +245,6 @@ class TestImplicitView:
             assert fg.node_count() == count
             assert len(edges) == len(set(edges))
             assert set(edges) == want
-            nodes = range(fg.node_count())
-            assert {(x, y) for x in nodes for y in fg.out_neighbors(x)} == {
-                (x, y) for y in nodes for x in fg.in_neighbors(y)
-            }
             seen["gateway"] += fg.aux_base > fg.t_id + 1
             seen["slack"] += fg.n_families > 0
             seen["swap"] += any(

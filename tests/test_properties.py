@@ -1,5 +1,7 @@
-"""Hypothesis properties of ``solve`` on small random instances, and of
-the file parsers on line soup."""
+"""Hypothesis properties of ``solve`` and ``minput --verify`` on small
+random instances, and of the file parsers on line soup."""
+
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,29 @@ def test_checked_solve_is_exact(inst):
     assert not set(res.input_set) & forbidden
     assert check_structural_controllability(g, res.input_set)
 
+
+@pytest.fixture(scope="module")
+def verify_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("verify")
+
+
+@BOUNDED
+@given(instances())
+def test_cli_verify_holds(verify_dir, inst):
+    """``--verify`` confirms every returned set: exit 0 with ``"verify":
+    true``, or exit 2 (no admissible set) with nothing to verify; never
+    exit 1."""
+    g, forbidden = inst
+    graph, forb, out = (verify_dir / name for name in ("g.txt", "f.txt", "out.json"))
+    graph.write_text(cli.dump_edge_list(g), encoding="utf-8")
+    forb.write_text(" ".join(map(str, sorted(forbidden))) + "\n", encoding="utf-8")
+    argv = ["--graph", str(graph), "--forbidden", str(forb), "--verify", "--out", str(out)]
+    code = cli.run(argv)
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    if code == 0:
+        assert payload["verify"] is True
+    else:
+        assert code == 2 and "verify" not in payload
 
 # Line soup for the parsers: a near-valid edge list, Matrix Market file
 # or forbidden list with junk lines spliced in.  Sizes stay at most 64,
