@@ -7,7 +7,10 @@ vertex-disjoint shortest s -> t paths and applies them all, mirroring
 the phase structure of Hopcroft-Karp; when no path remains the matching
 cost is minimum over allowed matchings.  The s -> t distance increases
 strictly between rounds, which bounds the number of rounds by
-``6 * sqrt(n)``.
+``6 * sqrt(n)``.  As Hopcroft-Karp stops once no free vertex is left,
+the terminal round skips its search when no edge enters ``t``: then the
+cost equals the number of source SCCs, a lower bound on every
+matching's cost, so optimality needs no proof by search.
 
 Slack families stay implicit throughout (see flowgraph): inside this
 module each family is a single token node with a path capacity, and
@@ -79,6 +82,8 @@ class LayeredDag:
 
 
 def _run_bfs(fg: FlowGraph) -> tuple[LayeredDag | None, int]:
+    if not fg.extra_in[fg.t_id]:
+        return None, 0
     n = fg.n
     n2 = 2 * n
     size = fg.aux_base + fg.n_families
@@ -150,7 +155,15 @@ def _run_bfs(fg: FlowGraph) -> tuple[LayeredDag | None, int]:
 
 
 def layered_bfs(fg: FlowGraph) -> LayeredDag | None:
-    """Layered DAG of shortest s -> t paths, or None when t is unreachable."""
+    """Layered DAG of shortest s -> t paths, or None when t is unreachable.
+
+    Every s -> t path ends at an entry of ``extra_in[t]``, so when that
+    list is empty the search is skipped and costs no work.  It is empty
+    exactly when every unmatched vertex is the lone free member of a
+    source SCC, that is when the cost equals the number of source SCCs,
+    the lower bound every matching meets (each source SCC needs one
+    input); the matching is then optimal without a search.
+    """
     dag, _ = _run_bfs(fg)
     return dag
 

@@ -201,12 +201,18 @@ def scc_decompose(g: SparseDigraph) -> SccInfo:
                 work.pop()
                 if low[v] == index[v]:
                     c = len(comps)
-                    members = tarjan_stack[base:]
-                    del tarjan_stack[base:]
-                    for w in members:
-                        comp_id[w] = c
-                    members.sort()
-                    comps.append(members)
+                    if base == len(tarjan_stack) - 1:
+                        # v alone on top: a singleton needs no slice or sort
+                        tarjan_stack.pop()
+                        comp_id[v] = c
+                        comps.append([v])
+                    else:
+                        members = tarjan_stack[base:]
+                        del tarjan_stack[base:]
+                        for w in members:
+                            comp_id[w] = c
+                        members.sort()
+                        comps.append(members)
                     is_source.append(not work)
                 elif low[v] < low[work[-1][0]]:
                     low[work[-1][0]] = low[v]

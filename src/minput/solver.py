@@ -115,7 +115,7 @@ def solve(problem: Problem, *, check: bool = False) -> Solution | Unsolvable:
 
     scc = scc_decompose(g)
     for c in scc.source_ids:
-        if all(v in forb for v in scc.comps[c]):
+        if forb.issuperset(scc.comps[c]):
             return Unsolvable(
                 UnsolvableReason.SOURCE_SCC_ALL_FORBIDDEN,
                 f"source component {scc.comps[c]} has no allowed vertex",

@@ -138,6 +138,18 @@ def greedy_forbidden(g: SparseDigraph, share: float, rng) -> frozenset[int]:
     return frozenset(rng.sample(sorted(matched), round(share * len(matched))))
 
 
+def random_matching(g: SparseDigraph, rng, keep: float) -> Matching:
+    """A random matching of the splitting; with ``keep < 1`` often not
+    maximal."""
+    m = Matching(g.n)
+    edges = list(g.edges())
+    rng.shuffle(edges)
+    for u, v in edges:
+        if m.mate_of_src[u] < 0 and m.mate_of_dst[v] < 0 and rng.random() < keep:
+            m.add(u, v)
+    return m
+
+
 def stars_and_cycles(rng) -> SparseDigraph:
     """Source-rich graph: 30 stars (hub <-> leaves, which keep all but one
     leaf unmatched and so form slack families), 40 cycles of length 1-5,

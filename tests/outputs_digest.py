@@ -13,7 +13,9 @@ check that a refactor changed nothing users or the tests can observe:
 Categories:
 
 * ``solution``: input set, cost, certificate and ``b_pattern``;
-* ``rounds``: every round's ``(dist, paths, cost, work)``;
+* ``rounds``: every round's ``(dist, paths, cost)``;
+* ``work``: every round's ``work`` counter, apart from ``rounds`` so
+  that a change to the counters shows apart from a change to results;
 * ``unsolvable``: reason, detail and witness;
 * ``flow``: the first round's ``build_work``, ``node_count``,
   ``explicit_edges`` and ``dump()``;
@@ -90,7 +92,7 @@ def main(src: Path) -> None:
     from minput import Problem, Solution, build_flow_graph, cli, scc_decompose, solve
     from minput.matching import find_allowed_matching
 
-    digests = {k: hashlib.sha256() for k in ("solution", "rounds", "unsolvable", "flow", "cli")}
+    digests = {k: hashlib.sha256() for k in ("solution", "rounds", "work", "unsolvable", "flow", "cli")}
     seen = dict.fromkeys(["solved", "unsolvable", "gateways", "slack", "checked", "oracle"], 0)
 
     def record(category: str, *fields) -> None:
@@ -110,10 +112,9 @@ def main(src: Path) -> None:
                 if isinstance(res, Solution):
                     seen["solved"] += 1
                     record("solution", i, res.input_set, res.cost, res.certificate, res.b_pattern)
-                    record("rounds", i, [
-                        (it.dist, it.paths, it.cost, it.work)
-                        for it in res.diagnostics.per_iteration
-                    ])
+                    rounds = res.diagnostics.per_iteration
+                    record("rounds", i, [(it.dist, it.paths, it.cost) for it in rounds])
+                    record("work", i, [it.work for it in rounds])
                 else:
                     seen["unsolvable"] += 1
                     record("unsolvable", i, res.reason.value, res.detail, res.witness)

@@ -1,9 +1,12 @@
 import math
 import random
 
-from bruteforce import ExplicitFlow, all_shortest_paths
+from bruteforce import ExplicitFlow, all_shortest_paths, assignment_min_inputs
 from minput import (
+    IterationStats,
     Matching,
+    Problem,
+    SparseDigraph,
     augment_on_paths,
     build_flow_graph,
     cost,
@@ -12,6 +15,7 @@ from minput import (
     layered_bfs,
     minimize,
     scc_decompose,
+    solve,
 )
 from minput.families import chain, diagonal, erdos_renyi, random_forbidden
 from minput.oracle import brute_force_min_cost_allowed_matching
@@ -199,6 +203,21 @@ class TestMinimize:
         best, diag = minimize(g, scc, [], m, check=True)
         assert cost(scc, best) == 9
         assert diag.iterations == 1
+
+    def test_self_loops_certify_without_search(self):
+        # a self-loop on every vertex lets the start be a perfect matching,
+        # so the one round stops at the lower bound and adds no BFS work
+        er = erdos_renyi(300, 1.5 / 300, random.Random(52))
+        g = SparseDigraph(300, sorted(set(er.edges()) | {(v, v) for v in range(300)}))
+        scc = scc_decompose(g)
+        m0 = find_allowed_matching(g, [])
+        assert m0.size == 300
+        fg = build_flow_graph(g, scc, m0, [])
+        res = solve(Problem(g))
+        want = len(scc.source_ids)
+        assert want > 1 and max(len(c) for c in scc.comps) > 1
+        assert res.diagnostics.per_iteration == [IterationStats(None, 0, want, fg.build_work)]
+        assert res.cost == want == assignment_min_inputs(g, [])
 
     def test_empty_graph(self):
         g = diagonal(0)

@@ -8,11 +8,11 @@ import random
 from bruteforce import (
     greedy_allowed_matching,
     greedy_forbidden,
+    random_matching,
     reference_classify,
     stars_and_cycles,
 )
 from minput import (
-    Matching,
     Problem,
     Solution,
     build_flow_graph,
@@ -24,18 +24,6 @@ from minput import (
 )
 from minput.families import erdos_renyi, preferential, random_forbidden
 from minput.matching import MatchClass
-
-
-def _random_matching(g, rng, keep):
-    """A random matching of the splitting; with ``keep < 1`` often not
-    maximal."""
-    m = Matching(g.n)
-    edges = list(g.edges())
-    rng.shuffle(edges)
-    for u, v in edges:
-        if m.mate_of_src[u] < 0 and m.mate_of_dst[v] < 0 and rng.random() < keep:
-            m.add(u, v)
-    return m
 
 
 class TestClassifyReference:
@@ -52,7 +40,7 @@ class TestClassifyReference:
             scc = scc_decompose(g)
             m = find_allowed_matching(g, random_forbidden(n, 0.2, rng))
             if m is None or rng.random() < 0.7:
-                m = _random_matching(g, rng, rng.choice([0.3, 0.6, 1.0]))
+                m = random_matching(g, rng, rng.choice([0.3, 0.6, 1.0]))
             cls = classify(scc, m)
             got = tuple(getattr(cls, f.name) for f in dataclasses.fields(MatchClass))
             assert got == reference_classify(scc, m)

@@ -1,9 +1,8 @@
 import random
 from collections import deque
 
-from bruteforce import reference_flow_edges
+from bruteforce import random_matching, reference_flow_edges
 from minput import (
-    Matching,
     build_flow_graph,
     classify,
     find_allowed_matching,
@@ -196,17 +195,6 @@ class TestStructuralProperties:
             assert y != fg.s_id
 
 
-def _random_matching(g, rng):
-    """A random, often not maximal, matching of the splitting."""
-    m = Matching(g.n)
-    edges = list(g.edges())
-    rng.shuffle(edges)
-    for u, v in edges:
-        if m.mate_of_src[u] < 0 and m.mate_of_dst[v] < 0 and rng.random() < 0.6:
-            m.add(u, v)
-    return m
-
-
 def _implicit_view_cases():
     """300 random (graph, forbidden, matching, flow graph) cases, half of
     them on a random matching that need not be maximal or allowed."""
@@ -217,7 +205,7 @@ def _implicit_view_cases():
         f = random_forbidden(n, 0.3, rng)
         m = find_allowed_matching(g, f)
         if m is None or rng.random() < 0.5:
-            m = _random_matching(g, rng)
+            m = random_matching(g, rng, 0.6)
         yield g, f, m, build_flow_graph(g, scc_decompose(g), m, f)
 
 

@@ -1,5 +1,6 @@
-"""Hypothesis properties of ``solve`` and ``minput --verify`` on small
-random instances, and of the file parsers on line soup."""
+"""Hypothesis properties of ``solve``, ``minput --verify`` and the flow
+graph's terminal test on small random instances, and of the file
+parsers on line soup."""
 
 import json
 
@@ -7,14 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import assignment_min_inputs
+from bruteforce import assignment_min_inputs, random_matching
 from minput import (
     MinputError,
     Problem,
     Solution,
     SparseDigraph,
+    build_flow_graph,
     check_structural_controllability,
+    classify,
     cli,
+    layered_bfs,
+    scc_decompose,
     solve,
 )
 
@@ -74,6 +79,24 @@ def test_checked_solve_is_exact(inst):
     assert res.cost == len(res.input_set) == want
     assert not set(res.input_set) & forbidden
     assert check_structural_controllability(g, res.input_set)
+
+
+@BOUNDED
+@given(instances(), st.randoms(use_true_random=False), st.sampled_from([0.5, 1.0]))
+def test_no_edge_into_t_iff_cost_meets_lower_bound(inst, rng, keep):
+    """On any matching, ``t`` has no in-edge exactly when the cost equals
+    the number of source SCCs, the bound every matching's cost meets;
+    ``layered_bfs`` then returns None."""
+    g, forbidden = inst
+    scc = scc_decompose(g)
+    m = random_matching(g, rng, keep)
+    cls = classify(scc, m)
+    fg = build_flow_graph(g, scc, m, forbidden, cls)
+    into_t = [x for x, y in fg.explicit_edges() if y == fg.t_id]
+    assert cls.cost >= len(scc.source_ids)
+    assert (not fg.extra_in[fg.t_id]) == (not into_t) == (cls.cost == len(scc.source_ids))
+    if not into_t:
+        assert layered_bfs(fg) is None
 
 
 @pytest.fixture(scope="module")
