@@ -12,7 +12,6 @@ from .augment import (
     augment_on_paths,
     extract_paths,
     layered_bfs,
-    minimize,
 )
 from .errors import (
     BoundExceeded,
@@ -28,16 +27,9 @@ from .graph import (
     build_graph,
     induced_subgraph,
     isolated_vertices,
-    reachable_from,
     scc_decompose,
 )
-from .matching import (
-    Matching,
-    classify,
-    cost,
-    find_allowed_matching,
-    hopcroft_karp,
-)
+from .matching import classify, find_allowed_matching
 from .oracle import (
     brute_force_min_cost_allowed_matching,
     brute_force_min_input_set,
@@ -55,8 +47,9 @@ from .solver import (
 
 __version__ = "0.1.0"
 
-# The user API.  The pipeline stages imported above stay reachable as
-# package attributes for tests and the benchmark's traced replica.
+# The user API.  The other names imported above are the pipeline stages
+# that the benchmark's traced replica calls as ``minput.<stage>``.  No
+# other name belongs here: tests import internals from the submodules.
 __all__ = [
     "BoundExceeded",
     "Diagnostics",

@@ -16,7 +16,7 @@ import sys
 from .errors import MinputError, NotSquare, ParseError
 from .flowgraph import build_flow_graph
 from .graph import SparseDigraph, build_graph, scc_decompose
-from .matching import find_allowed_matching
+from .matching import classify, find_allowed_matching
 from .oracle import brute_force_min_input_set, check_structural_controllability
 from .solver import Problem, Solution, solve
 
@@ -72,12 +72,6 @@ def ingest_edge_list(path: str) -> SparseDigraph:
     if declared != len(edges):
         raise ParseError(f"header declared {declared} edges, file has {len(edges)}")
     return SparseDigraph(n, edges)
-
-
-def dump_edge_list(g: SparseDigraph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
 
 
 @_utf8_input
@@ -176,7 +170,8 @@ def _flow_dump(problem: Problem) -> str:
     m0 = find_allowed_matching(g, forb)
     if m0 is None:
         return "# no allowed matching, flow graph undefined\n"
-    fg = build_flow_graph(g, scc_decompose(g), m0, forb)
+    scc = scc_decompose(g)
+    fg = build_flow_graph(g, scc, m0, forb, classify(scc, m0))
     return fg.dump() + "\n"
 
 

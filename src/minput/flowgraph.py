@@ -43,11 +43,12 @@ from bisect import bisect_right
 from typing import Collection, Sequence
 
 from .graph import SccInfo, SparseDigraph
-from .matching import Matching, MatchClass, classify
+from .matching import Matching, MatchClass
 
 
 class FlowGraph:
-    """Flow graph for one (graph, SCC, matching) triple.
+    """Flow graph for one (graph, SCC, matching) triple, built from the
+    matching's ``MatchClass`` ``cls``, which the caller classifies.
 
     Node ids: source copy of vertex ``u`` is ``u``; destination copy of
     ``v`` is ``n + v``; ``s`` is ``2n``, ``t`` is ``2n + 1``; the ``r``
@@ -91,10 +92,8 @@ class FlowGraph:
         scc: SccInfo,
         m: Matching,
         forbidden: Collection[int],
-        cls: MatchClass | None = None,
+        cls: MatchClass,
     ):
-        if cls is None:
-            cls = classify(scc, m)
         n = g.n
         forb = frozenset(forbidden)
         mate_src = m.mate_of_src

@@ -16,6 +16,10 @@ from typing import Iterable, Iterator
 
 from .errors import IndexOutOfRange
 
+# Largest vertex count a graph may have: a file header can name any
+# count, and the adjacency lists are allocated before any edge is read.
+MAX_VERTICES = 2**24
+
 
 def _plain_int(v: object) -> int | None:
     """``v`` as a plain ``int``; integer types such as ``numpy.int64``
@@ -47,7 +51,9 @@ class SparseDigraph:
     ----------
     n : int
         Number of vertices, stored as a plain ``int``; ``bool``,
-        non-integer and negative counts raise IndexOutOfRange.
+        non-integer and negative counts, and counts above
+        ``MAX_VERTICES`` (2**24), raise IndexOutOfRange before anything
+        is allocated.
     edges : iterable of (int, int)
         Directed edges ``(u, v)`` meaning ``u -> v``.  Integer types such
         as ``numpy.int64`` are stored as plain ``int``; ``bool`` and
@@ -60,6 +66,8 @@ class SparseDigraph:
         count = _plain_int(n)
         if count is None or count < 0:
             raise IndexOutOfRange(f"vertex count must be a nonnegative integer, got {n!r}")
+        if count > MAX_VERTICES:
+            raise IndexOutOfRange(f"vertex count {count} exceeds the limit of {MAX_VERTICES}")
         n = count
         out_adj: list[list[int]] = [[] for _ in range(n)]
         in_adj: list[list[int]] = [[] for _ in range(n)]

@@ -379,8 +379,3 @@ def classify(scc: SccInfo, m: Matching) -> MatchClass:
     free_of = dict(zip(comps_of_free, unmatched))
     y_free = [free_of[c] for c in y_comps]
     return MatchClass(x_comps, y_comps, y_free, unmatched, comp_unmatched)
-
-
-def cost(scc: SccInfo, m: Matching) -> int:
-    """Cost of ``m``; see ``MatchClass.cost``."""
-    return classify(scc, m).cost

@@ -17,7 +17,8 @@ from scipy.sparse.csgraph import connected_components
 from minput import SparseDigraph
 from minput.errors import IndexOutOfRange
 from minput.flowgraph import FlowGraph
-from minput.matching import Matching, hopcroft_karp
+from minput.graph import scc_decompose
+from minput.matching import Matching, classify, hopcroft_karp
 
 
 def closure(g: SparseDigraph) -> list[set[int]]:
@@ -193,6 +194,20 @@ def max_matching_size(n_left: int, n_right: int, adj: list[list[int]]) -> int:
 
     descend(0, set(), 0)
     return best
+
+
+def flow_graph(g: SparseDigraph, m: Matching, forbidden: Collection[int] = ()) -> FlowGraph:
+    """``FlowGraph`` of ``(g, m)``, with the SCCs and the ``MatchClass``
+    it needs computed here."""
+    scc = scc_decompose(g)
+    return FlowGraph(g, scc, m, forbidden, classify(scc, m))
+
+
+def dump_edge_list(g: SparseDigraph) -> str:
+    """``g`` in the edge-list format that ``minput --graph`` reads."""
+    lines = [f"{g.n} {g.m}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
 
 
 class ExplicitFlow:

@@ -1,6 +1,7 @@
 import pytest
 
-from minput import Matching, SparseDigraph
+from minput import SparseDigraph
+from minput.matching import Matching
 
 # Four-vertex running example: two self loops, a 2-cycle on {0, 1} and a
 # tail 1 -> 2 -> 3.  Vertices read a, b, c, d in the prose below.

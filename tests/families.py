@@ -1,4 +1,4 @@
-"""Graph families for benchmarks and randomised test corpora.
+"""Graph families for the randomised test corpora and the outputs digest.
 
 All generators take an explicit ``random.Random`` so corpora are
 reproducible across runs and platforms.
@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from random import Random
 
-from .graph import SparseDigraph
+from minput import SparseDigraph
 
 
 def erdos_renyi(n: int, p: float, rng: Random) -> SparseDigraph:

@@ -5,7 +5,9 @@ star/cycle mixes; no, 10% or 30% forbidden, drawn at random or from a
 greedy matching; every third solve with ``check=True``) and prints one
 SHA-256 per output category plus coverage counts.  Two source trees
 that produce the same outputs print the same digests, so this is the
-check that a refactor changed nothing users or the tests can observe:
+check that a refactor changed nothing users or the tests can observe.
+The instances, their edge-list files and the flow-graph builds come
+from the helpers beside this file, so every tree sees the same stream:
 
     python3 tests/outputs_digest.py              # the package beside tests/
     python3 tests/outputs_digest.py OTHER/src    # another checkout's src/
@@ -44,7 +46,7 @@ INSTANCES = 3000
 def _instance(rng: random.Random):
     """One seeded (graph, forbidden) pair."""
     from bruteforce import greedy_forbidden, stars_and_cycles
-    from minput.families import erdos_renyi, preferential, random_forbidden
+    from families import erdos_renyi, preferential, random_forbidden
 
     kind = rng.randrange(6)
     if kind == 5:
@@ -89,7 +91,8 @@ def _run_cli(cli, argv: list[str]) -> tuple:
 def main(src: Path) -> None:
     sys.path.insert(0, str(src))
     import minput
-    from minput import Problem, Solution, build_flow_graph, cli, scc_decompose, solve
+    from bruteforce import dump_edge_list, flow_graph
+    from minput import Problem, Solution, cli, solve
     from minput.matching import find_allowed_matching
 
     digests = {k: hashlib.sha256() for k in ("solution", "rounds", "work", "unsolvable", "flow", "cli")}
@@ -121,12 +124,12 @@ def main(src: Path) -> None:
 
                 m0 = find_allowed_matching(g, forbidden)
                 if m0 is not None:
-                    fg = build_flow_graph(g, scc_decompose(g), m0, forbidden)
+                    fg = flow_graph(g, m0, forbidden)
                     seen["gateways"] += fg.aux_base > fg.t_id + 1
                     seen["slack"] += fg.n_families > 0
                     record("flow", i, fg.build_work, fg.node_count(), fg.explicit_edges(), fg.dump())
 
-                Path("g.txt").write_text(cli.dump_edge_list(g), encoding="utf-8")
+                Path("g.txt").write_text(dump_edge_list(g), encoding="utf-8")
                 Path("g.mtx").write_text(_matrix_market(g, rng), encoding="utf-8")
                 Path("f.txt").write_text(" ".join(map(str, sorted(forbidden))) + "\n", encoding="utf-8")
                 calls = [

@@ -13,26 +13,25 @@ import time
 
 import pytest
 
+from bruteforce import flow_graph
+from families import chain, diagonal, erdos_renyi, preferential, random_forbidden
 from minput import (
-    Matching,
     Problem,
     Solution,
     SparseDigraph,
     Unsolvable,
     UnsolvableReason,
     augment_on_paths,
-    build_flow_graph,
-    cost,
     extract_paths,
     find_allowed_matching,
     layered_bfs,
-    minimize,
     numeric_rank_spot_check,
     recover_input_set,
     scc_decompose,
     solve,
 )
-from minput.families import chain, diagonal, erdos_renyi, preferential, random_forbidden
+from minput.augment import minimize
+from minput.matching import Matching, classify
 from minput.oracle import (
     brute_force_min_cost_allowed_matching,
     brute_force_min_input_set,
@@ -171,12 +170,12 @@ def test_criterion_3_worked_examples(capsys):
 
     # starting matching and its cost, then the optimal one
     checks.append(find_allowed_matching(g4, []) == m2)
-    checks.append(cost(scc4, m1) == 2 and cost(scc4, m2) == 1)
+    checks.append(classify(scc4, m1).cost == 2 and classify(scc4, m2).cost == 1)
 
     # three flow-graph constructions
-    fg_free = build_flow_graph(g4, scc4, m2, [])
-    fg_gate = build_flow_graph(g4, scc4, m1, [])
-    fg_slack = build_flow_graph(g5, scc5, m3, [])
+    fg_free = flow_graph(g4, m2)
+    fg_gate = flow_graph(g4, m1)
+    fg_slack = flow_graph(g5, m3)
     checks.append(fg_free.dump(["a", "b", "c", "d"]) == GOLDEN_ONE_FREE)
     checks.append(fg_gate.dump(["a", "b", "c", "d"]) == GOLDEN_GATEWAY)
     checks.append(fg_slack.dump(["a", "b", "c", "d", "e"]) == GOLDEN_SLACK)
@@ -195,27 +194,25 @@ def test_criterion_3_worked_examples(capsys):
     # applying the paths lowers the cost by exactly one each
     after = augment_on_paths(m1.copy(), [[8, 10, 5, 1, 6, 9]])
     checks.append(after.edges() == [(0, 0), (1, 2), (2, 3)])
-    checks.append(cost(scc4, after) == 1)
+    checks.append(classify(scc4, after).cost == 1)
     after5 = augment_on_paths(m3.copy(), [[10, 3, 7, 12, 11], [10, 4, 8, 13, 11]])
-    checks.append(cost(scc5, after5) == 1)
+    checks.append(classify(scc5, after5).cost == 1)
 
     # a cycle is a cost-neutral rearrangement
     cyc = augment_on_paths(m2.copy(), [[4, 5, 0, 4]])
-    checks.append(cyc.edges() == [(0, 0), (1, 2), (2, 3)] and cost(scc4, cyc) == 1)
+    checks.append(cyc.edges() == [(0, 0), (1, 2), (2, 3)] and classify(scc4, cyc).cost == 1)
 
     # full drives land on the same optima
     best4, diag4 = minimize(g4, scc4, [], m1, check=True)
-    checks.append(cost(scc4, best4) == 1 and diag4.distances() == [5])
+    checks.append(classify(scc4, best4).cost == 1 and diag4.distances() == [5])
     best5, diag5 = minimize(g5, scc5, [], m3, check=True)
-    checks.append(cost(scc5, best5) == 1 and diag5.distances() == [4])
+    checks.append(classify(scc5, best5).cost == 1 and diag5.distances() == [4])
 
     # reading out input sets
     checks.append(recover_input_set(scc4, m1, []) == [0, 2])
     sol = solve(Problem(g4))
     checks.append(isinstance(sol, Solution) and sol.input_set == [0])
-    chain_dag = layered_bfs(
-        build_flow_graph(chain(2), scc_decompose(chain(2)), Matching(2), [])
-    )
+    chain_dag = layered_bfs(flow_graph(chain(2), Matching(2)))
     checks.append(extract_paths(chain_dag) == [[4, 0, 3, 5]])
 
     bad = [i for i, ok in enumerate(checks) if not ok]

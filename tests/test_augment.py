@@ -1,36 +1,30 @@
 import math
 import random
 
-from bruteforce import ExplicitFlow, all_shortest_paths, assignment_min_inputs
+from bruteforce import ExplicitFlow, all_shortest_paths, assignment_min_inputs, flow_graph
+from families import chain, diagonal, erdos_renyi, random_forbidden
 from minput import (
     IterationStats,
-    Matching,
     Problem,
     SparseDigraph,
     augment_on_paths,
-    build_flow_graph,
-    cost,
     extract_paths,
     find_allowed_matching,
     layered_bfs,
-    minimize,
     scc_decompose,
     solve,
 )
-from minput.families import chain, diagonal, erdos_renyi, random_forbidden
+from minput.augment import minimize
+from minput.matching import Matching, classify
 from minput.oracle import brute_force_min_cost_allowed_matching
-
-
-def _flow(g, m, forbidden=()):
-    return build_flow_graph(g, scc_decompose(g), m, forbidden)
 
 
 class TestLayeredBfs:
     def test_optimal_matching_has_no_path(self, g4, m2):
-        assert layered_bfs(_flow(g4, m2)) is None
+        assert layered_bfs(flow_graph(g4, m2)) is None
 
     def test_gateway_route(self, g4, m1):
-        dag = layered_bfs(_flow(g4, m1))
+        dag = layered_bfs(flow_graph(g4, m1))
         assert dag is not None
         assert dag.dist_t == 5
         # s -> gate1 -> b.dst -> b.src -> c.dst -> t
@@ -42,7 +36,7 @@ class TestLayeredBfs:
         assert dag.indeg[9] == 1
 
     def test_slack_route(self, g5, m3):
-        fg = _flow(g5, m3)
+        fg = flow_graph(g5, m3)
         dag = layered_bfs(fg)
         assert dag is not None
         assert dag.dist_t == 4
@@ -52,22 +46,22 @@ class TestLayeredBfs:
 
     def test_chain_from_empty(self):
         g = chain(2)
-        dag = layered_bfs(_flow(g, Matching(2)))
+        dag = layered_bfs(flow_graph(g, Matching(2)))
         assert dag is not None
         assert dag.dist_t == 3
 
 
 class TestExtractPaths:
     def test_unique_gateway_path(self, g4, m1):
-        dag = layered_bfs(_flow(g4, m1))
+        dag = layered_bfs(flow_graph(g4, m1))
         assert extract_paths(dag) == [[8, 10, 5, 1, 6, 9]]
 
     def test_two_slack_paths(self, g5, m3):
-        dag = layered_bfs(_flow(g5, m3))
+        dag = layered_bfs(flow_graph(g5, m3))
         assert extract_paths(dag) == [[10, 3, 7, 12, 11], [10, 4, 8, 13, 11]]
 
     def test_chain_path(self):
-        dag = layered_bfs(_flow(chain(2), Matching(2)))
+        dag = layered_bfs(flow_graph(chain(2), Matching(2)))
         assert extract_paths(dag) == [[4, 0, 3, 5]]
 
     def test_single_corridor(self):
@@ -97,7 +91,7 @@ class TestExtractPaths:
         assert extract_paths(dag) == [[0, 1, 3, 4]]
 
     def test_deterministic(self, g5, m3):
-        fg = _flow(g5, m3)
+        fg = flow_graph(g5, m3)
         first = extract_paths(layered_bfs(fg))
         second = extract_paths(layered_bfs(fg))
         assert first == second
@@ -115,7 +109,7 @@ class TestEquivalenceSweep:
             m = find_allowed_matching(g, f)
             if m is None:
                 continue
-            fg = _flow(g, m, f)
+            fg = flow_graph(g, m, f)
             size = fg.node_count()
             edges = fg.explicit_edges()
             adj = [[] for _ in range(size)]
@@ -157,13 +151,13 @@ class TestAugmentOnPaths:
     def test_slack_golden(self, g5, m3):
         got = augment_on_paths(m3.copy(), [[10, 3, 7, 12, 11], [10, 4, 8, 13, 11]])
         assert got.edges() == [(1, 0), (2, 1), (3, 2), (4, 3)]
-        assert cost(scc_decompose(g5), got) == 1
+        assert classify(scc_decompose(g5), got).cost == 1
 
     def test_cycle_is_cost_neutral(self, g4, m2):
         scc = scc_decompose(g4)
         got = augment_on_paths(m2.copy(), [[4, 5, 0, 4]])
         assert got.edges() == [(0, 0), (1, 2), (2, 3)]
-        assert cost(scc, got) == cost(scc, m2) == 1
+        assert classify(scc, got).cost == classify(scc, m2).cost == 1
 
     def test_empty_path_set(self, m1):
         before = m1.copy()
@@ -183,7 +177,7 @@ class TestMinimize:
         scc = scc_decompose(g4)
         best, diag = minimize(g4, scc, [], m1, check=True)
         assert best.edges() == [(0, 0), (1, 2), (2, 3)]
-        assert cost(scc, best) == 1
+        assert classify(scc, best).cost == 1
         assert diag.iterations == 2
         assert diag.distances() == [5]
         assert [it.paths for it in diag.per_iteration] == [1, 0]
@@ -192,7 +186,7 @@ class TestMinimize:
     def test_slack_golden(self, g5, m3):
         scc = scc_decompose(g5)
         best, diag = minimize(g5, scc, [], m3, check=True)
-        assert cost(scc, best) == 1
+        assert classify(scc, best).cost == 1
         assert diag.distances() == [4]
         assert diag.per_iteration[0].paths == 2
 
@@ -201,7 +195,7 @@ class TestMinimize:
         scc = scc_decompose(g)
         m = find_allowed_matching(g, [])
         best, diag = minimize(g, scc, [], m, check=True)
-        assert cost(scc, best) == 9
+        assert classify(scc, best).cost == 9
         assert diag.iterations == 1
 
     def test_self_loops_certify_without_search(self):
@@ -212,7 +206,7 @@ class TestMinimize:
         scc = scc_decompose(g)
         m0 = find_allowed_matching(g, [])
         assert m0.size == 300
-        fg = build_flow_graph(g, scc, m0, [])
+        fg = flow_graph(g, m0)
         res = solve(Problem(g))
         want = len(scc.source_ids)
         assert want > 1 and max(len(c) for c in scc.comps) > 1
@@ -239,7 +233,7 @@ class TestMinimize:
                 continue
             scc = scc_decompose(g)
             best, diag = minimize(g, scc, f, m0, check=True)
-            assert cost(scc, best) == want
+            assert classify(scc, best).cost == want
             assert best.is_allowed(f)
             best.validate(g)
             dists = diag.distances()
@@ -252,7 +246,7 @@ class TestMinimize:
     def test_costs_drop_by_path_count(self, g5, m3):
         scc = scc_decompose(g5)
         _, diag = minimize(g5, scc, [], m3)
-        running = cost(scc, m3)
+        running = classify(scc, m3).cost
         for it in diag.per_iteration:
             running -= it.paths
             assert it.cost == running

@@ -6,23 +6,23 @@ import dataclasses
 import random
 
 from bruteforce import (
+    flow_graph,
     greedy_allowed_matching,
     greedy_forbidden,
     random_matching,
     reference_classify,
     stars_and_cycles,
 )
+from families import erdos_renyi, preferential, random_forbidden
 from minput import (
     Problem,
     Solution,
-    build_flow_graph,
     classify,
     find_allowed_matching,
-    minimize,
     scc_decompose,
     solve,
 )
-from minput.families import erdos_renyi, preferential, random_forbidden
+from minput.augment import minimize
 from minput.matching import MatchClass
 
 
@@ -85,7 +85,7 @@ class TestRoundCounters:
         m0 = greedy_allowed_matching(g, forbidden)
         _, diagnostics = minimize(g, scc, forbidden, m0)
         assert _rounds(diagnostics) == rounds
-        fg = build_flow_graph(g, scc, m0, forbidden)
+        fg = flow_graph(g, m0, forbidden)
         assert fg.build_work == build_work
         return fg
 

@@ -7,15 +7,10 @@ import sys
 import pytest
 
 import minput
-from minput import NotSquare, ParseError, SparseDigraph
-from minput.cli import (
-    dump_edge_list,
-    ingest_edge_list,
-    ingest_matrix_market,
-    read_forbidden,
-    run,
-)
-from minput.families import chain
+from bruteforce import dump_edge_list
+from families import chain
+from minput import NotSquare, ParseError
+from minput.cli import ingest_edge_list, ingest_matrix_market, read_forbidden, run
 
 
 def _write(path, text):
@@ -327,6 +322,16 @@ class TestRunErrors:
         assert run(["--mm", path]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "line 3" in captured.err and "error:" in captured.err
+
+    def test_vertex_count_over_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("minput.graph.MAX_VERTICES", 4)
+        graph = _write(tmp_path / "g.txt", "5 0\n")
+        mm = _write(tmp_path / "a.mtx", "%%MatrixMarket matrix coordinate pattern general\n5 5 0\n")
+        for argv in (["--graph", graph], ["--mm", mm]):
+            assert run(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: vertex count 5 exceeds")
+        assert run(["--graph", _write(tmp_path / "ok.txt", "4 0\n")]) == 0
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0

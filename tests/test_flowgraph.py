@@ -1,15 +1,9 @@
 import random
 from collections import deque
 
-from bruteforce import random_matching, reference_flow_edges
-from minput import (
-    build_flow_graph,
-    classify,
-    find_allowed_matching,
-    layered_bfs,
-    scc_decompose,
-)
-from minput.families import erdos_renyi, random_forbidden
+from bruteforce import flow_graph, random_matching, reference_flow_edges
+from families import erdos_renyi, random_forbidden
+from minput import find_allowed_matching, layered_bfs, scc_decompose
 
 AB = ["a", "b", "c", "d"]
 ABE = ["a", "b", "c", "d", "e"]
@@ -59,10 +53,6 @@ slack1.1 -> t
 slack1.2 -> t"""
 
 
-def _flow(g, m, forbidden=()):
-    return build_flow_graph(g, scc_decompose(g), m, forbidden)
-
-
 def _out(fg, x):
     return [b for a, b in fg.explicit_edges() if a == x]
 
@@ -73,19 +63,19 @@ def _in(fg, y):
 
 class TestGoldenDumps:
     def test_one_free_source_component(self, g4, m2):
-        fg = _flow(g4, m2)
+        fg = flow_graph(g4, m2)
         assert fg.dump(AB) == DUMP_ONE_FREE
         assert fg.n_families == 0 and fg.aux_base == fg.t_id + 1  # no gateway
         assert fg.extra_in[fg.t_id] == []
 
     def test_gateway_component(self, g4, m1):
-        fg = _flow(g4, m1)
+        fg = flow_graph(g4, m1)
         assert fg.dump(AB) == DUMP_GATEWAY
         assert fg.aux_base == fg.t_id + 2  # one gateway
         assert fg.extra_in[fg.t_id] == [4 + 2]
 
     def test_slack_family(self, g5, m3):
-        fg = _flow(g5, m3)
+        fg = flow_graph(g5, m3)
         assert fg.dump(ABE) == DUMP_SLACK
         assert fg.n_families == 1
         assert fg.extra_in[fg.aux_base] == [7, 8, 9]
@@ -95,7 +85,7 @@ class TestGoldenDumps:
 
 class TestNodeIds:
     def test_layout(self, g4, m1):
-        fg = _flow(g4, m1)
+        fg = flow_graph(g4, m1)
         assert (fg.s_id, fg.t_id, fg.aux_base) == (8, 9, 11)
         assert fg.node_count() == 11
         assert [fg.node_name(x, AB) for x in range(fg.node_count())] == [
@@ -105,12 +95,12 @@ class TestNodeIds:
         ]
 
     def test_default_names(self, g4, m2):
-        fg = _flow(g4, m2)
+        fg = flow_graph(g4, m2)
         assert fg.node_name(0) == "0.src"
         assert fg.node_name(7) == "3.dst"
 
     def test_slack_names(self, g5, m3):
-        fg = _flow(g5, m3)
+        fg = flow_graph(g5, m3)
         assert fg.node_name(12) == "slack1.1"
         assert fg.node_name(13) == "slack1.2"
         assert fg.node_count() == 14
@@ -118,7 +108,7 @@ class TestNodeIds:
 
 class TestNeighbors:
     def test_out_examples(self, g5, m3):
-        fg = _flow(g5, m3)
+        fg = flow_graph(g5, m3)
         assert _out(fg, fg.s_id) == [0, 3, 4]
         assert _out(fg, 0) == [5, 6]  # a.src -> a.dst, b.dst
         assert _out(fg, 5) == [1]  # a.dst -> b.src (reversed match)
@@ -127,7 +117,7 @@ class TestNeighbors:
         assert _out(fg, fg.t_id) == []
 
     def test_in_examples(self, g5, m3):
-        fg = _flow(g5, m3)
+        fg = flow_graph(g5, m3)
         assert _in(fg, fg.s_id) == []
         assert _in(fg, fg.t_id) == [12, 13]
         assert _in(fg, 12) == [7, 8, 9]
@@ -136,7 +126,7 @@ class TestNeighbors:
         assert _in(fg, 8) == [2, 4]  # d.dst from c.src, e.src
 
     def test_gateway_neighbors(self, g4, m1):
-        fg = _flow(g4, m1)
+        fg = flow_graph(g4, m1)
         gate = fg.s_id + 2
         assert _out(fg, gate) == [4, 5]
         assert _in(fg, gate) == [fg.s_id]
@@ -145,16 +135,16 @@ class TestNeighbors:
 
 class TestForbiddenExclusion:
     def test_free_swap_skips_forbidden(self, g4, m2):
-        plain = _flow(g4, m2)
+        plain = flow_graph(g4, m2)
         assert _out(plain, 4) == [5]
         assert _in(plain, 5) == [1, 4]
-        fg = _flow(g4, m2, forbidden=[1])
+        fg = flow_graph(g4, m2, forbidden=[1])
         # the free vertex may only swap with non-forbidden members
         assert _out(fg, 4) == []
         assert _in(fg, 5) == [1]
 
     def test_gateway_skips_forbidden(self, g4, m1):
-        fg = _flow(g4, m1, forbidden=[0])
+        fg = flow_graph(g4, m1, forbidden=[0])
         gate = fg.s_id + 2
         assert _out(fg, gate) == [5]
         assert "gate1 -> a.dst" not in fg.dump(AB)
@@ -170,8 +160,7 @@ class TestStructuralProperties:
             m = find_allowed_matching(g, f)
             if m is None:
                 continue
-            scc = scc_decompose(g)
-            fg = build_flow_graph(g, scc, m, f, classify(scc, m))
+            fg = flow_graph(g, m, f)
             assert fg.node_count() <= 3 * n + 2
             assert fg.build_work <= 20 * (n + g.m + 1)
 
@@ -182,14 +171,14 @@ class TestStructuralProperties:
             g = erdos_renyi(n, 0.35, rng)
             m = find_allowed_matching(g, [])
             assert m is not None
-            fg = _flow(g, m)
+            fg = flow_graph(g, m)
             for u in range(n):
                 mate = m.mate_of_src[u]
                 expect = [fg.s_id] if mate < 0 else [n + mate]
                 assert fg.in_view(u) == expect
 
     def test_t_has_no_out_edges(self, g5, m3):
-        fg = _flow(g5, m3)
+        fg = flow_graph(g5, m3)
         for x, y in fg.explicit_edges():
             assert x != fg.t_id
             assert y != fg.s_id
@@ -206,7 +195,7 @@ def _implicit_view_cases():
         m = find_allowed_matching(g, f)
         if m is None or rng.random() < 0.5:
             m = random_matching(g, rng, 0.6)
-        yield g, f, m, build_flow_graph(g, scc_decompose(g), m, f)
+        yield g, f, m, flow_graph(g, m, f)
 
 
 def _plain_bfs(fg):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bruteforce import closure, scc_partition
+from families import erdos_renyi
 from minput import (
     IndexOutOfRange,
     Problem,
@@ -13,11 +14,10 @@ from minput import (
     build_graph,
     induced_subgraph,
     isolated_vertices,
-    reachable_from,
     scc_decompose,
     solve,
 )
-from minput.families import erdos_renyi
+from minput.graph import reachable_from
 
 
 class TestSparseDigraph:
@@ -59,6 +59,14 @@ class TestSparseDigraph:
     def test_rejects_bad_vertex_count(self, bad):
         with pytest.raises(IndexOutOfRange):
             SparseDigraph(bad, [])
+
+    def test_vertex_count_cap(self, monkeypatch):
+        # patched low: at the real cap, a check placed after the adjacency
+        # lists would allocate 2 * 2**24 of them before it failed
+        monkeypatch.setattr("minput.graph.MAX_VERTICES", 5)
+        with pytest.raises(IndexOutOfRange, match="exceeds the limit of 5"):
+            SparseDigraph(6, [])
+        assert SparseDigraph(5, [(4, 0)]).n == 5
 
     def test_numpy_vertex_count_stored_as_int(self):
         g = SparseDigraph(np.int64(3), [(0, 1)])

@@ -3,17 +3,15 @@ import random
 import pytest
 
 from bruteforce import max_matching_size
+from families import chain, erdos_renyi, random_forbidden
 from minput import (
     IndexOutOfRange,
-    Matching,
     SparseDigraph,
     classify,
-    cost,
     find_allowed_matching,
-    hopcroft_karp,
     scc_decompose,
 )
-from minput.families import chain, erdos_renyi, random_forbidden
+from minput.matching import Matching, hopcroft_karp
 
 
 class TestMatching:
@@ -243,9 +241,9 @@ class TestClassify:
 class TestCost:
     def test_frozen_values(self, g4, g5, m1, m2, m3):
         scc4 = scc_decompose(g4)
-        assert cost(scc4, m1) == 2
-        assert cost(scc4, m2) == 1
-        assert cost(scc_decompose(g5), m3) == 3
+        assert classify(scc4, m1).cost == 2
+        assert classify(scc4, m2).cost == 1
+        assert classify(scc_decompose(g5), m3).cost == 3
 
     def test_matches_naive_recompute(self):
         rng = random.Random(34)
@@ -261,5 +259,4 @@ class TestCost:
                 for c in scc.source_ids
                 if not any(v in free for v in scc.comps[c])
             )
-            assert cost(scc, m) == len(free) + full_sources
             assert classify(scc, m).cost == len(free) + full_sources

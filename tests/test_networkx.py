@@ -5,8 +5,9 @@ import random
 import networkx as nx
 import pytest
 
-from minput import hopcroft_karp, scc_decompose
-from minput.families import erdos_renyi, preferential
+from families import erdos_renyi, preferential
+from minput import scc_decompose
+from minput.matching import hopcroft_karp
 
 
 def _graphs():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from families import chain, diagonal, erdos_renyi, random_forbidden
 from minput import (
     BoundExceeded,
     IndexOutOfRange,
@@ -11,7 +12,6 @@ from minput import (
     check_structural_controllability,
     numeric_rank_spot_check,
 )
-from minput.families import chain, diagonal, erdos_renyi, random_forbidden
 
 
 class TestControllabilityCheck:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import assignment_min_inputs, random_matching
+from bruteforce import assignment_min_inputs, dump_edge_list, random_matching
 from minput import (
     MinputError,
     Problem,
@@ -112,7 +112,7 @@ def test_cli_verify_holds(verify_dir, inst):
     exit 1."""
     g, forbidden = inst
     graph, forb, out = (verify_dir / name for name in ("g.txt", "f.txt", "out.json"))
-    graph.write_text(cli.dump_edge_list(g), encoding="utf-8")
+    graph.write_text(dump_edge_list(g), encoding="utf-8")
     forb.write_text(" ".join(map(str, sorted(forbidden))) + "\n", encoding="utf-8")
     argv = ["--graph", str(graph), "--forbidden", str(forb), "--verify", "--out", str(out)]
     code = cli.run(argv)

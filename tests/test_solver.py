@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from bruteforce import assignment_min_inputs
+from families import chain, diagonal, erdos_renyi, random_forbidden
 from minput import (
     IndexOutOfRange,
-    Matching,
     Problem,
     Solution,
     SparseDigraph,
@@ -17,7 +17,7 @@ from minput import (
     scc_decompose,
     solve,
 )
-from minput.families import chain, diagonal, erdos_renyi, random_forbidden
+from minput.matching import Matching
 from minput.oracle import brute_force_min_input_set
 
 
