@@ -187,14 +187,13 @@ def extract_paths(dag: LayeredDag) -> PathSet:
     extra_in = fg.extra_in
     in_view, out_view = fg.in_view, fg.out_view
     dist = dag.dist
-    useful = dag.useful
     indeg = dag.indeg
-    alive = bytearray(b"\x01") * dag.size
+    live = bytearray(dag.useful)  # useful and not yet killed
     work = 0
     paths: PathSet = []
 
     for head in extra_in[t_id]:
-        if not (useful[head] and alive[head]):
+        if not live[head]:
             continue
         if head < aux_base:
             members, prefixes = [head], ([t_id],)
@@ -205,9 +204,9 @@ def extract_paths(dag: LayeredDag) -> PathSet:
         # a kill would cascade and add to ``work``.
         p = 0
         for rev in prefixes:
-            if not alive[head]:
+            if not live[head]:
                 break
-            while not (useful[members[p]] and alive[members[p]]):
+            while not live[members[p]]:
                 p += 1
                 work += 1
             cur = members[p]
@@ -218,7 +217,7 @@ def extract_paths(dag: LayeredDag) -> PathSet:
                 level = dist[cur] - 1
                 best = -1
                 for u in cands:
-                    if dist[u] == level and useful[u] and alive[u] and (best < 0 or u < best):
+                    if dist[u] == level and live[u] and (best < 0 or u < best):
                         best = u
                 cur = best
                 rev.append(cur)
@@ -229,7 +228,7 @@ def extract_paths(dag: LayeredDag) -> PathSet:
             queue: list[int] = []
             for x in rev[1:-1]:
                 if x < aux_base:
-                    alive[x] = 0
+                    live[x] = 0
                     queue.append(x)
             while queue:
                 x = queue.pop()
@@ -237,10 +236,10 @@ def extract_paths(dag: LayeredDag) -> PathSet:
                 nbrs = out_view(x)
                 work += len(nbrs) + 1
                 for w in nbrs:
-                    if w != t_id and dist[w] == dx1 and useful[w] and alive[w]:
+                    if w != t_id and dist[w] == dx1 and live[w]:
                         indeg[w] -= 1
                         if indeg[w] == 0:
-                            alive[w] = 0
+                            live[w] = 0
                             queue.append(w)
     dag.work += work
     return paths

@@ -33,11 +33,20 @@ def _plain_int(v: object) -> int | None:
 
 
 def vertex_id(v: object, n: int, what: str) -> int:
-    """``v`` as a plain ``int`` in ``[0, n)``, by the ``_plain_int`` rule."""
+    """``v`` as a plain ``int`` in ``[0, n)``, by the ``_plain_int`` rule.
+
+    This is the package's one rule for a vertex id a caller passes in
+    (README, "Library use"); anything else raises IndexOutOfRange.
+    """
     i = _plain_int(v)
     if i is None or not 0 <= i < n:
         raise IndexOutOfRange(f"{what} {v!r} is not an id in [0, {n})")
     return i
+
+
+def vertex_ids(values: Iterable[object], n: int, what: str) -> list[int]:
+    """The sorted distinct ids in ``values``, each checked by ``vertex_id``."""
+    return sorted({vertex_id(v, n, what) for v in values})
 
 
 class SparseDigraph:
@@ -232,12 +241,9 @@ def reachable_from(g: SparseDigraph, seeds: Iterable[int]) -> set[int]:
     """All vertices reachable from ``seeds`` (seeds included)."""
     seen = bytearray(g.n)
     queue: deque[int] = deque()
-    for s in seeds:
-        if not (0 <= s < g.n):
-            raise IndexOutOfRange(f"seed vertex {s} outside [0, {g.n})")
-        if not seen[s]:
-            seen[s] = 1
-            queue.append(s)
+    for s in vertex_ids(seeds, g.n, "seed vertex"):
+        seen[s] = 1
+        queue.append(s)
     out = g.out_adj
     while queue:
         u = queue.popleft()

@@ -26,8 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Collection
 
-from .errors import IndexOutOfRange
-from .graph import SccInfo, SparseDigraph
+from .graph import SccInfo, SparseDigraph, vertex_ids
 
 
 class Matching:
@@ -205,14 +204,6 @@ def _cover_forbidden(
     return hopcroft_karp(len(f_list), g.n, [g.in_adj[f] for f in f_list])
 
 
-def _forbidden_list(g: SparseDigraph, forbidden: Collection[int]) -> list[int]:
-    """Sorted distinct forbidden ids, each checked to lie in ``[0, n)``."""
-    f_list = sorted(set(forbidden))
-    if f_list and not (0 <= f_list[0] and f_list[-1] < g.n):
-        raise IndexOutOfRange(f"forbidden vertex outside [0, {g.n})")
-    return f_list
-
-
 def find_allowed_matching(g: SparseDigraph, forbidden: Collection[int]) -> Matching | None:
     """Maximal matching whose unmatched vertices all avoid ``forbidden``.
 
@@ -239,7 +230,7 @@ def find_allowed_matching(g: SparseDigraph, forbidden: Collection[int]) -> Match
     few rounds left to run.
     """
     n = g.n
-    f_list = _forbidden_list(g, forbidden)
+    f_list = vertex_ids(forbidden, n, "forbidden vertex")
     match = Matching(n)
     if f_list:
         mate_f, _ = _cover_forbidden(g, f_list)
@@ -321,7 +312,7 @@ def hall_violator(g: SparseDigraph, forbidden: Collection[int]) -> list[int]:
     of ``S``'s in-neighbours are matched into ``S`` minus its start, so
     ``|N_in(S)| = |S| - 1``: no matching covers ``S``.  Sorted.
     """
-    f_list = _forbidden_list(g, forbidden)
+    f_list = vertex_ids(forbidden, g.n, "forbidden vertex")
     mate_f, f_of_src = _cover_forbidden(g, f_list)
     if not f_list or min(mate_f) >= 0:
         return []

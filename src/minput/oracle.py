@@ -1,8 +1,10 @@
-"""Independent ground-truth checks for solver validation.
+"""Ground-truth checks for solver validation.
 
-Everything here is deliberately written against the textbook
-definitions rather than the solver's machinery, so agreement between
-the two is meaningful evidence.  The brute-force searches refuse
+The checks are written against the textbook definitions, not the
+solver's matching and flow-graph machinery, so agreement between the
+two is meaningful evidence.  They share two of the solver's building
+blocks, ``scc_decompose`` and ``hopcroft_karp``; ``tests/test_networkx.py``
+checks both against networkx.  The brute-force searches refuse
 instances above small size bounds instead of silently taking forever.
 """
 
@@ -11,8 +13,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Collection
 
-from .errors import BoundExceeded, IndexOutOfRange
-from .graph import SparseDigraph, reachable_from, scc_decompose
+from .errors import BoundExceeded
+from .graph import SparseDigraph, reachable_from, scc_decompose, vertex_ids
 from .matching import hopcroft_karp
 
 
@@ -26,9 +28,7 @@ def check_structural_controllability(g: SparseDigraph, input_set: Collection[int
     covering every state.
     """
     n = g.n
-    iset = sorted(set(input_set))
-    if iset and not (0 <= iset[0] and iset[-1] < n):
-        raise IndexOutOfRange(f"input vertex outside [0, {n})")
+    iset = vertex_ids(input_set, n, "input vertex")
     if n == 0:
         return True
     if not iset:
@@ -53,7 +53,7 @@ def brute_force_min_cost_allowed_matching(
     n = g.n
     if n > max_n:
         raise BoundExceeded(f"matching enumeration capped at n={max_n}, got {n}")
-    forb = frozenset(forbidden)
+    forb = frozenset(vertex_ids(forbidden, n, "forbidden vertex"))
     scc = scc_decompose(g)
     comp_id = scc.comp_id
     sources = scc.source_ids
@@ -106,7 +106,7 @@ def brute_force_min_input_set(
     n = g.n
     if n > max_n:
         raise BoundExceeded(f"subset sweep capped at n={max_n}, got {n}")
-    forb = frozenset(forbidden)
+    forb = frozenset(vertex_ids(forbidden, n, "forbidden vertex"))
     allowed = [v for v in range(n) if v not in forb]
     if not check_structural_controllability(g, allowed):
         return None
@@ -134,9 +134,9 @@ def numeric_rank_spot_check(
     import numpy as np  # only this checker needs numpy
 
     n = g.n
+    iset = vertex_ids(input_set, n, "input vertex")
     if n == 0:
         return True
-    iset = sorted(set(input_set))
     if not iset:
         return False
     rng = np.random.default_rng(seed)

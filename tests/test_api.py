@@ -19,6 +19,7 @@ import pytest
 import minput
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PACKAGE = Path(minput.__file__).resolve().parent
 
 USER_API = {
     "Problem", "Solution", "Unsolvable", "UnsolvableReason", "solve",
@@ -111,3 +112,17 @@ def test_import_does_not_load_numpy(surface):
     """Only the numeric rank checker uses numpy, so importing the package
     and its CLI, as every ``minput`` invocation does, must not load it."""
     assert surface[1]["numpy_loaded"] is False
+
+
+def test_only_graph_raises_index_out_of_range():
+    """``graph.vertex_id`` is the one vertex-id rule: every other module
+    checks the ids it is handed through it, not by a range test of its own."""
+    raisers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(exc, ast.Name) and exc.id == "IndexOutOfRange":
+                raisers.add(path.name)
+    assert raisers == {"graph.py"}

@@ -12,13 +12,16 @@ from minput import (
     SparseDigraph,
     Unsolvable,
     UnsolvableReason,
+    brute_force_min_cost_allowed_matching,
+    brute_force_min_input_set,
     check_structural_controllability,
+    numeric_rank_spot_check,
     recover_input_set,
     scc_decompose,
     solve,
 )
-from minput.matching import Matching
-from minput.oracle import brute_force_min_input_set
+from minput.graph import reachable_from
+from minput.matching import Matching, find_allowed_matching, hall_violator
 
 
 class TestRecoverInputSet:
@@ -161,19 +164,38 @@ class TestUnsolvable:
         assert UnsolvableReason.NO_ALLOWED_MATCHING.value == "NoAllowedMatching"
 
 
+def _solve_answer(g, ids):
+    sol = solve(Problem(g, frozenset(ids)))
+    return sol.input_set, sol.certificate
+
+
+# Every entry point that takes vertex ids from its caller, called as
+# ``call(g, ids)``.
+ID_ENTRY_POINTS = {
+    "solve": _solve_answer,
+    "find_allowed_matching": find_allowed_matching,
+    "hall_violator": hall_violator,
+    "reachable_from": reachable_from,
+    "check_structural_controllability": check_structural_controllability,
+    "numeric_rank_spot_check": numeric_rank_spot_check,
+    "brute_force_min_input_set": brute_force_min_input_set,
+    "brute_force_min_cost_allowed_matching": brute_force_min_cost_allowed_matching,
+}
+
+
 class TestSolveValidation:
     def test_forbidden_out_of_range(self, g4):
-        with pytest.raises(IndexOutOfRange):
-            solve(Problem(g4, frozenset([4])))
-        with pytest.raises(IndexOutOfRange):
-            solve(Problem(g4, frozenset([-1])))
-        for bad in (True, 0.0, "0"):
-            with pytest.raises(IndexOutOfRange):
-                solve(Problem(g4, frozenset([bad])))
-        got = solve(Problem(g4, frozenset([np.int64(1)])))
-        want = solve(Problem(g4, frozenset([1])))
-        assert (got.input_set, got.certificate) == (want.input_set, want.certificate)
-        assert all(type(v) is int for pair in got.certificate for v in pair)
+        """Every entry point applies ``graph.vertex_id``'s rule to the ids
+        it is handed; the answer is compared by ``repr``, so a
+        ``numpy.int64`` that leaks into it fails."""
+        for name, call in ID_ENTRY_POINTS.items():
+            for bad in (g4.n, -1, True, 0.0, "0"):
+                try:
+                    call(g4, [bad])
+                except IndexOutOfRange:
+                    continue
+                pytest.fail(f"{name} accepted the vertex id {bad!r}")
+            assert repr(call(g4, [np.int64(1)])) == repr(call(g4, [1])), name
 
     def test_deterministic(self, g5):
         a = solve(Problem(g5, frozenset([3])))
