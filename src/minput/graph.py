@@ -49,6 +49,22 @@ def vertex_ids(values: Iterable[object], n: int, what: str) -> list[int]:
     return sorted({vertex_id(v, n, what) for v in values})
 
 
+def empty_adjacency(n: object) -> tuple[list[list[int]], list[list[int]]]:
+    """Empty ``(out_adj, in_adj)`` lists for ``n`` vertices.
+
+    This is the package's one vertex-count check.  ``n`` must be a plain
+    or integer-typed int in ``[0, MAX_VERTICES]``; ``bool``, non-integer
+    and negative counts, and counts above ``MAX_VERTICES`` (2**24),
+    raise IndexOutOfRange before anything is allocated.
+    """
+    count = _plain_int(n)
+    if count is None or count < 0:
+        raise IndexOutOfRange(f"vertex count must be a nonnegative integer, got {n!r}")
+    if count > MAX_VERTICES:
+        raise IndexOutOfRange(f"vertex count {count} exceeds the limit of {MAX_VERTICES}")
+    return [[] for _ in range(count)], [[] for _ in range(count)]
+
+
 class SparseDigraph:
     """Immutable directed graph on vertices ``0 .. n-1``.
 
@@ -59,10 +75,8 @@ class SparseDigraph:
     Parameters
     ----------
     n : int
-        Number of vertices, stored as a plain ``int``; ``bool``,
-        non-integer and negative counts, and counts above
-        ``MAX_VERTICES`` (2**24), raise IndexOutOfRange before anything
-        is allocated.
+        Number of vertices, stored as a plain ``int``; checked by
+        ``empty_adjacency``.
     edges : iterable of (int, int)
         Directed edges ``(u, v)`` meaning ``u -> v``.  Integer types such
         as ``numpy.int64`` are stored as plain ``int``; ``bool`` and
@@ -72,14 +86,8 @@ class SparseDigraph:
     __slots__ = ("n", "m", "out_adj", "in_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        count = _plain_int(n)
-        if count is None or count < 0:
-            raise IndexOutOfRange(f"vertex count must be a nonnegative integer, got {n!r}")
-        if count > MAX_VERTICES:
-            raise IndexOutOfRange(f"vertex count {count} exceeds the limit of {MAX_VERTICES}")
-        n = count
-        out_adj: list[list[int]] = [[] for _ in range(n)]
-        in_adj: list[list[int]] = [[] for _ in range(n)]
+        out_adj, in_adj = empty_adjacency(n)
+        n = len(out_adj)
         for u, v in edges:
             if type(u) is not int or type(v) is not int:
                 u = vertex_id(u, n, "edge endpoint")
@@ -87,15 +95,32 @@ class SparseDigraph:
             elif not (0 <= u < n and 0 <= v < n):
                 raise IndexOutOfRange(f"edge ({u}, {v}) outside vertex range [0, {n})")
             out_adj[u].append(v)
+        self._finish(out_adj, in_adj)
+
+    @classmethod
+    def _from_lists(cls, out_adj: list[list[int]], in_adj: list[list[int]]) -> SparseDigraph:
+        """The graph with an edge ``u -> v`` for each ``v`` in ``out_adj[u]``.
+
+        Both lists come from ``empty_adjacency`` and are taken over, not
+        copied.  The caller has checked that every id in ``out_adj`` is a
+        plain int in ``[0, n)`` and has left ``in_adj`` empty; the file
+        readers in ``cli`` check ids as they read them.
+        """
+        g = cls.__new__(cls)
+        g._finish(out_adj, in_adj)
+        return g
+
+    def _finish(self, out_adj: list[list[int]], in_adj: list[list[int]]) -> None:
+        """Sort and dedupe each out-list, fill ``in_adj`` and count ``m``."""
         m = 0
-        for u in range(n):
-            nbrs = sorted(set(out_adj[u]))
+        for u, nbrs in enumerate(out_adj):
+            nbrs = sorted(set(nbrs))
             out_adj[u] = nbrs
             m += len(nbrs)
             for v in nbrs:
                 in_adj[v].append(u)
         # in_adj ends up sorted because sources are visited in ascending order
-        self.n = n
+        self.n = len(out_adj)
         self.m = m
         self.out_adj = out_adj
         self.in_adj = in_adj

@@ -6,6 +6,7 @@ assignment reference is meant for instances beyond a few vertices.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 from typing import Collection
 
@@ -14,8 +15,8 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from minput import SparseDigraph
-from minput.errors import IndexOutOfRange
+from minput import SparseDigraph, build_graph
+from minput.errors import IndexOutOfRange, NotSquare, ParseError
 from minput.flowgraph import FlowGraph
 from minput.graph import scc_decompose
 from minput.matching import Matching, classify, hopcroft_karp
@@ -208,6 +209,238 @@ def dump_edge_list(g: SparseDigraph) -> str:
     lines = [f"{g.n} {g.m}"]
     lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
+
+
+def reference_edge_list(path: str) -> SparseDigraph:
+    """The edge-list reader as one loop over the file: entries are
+    collected as pairs and handed to ``SparseDigraph(n, edges)``, which
+    checks them again and applies the vertex cap last.  The reference
+    that ``minput.cli.ingest_edge_list`` is compared against."""
+    n = None
+    declared = 0
+    edges: list[tuple[int, int]] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.split("#", 1)[0].strip()
+            if not text:
+                continue
+            parts = text.split()
+            if len(parts) != 2:
+                what = "header 'n <edge-count>'" if n is None else "edge line 'i j'"
+                raise ParseError(f"expected {what}, got {text!r}", lineno)
+            try:
+                a, b = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ParseError(f"expected two integers, got {text!r}", lineno) from None
+            if n is None:
+                if a < 0 or b < 0:
+                    raise ParseError("header fields must be nonnegative", lineno)
+                n, declared = a, b
+                continue
+            if not (0 <= a < n and 0 <= b < n):
+                raise ParseError(f"edge ({a}, {b}) outside vertex range [0, {n})", lineno)
+            edges.append((a, b))
+    if n is None:
+        raise ParseError("no header line found")
+    if declared != len(edges):
+        raise ParseError(f"header declared {declared} edges, file has {len(edges)}")
+    return SparseDigraph(n, edges)
+
+
+def reference_matrix_market(path: str, zero_tol: float = 0.0) -> SparseDigraph:
+    """The Matrix Market reader as one loop over the file: entries are
+    collected as ``(row, col)`` pairs and handed to ``build_graph``, and
+    the vertex cap is applied last.  The reference that
+    ``minput.cli.ingest_matrix_market`` is compared against."""
+    if not 0.0 <= zero_tol < math.inf:
+        raise ParseError(f"zero tolerance must be finite and >= 0, got {zero_tol!r}")
+    with open(path, "r", encoding="utf-8") as fh:
+        banner = fh.readline()
+        fields = banner.split()
+        if len(fields) < 5 or fields[0] != "%%MatrixMarket":
+            raise ParseError("missing '%%MatrixMarket matrix coordinate ...' banner", 1)
+        if fields[1].lower() != "matrix" or fields[2].lower() != "coordinate":
+            raise ParseError("only 'matrix coordinate' files are supported", 1)
+        value_kind = fields[3].lower()
+        symmetry = fields[4].lower()
+        if value_kind not in ("real", "integer", "pattern"):
+            raise ParseError(f"unsupported value field {value_kind!r}", 1)
+        if symmetry not in ("general", "symmetric"):
+            raise ParseError(f"unsupported symmetry {symmetry!r}", 1)
+        dims = None
+        seen = 0
+        entries: list[tuple[int, int]] = []
+        for lineno, raw in enumerate(fh, start=2):
+            text = raw.strip()
+            if not text or text.startswith("%"):
+                continue
+            parts = text.split()
+            if dims is None:
+                if len(parts) != 3:
+                    raise ParseError("expected size line 'rows cols nnz'", lineno)
+                try:
+                    rows, cols, nnz = (int(p) for p in parts)
+                except ValueError:
+                    raise ParseError("size line must be three integers", lineno) from None
+                if rows != cols:
+                    raise NotSquare(f"matrix is {rows}x{cols}, need square")
+                dims = (rows, nnz)
+                continue
+            want = 2 if value_kind == "pattern" else 3
+            if len(parts) != want:
+                raise ParseError(f"expected {want} fields per entry", lineno)
+            try:
+                r, c = int(parts[0]), int(parts[1])
+                value = 1.0 if value_kind == "pattern" else float(parts[2])
+            except ValueError:
+                raise ParseError(f"malformed entry {text!r}", lineno) from None
+            if not (1 <= r <= dims[0] and 1 <= c <= dims[0]):
+                raise ParseError(f"entry ({r}, {c}) outside matrix", lineno)
+            seen += 1
+            if abs(value) > zero_tol:
+                entries.append((r - 1, c - 1))
+                if symmetry == "symmetric" and r != c:
+                    entries.append((c - 1, r - 1))
+            elif value != value:
+                raise ParseError(f"entry ({r}, {c}) is NaN", lineno)
+    if dims is None:
+        raise ParseError("size line missing")
+    if seen != dims[1]:
+        raise ParseError(f"size line declared {dims[1]} entries, file has {seen}")
+    return build_graph(dims[0], entries)
+
+
+def _file_text(rng, lines: list[list[str]], comment: str) -> str:
+    """``lines`` of fields as file text, with seeded variation the readers
+    must ignore: field separators, leading and trailing blanks, blank,
+    whitespace-only and comment lines, CRLF ends and a missing final
+    newline."""
+    out = []
+    for fields in lines:
+        while rng.random() < 0.15:
+            out.append(rng.choice(["", "  ", "\t", f"{comment} note", f"{comment}note 1 2",
+                                   f"  {comment}\tnote 1 2"]))
+        text = rng.choice([" ", " ", "\t", "  ", " \t "]).join(fields)
+        if rng.random() < 0.1:
+            text = rng.choice([" ", "\t"]) + text + rng.choice([" ", "\t", ""])
+        out.append(text)
+    end = rng.choice(["\n", "\n", "\r\n"])
+    text = end.join(out)
+    return text + end if out and rng.random() < 0.9 else text
+
+
+def random_edge_list_file(rng) -> tuple[str, int | None]:
+    """A small seeded edge-list file and the vertex count its header
+    declares (None when the header line is missing or malformed).
+
+    About half the files carry one fault: a wrong edge count, a negative
+    header, a wrong field count, a non-integer or out-of-range id, a
+    ``%`` line (not a comment in this format) or no header at all (an
+    empty file among them).
+    Duplicate edges and self loops come from drawing ids at random;
+    ``#`` comments sit between lines and after fields.
+    """
+    n = rng.randint(0, 8)
+    edges = [[str(rng.randrange(n)), str(rng.randrange(n))] for _ in range(rng.randint(0, 3 * n))]
+    header = [str(n), str(len(edges))]
+    lines = [header, *edges]
+    count: int | None = n
+    fault = rng.choice(["none"] * 8 + ["count", "negative", "fields", "nonint", "range",
+                                       "percent", "noheader"])
+    if fault == "count":
+        header[1] = str(len(edges) + rng.choice([-1, 1]))
+    elif fault == "negative":
+        header[rng.randrange(2)] = "-1"
+        count = int(header[0])
+    elif fault == "fields":
+        at = rng.randrange(len(lines))
+        lines[at] = lines[at][:1] if rng.random() < 0.5 else [*lines[at], "1"]
+        count = None if at == 0 else count
+    elif fault == "nonint":
+        at = rng.randrange(len(lines))
+        lines[at][rng.randrange(2)] = rng.choice(["x", "1.5", "1e3", "--1", "0x1", "2a"])
+        count = None if at == 0 else count
+    elif fault == "range" and edges:
+        rng.choice(edges)[rng.randrange(2)] = str(rng.choice([-1, n, n + 5]))
+    elif fault == "percent":
+        lines.insert(rng.randint(0, len(lines)), ["%", "comment"])
+        count = None if lines[0][0] == "%" else count
+    elif fault == "noheader":
+        lines, count = rng.choice([[], [["#", "note"]]]), None
+    for fields in lines:
+        if rng.random() < 0.1:
+            fields.append(rng.choice(["#", "# note", "#1 2"]))
+    return _file_text(rng, lines, "#"), count
+
+
+def random_matrix_market_file(rng) -> tuple[str, int | None]:
+    """A small seeded Matrix Market file and the vertex count its size
+    line declares (None when the banner or size line is missing or
+    malformed).
+
+    Files are real, integer or pattern, general or symmetric, with
+    explicit zeros, ``inf`` values, duplicate entries and self loops.
+    About half carry one fault: a wrong entry count, a non-square or
+    negative size, a malformed size line, a wrong field count (an inline
+    ``%`` comment among them), a non-integer id or value, an
+    out-of-range id, a NaN value, a ``#`` line (not a comment in this
+    format), an unsupported or missing banner, no size line, or an empty
+    file.
+    """
+    kind = rng.choice(["real", "integer", "pattern"])
+    symmetry = rng.choice(["general", "symmetric"])
+    banner = f"%%MatrixMarket matrix coordinate {kind} {symmetry}"
+    if rng.random() < 0.1:
+        banner = f"%%MatrixMarket Matrix COORDINATE {kind.title()} {symmetry.upper()}"
+    n = rng.randint(0, 8)
+    values = {"real": ["1", "-2.5", "0", "0.0", "-0", "1e-12", "0.4", "3e2", "inf", "-inf"],
+              "integer": ["1", "-3", "0", "7"], "pattern": [None]}[kind]
+    entries = []
+    for _ in range(rng.randint(0, 3 * n)):
+        value = rng.choice(values)
+        entries.append([str(rng.randint(1, n)), str(rng.randint(1, n))]
+                       + ([] if value is None else [value]))
+    size = [str(n), str(n), str(len(entries))]
+    lines = [size, *entries]
+    count: int | None = n
+    fault = rng.choice(["none"] * 10 + ["count", "square", "negative", "size", "fields",
+                                        "nonint", "range", "nan", "hash", "banner",
+                                        "nosize", "empty"])
+    if fault == "count":
+        size[2] = str(len(entries) + rng.choice([-1, 1]))
+    elif fault == "square":
+        size[1] = str(n + 1)
+        count = None
+    elif fault == "negative":
+        size[0] = size[1] = "-1"
+        count = -1
+    elif fault == "size":
+        lines[0] = rng.choice([size[:2], [*size, "1"], [size[0], "x", size[2]]])
+        count = None
+    elif fault == "fields" and entries:
+        entry = rng.choice(entries)
+        entry[:] = rng.choice([entry[:-1], [*entry, "1"], [*entry, "%", "note"]])
+    elif fault == "nonint" and entries:
+        entry = rng.choice(entries)
+        entry[rng.randrange(len(entry))] = rng.choice(["x", "1.0", "abc"])
+    elif fault == "range" and entries:
+        rng.choice(entries)[rng.randrange(2)] = str(rng.choice([0, -1, n + 1]))
+    elif fault == "nan" and kind == "real" and entries:
+        rng.choice(entries)[2] = rng.choice(["nan", "-nan", "NaN"])
+    elif fault == "hash":
+        lines.insert(rng.randint(1, len(lines)), ["#", "comment"])
+    elif fault == "banner":
+        banner = rng.choice(["%%MatrixMarket matrix array real general",
+                             "%%MatrixMarket matrix coordinate complex general",
+                             "%%MatrixMarket matrix coordinate real hermitian",
+                             "%%matrixmarket matrix coordinate real general",
+                             "%%MatrixMarket matrix coordinate", ""])
+        count = None
+    elif fault == "nosize":
+        lines, count = rng.choice([[], [["%", "note"]]]), None
+    elif fault == "empty":
+        return "", None
+    return banner + "\n" + _file_text(rng, lines, "%"), count
 
 
 class ExplicitFlow:

@@ -24,6 +24,14 @@ Categories:
 * ``cli``: exit code, stdout, stderr, ``--out`` and ``--dump-flow``
   bytes of ``--graph`` and ``--mm`` runs, with and without
   ``--verify``, and with ``--oracle`` at ``n <= 6``.
+* ``files``: exit code, stdout and stderr of ``--graph`` and ``--mm``
+  runs on 2000 seeded small files per format from ``bruteforce``'s
+  generators: general and symmetric, real, integer and pattern, and
+  every kind of layout variation and malformed line the readers report.
+  Matrix Market files with a negative size line are left out: the
+  reader reports that size before any later malformed line, which the
+  one-loop reader kept in ``bruteforce`` as a reference does not, so
+  trees with either reader may differ on them.
 
 The first line names the package imported and differs between trees.
 Pytest does not collect this file.
@@ -41,6 +49,7 @@ import tempfile
 from pathlib import Path
 
 INSTANCES = 3000
+FILES = 2000
 
 
 def _instance(rng: random.Random):
@@ -88,15 +97,24 @@ def _run_cli(cli, argv: list[str]) -> tuple:
             *(path.read_bytes() if path.exists() else None for path in files))
 
 
+def _file_run(cli, name: str, text: str, argv: list[str]) -> tuple:
+    """Exit code, stdout and stderr of a run on ``text`` written to ``name``."""
+    Path(name).write_text(text, encoding="utf-8", newline="")
+    return _run_cli(cli, argv)[:3]
+
+
 def main(src: Path) -> None:
     sys.path.insert(0, str(src))
     import minput
-    from bruteforce import dump_edge_list, flow_graph
+    from bruteforce import (dump_edge_list, flow_graph, random_edge_list_file,
+                            random_matrix_market_file)
     from minput import Problem, Solution, cli, solve
     from minput.matching import find_allowed_matching
 
-    digests = {k: hashlib.sha256() for k in ("solution", "rounds", "work", "unsolvable", "flow", "cli")}
-    seen = dict.fromkeys(["solved", "unsolvable", "gateways", "slack", "checked", "oracle"], 0)
+    digests = {k: hashlib.sha256()
+               for k in ("solution", "rounds", "work", "unsolvable", "flow", "cli", "files")}
+    seen = dict.fromkeys(["solved", "unsolvable", "gateways", "slack", "checked", "oracle",
+                          "files", "file_errors"], 0)
 
     def record(category: str, *fields) -> None:
         digests[category].update(repr(fields).encode() + b"\n")
@@ -144,6 +162,18 @@ def main(src: Path) -> None:
                     calls.append(["--graph", "g.txt", "--forbidden", "f.txt", "--oracle",
                                   "--verify", "--out", "out.json"])
                 record("cli", i, [_run_cli(cli, argv) for argv in calls])
+
+            for i in range(FILES):
+                rng = random.Random(f"files/{i}")
+                text, _ = random_edge_list_file(rng)
+                runs = [_file_run(cli, "g.txt", text, ["--graph", "g.txt"])]
+                text, count = random_matrix_market_file(rng)
+                if count is None or count >= 0:
+                    tol = rng.choice(["0", "1e-9", "0.5", "2"])
+                    runs.append(_file_run(cli, "g.mtx", text, ["--mm", "g.mtx", "--zero-tol", tol]))
+                seen["files"] += len(runs)
+                seen["file_errors"] += sum(run[0] == 1 for run in runs)
+                record("files", i, runs)
         finally:
             os.chdir(home)
 

@@ -55,19 +55,39 @@ print(json.dumps({
 """
 
 
+def _chain(node) -> list[str] | None:
+    """``["minput", "a", "b"]`` for the expression ``minput.a.b``, and
+    likewise for any name; None for an expression that is not a dotted
+    name."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(parts)] if isinstance(node, ast.Name) else None
+
+
 def _perfbench_chains() -> list[list[str]]:
     """Every attribute chain ``minput.a.b`` in the code of
     ``perfbench/*.py``, as ``["a", "b"]``; docstrings and comments are not
-    code, so a prose mention of a name is not read."""
+    code, so a prose mention of a name is not read.  A name bound by
+    ``name = minput.a`` in a file stands for ``minput.a`` throughout that
+    file, so ``cli = minput.cli; cli.build_graph`` reads
+    ``["cli", "build_graph"]``."""
     chains = set()
     for path in sorted(PERFBENCH.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            parts = []
-            while isinstance(node, ast.Attribute):
-                parts.append(node.attr)
-                node = node.value
-            if parts and isinstance(node, ast.Name) and node.id == "minput":
-                chains.add(tuple(reversed(parts)))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        roots = {"minput": []}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)):
+                chain = _chain(node.value)
+                if chain and chain[0] == "minput" and len(chain) > 1:
+                    roots[node.targets[0].id] = chain[1:]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                chain = _chain(node)
+                if chain and chain[0] in roots:
+                    chains.add((*roots[chain[0]], *chain[1:]))
     return [list(chain) for chain in sorted(chains)]
 
 
@@ -94,6 +114,8 @@ def test_perfbench_names_resolve(surface):
     name dropped from the package would break it only at benchmark time."""
     chains, found = surface
     assert ["solve"] in chains and ["cli", "run"] in chains
+    # read through the alias ``cli = minput.cli`` in perfbench/replica.py
+    assert ["cli", "build_graph"] in chains
     assert found["missing"] == []
 
 

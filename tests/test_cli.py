@@ -1,15 +1,24 @@
 import json
 import os
 import pathlib
+import random
+import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import minput
-from bruteforce import dump_edge_list
+from bruteforce import (
+    dump_edge_list,
+    random_edge_list_file,
+    random_matrix_market_file,
+    reference_edge_list,
+    reference_matrix_market,
+)
 from families import chain
-from minput import NotSquare, ParseError
+from minput import IndexOutOfRange, MinputError, NotSquare, ParseError
 from minput.cli import ingest_edge_list, ingest_matrix_market, read_forbidden, run
 
 
@@ -151,6 +160,80 @@ class TestMatrixMarket:
     def test_infinite_entry_is_a_coupling(self, tmp_path):
         text = "%%MatrixMarket matrix coordinate real general\n2 2 1\n2 1 -inf\n"
         assert list(ingest_matrix_market(_write(tmp_path / "a.mtx", text)).edges()) == [(0, 1)]
+
+
+def _outcome(read, path, *args):
+    """The graph a reader builds, or the type, message and line of the error it raises."""
+    try:
+        g = read(path, *args)
+    except MinputError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return g.n, g.m, g.out_adj, g.in_adj
+
+
+# Every message each reader can give, as a pattern; the corpus must reach
+# all of them, and a valid graph, for the comparison to cover the reader.
+READER_MESSAGES = {
+    "graph": [
+        "expected header", "expected edge line", "expected two integers",
+        "header fields must be nonnegative", "outside vertex range",
+        "no header line found", "header declared", "vertex count .* exceeds",
+    ],
+    "mm": [
+        "missing '%%MatrixMarket", "only 'matrix coordinate'", "unsupported value field",
+        "unsupported symmetry", "expected size line", "size line must be three integers",
+        "need square", "vertex count must be a nonnegative", "vertex count .* exceeds",
+        "expected 2 fields", "expected 3 fields", "malformed entry", "outside matrix",
+        "is NaN", "size line declared", "size line missing",
+    ],
+}
+
+
+class TestReadersAgainstReference:
+    """Both readers against the one-loop readers in ``bruteforce``, on 2000
+    seeded files per format, valid and malformed, under a vertex cap of 7.
+
+    Each file gives an equal graph (``n``, ``m``, ``out_adj`` and
+    ``in_adj``) or the same error type, message and line.  The one allowed
+    difference: a vertex count over the cap or negative is reported from
+    its header or size line, where the reference reported an error found
+    later in the file first.
+    """
+
+    CAP = 7
+    FILES = 2000
+
+    @pytest.mark.parametrize("fmt", ["graph", "mm"])
+    def test_same_graph_or_error(self, tmp_path, monkeypatch, fmt):
+        monkeypatch.setattr("minput.graph.MAX_VERTICES", self.CAP)
+        make, read, reference = {
+            "graph": (random_edge_list_file, ingest_edge_list, reference_edge_list),
+            "mm": (random_matrix_market_file, ingest_matrix_market, reference_matrix_market),
+        }[fmt]
+        path = tmp_path / "instance"
+        seen = Counter()
+        for i in range(self.FILES):
+            rng = random.Random(i)
+            text, count = make(rng)
+            args = (rng.choice([0.0, 0.0, 1e-9, 0.5, 2.0]),) if fmt == "mm" else ()
+            path.write_text(text, encoding="utf-8", newline="")
+            got = _outcome(read, str(path), *args)
+            want = _outcome(reference, str(path), *args)
+            if got == want:
+                seen["same"] += 1
+            else:
+                assert count is not None and not 0 <= count <= self.CAP, (i, text, got, want)
+                assert got[0] is IndexOutOfRange and got[1].startswith("vertex count"), (i, got)
+                assert isinstance(want[0], type), (i, want)
+                seen["size reported first"] += 1
+            if isinstance(got[0], type):
+                seen[next((p for p in READER_MESSAGES[fmt] if re.search(p, got[1])), got[1])] += 1
+            else:
+                seen["graph with edges" if got[1] else "graph without edges"] += 1
+        expected = {*READER_MESSAGES[fmt], "graph with edges", "graph without edges",
+                    "size reported first"}
+        assert set(seen) - {"same"} == expected, seen
+        assert seen["graph with edges"] >= self.FILES // 4, seen
 
 
 class TestReadForbidden:
@@ -324,13 +407,25 @@ class TestRunErrors:
         assert captured.out == "" and "line 3" in captured.err and "error:" in captured.err
 
     def test_vertex_count_over_cap(self, tmp_path, capsys, monkeypatch):
+        """The count is checked at its header or size line, before any
+        entry is read, so a malformed entry after it is never reached."""
         monkeypatch.setattr("minput.graph.MAX_VERTICES", 4)
-        graph = _write(tmp_path / "g.txt", "5 0\n")
-        mm = _write(tmp_path / "a.mtx", "%%MatrixMarket matrix coordinate pattern general\n5 5 0\n")
-        for argv in (["--graph", graph], ["--mm", mm]):
-            assert run(argv) == 1
+        banner = "%%MatrixMarket matrix coordinate pattern general\n"
+        over = "error: vertex count 5 exceeds"
+        negative = "error: vertex count must be a nonnegative integer, got -1"
+        cases = [
+            ("g.txt", "5 0\n", over),
+            ("a.mtx", banner + "5 5 0\n", over),
+            ("g.txt", "5 1\n0 x\n", over),
+            ("a.mtx", banner + "5 5 1\n1 x\n", over),
+            ("a.mtx", banner + "-1 -1 1\n1 x\n", negative),
+            ("g.txt", "-1 1\n0 x\n", "error: line 1: header fields must be nonnegative"),
+        ]
+        for name, text, message in cases:
+            path = _write(tmp_path / name, text)
+            assert run(["--mm" if name.endswith(".mtx") else "--graph", path]) == 1
             captured = capsys.readouterr()
-            assert captured.out == "" and captured.err.startswith("error: vertex count 5 exceeds")
+            assert captured.out == "" and captured.err.startswith(message), text
         assert run(["--graph", _write(tmp_path / "ok.txt", "4 0\n")]) == 0
 
     def test_help_exits_zero(self, capsys):
