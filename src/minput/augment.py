@@ -26,7 +26,7 @@ from typing import Collection
 from .errors import IterationBoundExceeded
 from .flowgraph import FlowGraph, build_flow_graph
 from .graph import SccInfo, SparseDigraph
-from .matching import Matching, classify
+from .matching import MatchClass, Matching, classify
 
 PathSet = list[list[int]]
 
@@ -68,12 +68,11 @@ class LayeredDag:
     in-edges per useful node and is consumed by ``extract_paths``.
     """
 
-    __slots__ = ("fg", "size", "dist", "dist_t", "useful", "indeg", "work")
+    __slots__ = ("fg", "dist", "dist_t", "useful", "indeg", "work")
 
-    def __init__(self, fg: FlowGraph, size: int, dist: list[int], dist_t: int,
+    def __init__(self, fg: FlowGraph, dist: list[int], dist_t: int,
                  useful: bytearray, indeg: list[int], work: int):
         self.fg = fg
-        self.size = size
         self.dist = dist
         self.dist_t = dist_t
         self.useful = useful
@@ -151,7 +150,7 @@ def _run_bfs(fg: FlowGraph) -> tuple[LayeredDag | None, int]:
                     if u != s_id:
                         stack.append(u)
         indeg[x] = count
-    return LayeredDag(fg, size, dist, dist[t_id], useful, indeg, work), work
+    return LayeredDag(fg, dist, dist[t_id], useful, indeg, work), work
 
 
 def layered_bfs(fg: FlowGraph) -> LayeredDag | None:
@@ -276,16 +275,17 @@ def minimize(
     m0: Matching,
     *,
     check: bool = False,
-) -> tuple[Matching, Diagnostics]:
+) -> tuple[Matching, MatchClass, Diagnostics]:
     """Drive an allowed matching to minimum cost.
 
-    Returns the optimal matching (``m0`` is left untouched) and
-    per-round diagnostics.  With ``check=True`` every round re-validates
-    the matching, its allowedness, the exact cost drop, the strict
-    growth of the s -> t distance and the conservation laws (matched
-    sources stay matched, source components never lose their last
-    unmatched member, components at zero or one unmatched members stay
-    that way).
+    Returns the optimal matching (``m0`` is left untouched), the
+    terminal round's classification of it, and per-round diagnostics.
+    With ``check=True`` every round re-validates the matching, its
+    allowedness, the exact cost drop, the strict growth of the s -> t
+    distance and the conservation laws (matched sources stay matched,
+    source components never lose their last unmatched member, components
+    at zero or one unmatched members stay that way), and raises
+    AssertionError on a breach, also under ``python -O``.
 
     Rounds are capped at ``6 * sqrt(n)``; exceeding the cap means a bug
     in this package, not an unsolvable instance, and raises
@@ -294,7 +294,7 @@ def minimize(
     diag = Diagnostics()
     n = g.n
     if n == 0:
-        return m0.copy(), diag
+        return m0.copy(), classify(scc, m0), diag
     forb = frozenset(forbidden)
     cap = int(6 * math.sqrt(n))
     m = m0.copy()
@@ -313,8 +313,10 @@ def minimize(
             )
             break
         if check:
-            assert dag.dist_t >= 3, "flow graph distances start at 3"
-            assert dag.dist_t > prev_dist, "s->t distance must increase strictly"
+            if dag.dist_t < 3:
+                raise AssertionError("flow graph distances start at 3")
+            if dag.dist_t <= prev_dist:
+                raise AssertionError("s->t distance must increase strictly")
         paths = extract_paths(dag)
         pre_mate_src = list(m.mate_of_src) if check else None
         augment_on_paths(m, paths)
@@ -324,22 +326,24 @@ def minimize(
         )
         if check:
             m.validate(g)
-            assert m.is_allowed(forb), "augmentation lost the forbidden cover"
+            if not m.is_allowed(forb):
+                raise AssertionError("augmentation lost the forbidden cover")
             post = classify(scc, m)
-            assert post.cost == new_cost, "each path must lower the cost by one"
+            if post.cost != new_cost:
+                raise AssertionError("each path must lower the cost by one")
             for u in range(n):
-                if pre_mate_src[u] >= 0:
-                    assert m.mate_of_src[u] >= 0, (
+                if pre_mate_src[u] >= 0 and m.mate_of_src[u] < 0:
+                    raise AssertionError(
                         f"source copy of {u} lost its outgoing matched edge"
                     )
             for c in scc.source_ids:
-                if cls.comp_unmatched[c] >= 1:
-                    assert post.comp_unmatched[c] >= 1, (
+                if cls.comp_unmatched[c] >= 1 and post.comp_unmatched[c] < 1:
+                    raise AssertionError(
                         f"source component {c} lost its last unmatched member"
                     )
-                if cls.comp_unmatched[c] <= 1:
-                    assert post.comp_unmatched[c] <= 1, (
+                if cls.comp_unmatched[c] <= 1 and post.comp_unmatched[c] > 1:
+                    raise AssertionError(
                         f"component {c} went above one unmatched member"
                     )
         prev_dist = dag.dist_t
-    return m, diag
+    return m, cls, diag

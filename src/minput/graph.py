@@ -178,6 +178,12 @@ def induced_subgraph(g: SparseDigraph, keep: list[int]) -> tuple[SparseDigraph, 
 class SccInfo:
     """Strongly connected components of a digraph.
 
+    Components are numbered in the order in which a depth-first search
+    over out-edges, from vertex 0 upward, finishes them.  The order of
+    ``source_ids`` and ``MatchClass.x_comps``, the flow graph's gateway
+    ids and the all-forbidden source component ``solve`` reports follow
+    this numbering, so it stays whatever algorithm finds the components.
+
     Attributes
     ----------
     comp_id : list[int]
@@ -201,65 +207,58 @@ class SccInfo:
 
 
 def scc_decompose(g: SparseDigraph) -> SccInfo:
-    """Tarjan's algorithm, iterative so deep graphs cannot overflow the stack.
+    """Kosaraju's algorithm, iterative so deep graphs cannot overflow the stack.
 
-    Source flags come out of the same scan.  An edge joins two
-    components exactly when it is scanned into a component that has
-    already closed, or is a tree edge whose child closes its component
-    on return; either way the component it enters is not a source.
+    A depth-first search over out-edges records the post-order.  Then,
+    in reverse post-order, each unplaced vertex starts a component that
+    floods over in-edges to the unplaced vertices reaching it.  That
+    places every component after all components with an edge into it,
+    so an in-edge from a placed vertex outside it makes it no source.
     """
     n = g.n
-    out = g.out_adj
-    index = [-1] * n
-    low = [0] * n
-    comp_id = [-1] * n  # a visited vertex is on the Tarjan stack while this is -1
+    out, inn = g.out_adj, g.in_adj
+    seen = bytearray(n)
+    post: list[int] = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = 1
+        path, nbrs = [root], [iter(out[root])]  # nbrs[i] walks out[path[i]]
+        while nbrs:
+            for w in nbrs[-1]:
+                if not seen[w]:
+                    seen[w] = 1
+                    path.append(w)
+                    nbrs.append(iter(out[w]))
+                    break
+            else:
+                nbrs.pop()
+                post.append(path.pop())
+    comp_id = [-1] * n
     comps: list[list[int]] = []
     is_source: list[bool] = []
-    tarjan_stack: list[int] = []
-    counter = 0
-    for root in range(n):
-        if index[root] >= 0:
+    for root in reversed(post):
+        if comp_id[root] >= 0:
             continue
-        index[root] = low[root] = counter
-        counter += 1
-        tarjan_stack.append(root)  # the stack is empty between trees
-        # frame: vertex, its adjacency iterator, its position on the Tarjan stack
-        work = [(root, iter(out[root]), 0)]
-        while work:
-            v, nbrs, base = work[-1]
-            for w in nbrs:
-                if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    work.append((w, iter(out[w]), len(tarjan_stack)))
-                    tarjan_stack.append(w)
-                    break
-                c = comp_id[w]
-                if c >= 0:
+        c = len(comps)
+        comp_id[root] = c
+        members = [root]
+        comps.append(members)
+        is_source.append(True)
+        for v in members:  # grows as the flood reaches new members
+            for u in inn[v]:
+                cu = comp_id[u]
+                if cu < 0:
+                    comp_id[u] = c
+                    members.append(u)
+                elif cu != c:
                     is_source[c] = False
-                elif index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if low[v] == index[v]:
-                    c = len(comps)
-                    if base == len(tarjan_stack) - 1:
-                        # v alone on top: a singleton needs no slice or sort
-                        tarjan_stack.pop()
-                        comp_id[v] = c
-                        comps.append([v])
-                    else:
-                        members = tarjan_stack[base:]
-                        del tarjan_stack[base:]
-                        for w in members:
-                            comp_id[w] = c
-                        members.sort()
-                        comps.append(members)
-                    is_source.append(not work)
-                elif low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
+        members.sort()
+    # Back to the order in which the first search finished the components.
+    last = len(comps) - 1
+    is_source.reverse()
     source_ids = [c for c, flag in enumerate(is_source) if flag]
-    return SccInfo(comp_id, comps, is_source, source_ids)
+    return SccInfo([last - c for c in comp_id], comps[::-1], is_source, source_ids)
 
 
 def reachable_from(g: SparseDigraph, seeds: Iterable[int]) -> set[int]:

@@ -17,7 +17,13 @@ from typing import Collection
 
 from .augment import Diagnostics, minimize
 from .graph import SccInfo, SparseDigraph, scc_decompose, vertex_id
-from .matching import Matching, classify, find_allowed_matching, hall_violator
+from .matching import (
+    MatchClass,
+    Matching,
+    classify,
+    find_allowed_matching,
+    hall_violator,
+)
 
 
 @dataclass
@@ -76,8 +82,11 @@ def recover_input_set(
     source component to intersect the allowed set (the solver gates on
     that before ever minimising).
     """
-    forb = frozenset(forbidden)
-    cls = classify(scc, m_opt)
+    return _input_set(scc, classify(scc, m_opt), frozenset(forbidden))
+
+
+def _input_set(scc: SccInfo, cls: MatchClass, forb: frozenset[int]) -> list[int]:
+    """``recover_input_set`` from the matching's classification ``cls``."""
     picks: list[int] = []
     for c in cls.x_comps:
         rep = -1
@@ -132,8 +141,8 @@ def solve(problem: Problem, *, check: bool = False) -> Solution | Unsolvable:
             hall,
         )
 
-    m_opt, diag = minimize(g, scc, forb, m0, check=check)
-    input_set = recover_input_set(scc, m_opt, forb)
+    m_opt, cls, diag = minimize(g, scc, forb, m0, check=check)
+    input_set = _input_set(scc, cls, forb)
     return Solution(
         input_set,
         len(input_set),

@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 from minput import SparseDigraph, build_graph
 from minput.errors import IndexOutOfRange, NotSquare, ParseError
 from minput.flowgraph import FlowGraph
-from minput.graph import scc_decompose
+from minput.graph import SccInfo, scc_decompose
 from minput.matching import Matching, classify, hopcroft_karp
 
 
@@ -45,6 +45,62 @@ def scc_partition(g: SparseDigraph) -> set[frozenset[int]]:
         frozenset(w for w in range(g.n) if v in reach[w] and w in reach[v])
         for v in range(g.n)
     }
+
+
+def reference_scc(g: SparseDigraph) -> SccInfo:
+    """SCCs by Tarjan's algorithm, iterative, in the numbering ``SccInfo``
+    documents: components in the order the depth-first search over
+    out-edges, roots from vertex 0 upward, finishes them.
+
+    A component is not a source when an edge is scanned into a
+    component that has already closed, or when it is entered by a tree
+    edge whose child closes that component on return.
+    """
+    n = g.n
+    out = g.out_adj
+    index = [-1] * n
+    low = [0] * n
+    comp_id = [-1] * n  # a visited vertex is on the Tarjan stack while this is -1
+    comps: list[list[int]] = []
+    is_source: list[bool] = []
+    tarjan_stack: list[int] = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        tarjan_stack.append(root)
+        # frame: vertex, its adjacency iterator, its position on the Tarjan stack
+        work = [(root, iter(out[root]), 0)]
+        while work:
+            v, nbrs, base = work[-1]
+            for w in nbrs:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    work.append((w, iter(out[w]), len(tarjan_stack)))
+                    tarjan_stack.append(w)
+                    break
+                c = comp_id[w]
+                if c >= 0:
+                    is_source[c] = False
+                elif index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    c = len(comps)
+                    members = tarjan_stack[base:]
+                    del tarjan_stack[base:]
+                    for w in members:
+                        comp_id[w] = c
+                    comps.append(sorted(members))
+                    is_source.append(not work)
+                elif low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+    source_ids = [c for c, flag in enumerate(is_source) if flag]
+    return SccInfo(comp_id, comps, is_source, source_ids)
 
 
 def assignment_min_inputs(g: SparseDigraph, forbidden: Collection[int]) -> int | None:

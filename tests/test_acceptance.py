@@ -203,9 +203,9 @@ def test_criterion_3_worked_examples(capsys):
     checks.append(cyc.edges() == [(0, 0), (1, 2), (2, 3)] and classify(scc4, cyc).cost == 1)
 
     # full drives land on the same optima
-    best4, diag4 = minimize(g4, scc4, [], m1, check=True)
+    best4, _, diag4 = minimize(g4, scc4, [], m1, check=True)
     checks.append(classify(scc4, best4).cost == 1 and diag4.distances() == [5])
-    best5, diag5 = minimize(g5, scc5, [], m3, check=True)
+    best5, _, diag5 = minimize(g5, scc5, [], m3, check=True)
     checks.append(classify(scc5, best5).cost == 1 and diag5.distances() == [4])
 
     # reading out input sets

@@ -167,7 +167,7 @@ class TestAugmentOnPaths:
 
 class TestMinimize:
     def test_fixpoint(self, g4, m2):
-        best, diag = minimize(g4, scc_decompose(g4), [], m2)
+        best, _, diag = minimize(g4, scc_decompose(g4), [], m2)
         assert best == m2
         assert diag.iterations == 1
         assert diag.per_iteration[0].dist is None
@@ -175,9 +175,9 @@ class TestMinimize:
 
     def test_gateway_golden(self, g4, m1):
         scc = scc_decompose(g4)
-        best, diag = minimize(g4, scc, [], m1, check=True)
+        best, cls, diag = minimize(g4, scc, [], m1, check=True)
         assert best.edges() == [(0, 0), (1, 2), (2, 3)]
-        assert classify(scc, best).cost == 1
+        assert cls == classify(scc, best) and cls.cost == 1
         assert diag.iterations == 2
         assert diag.distances() == [5]
         assert [it.paths for it in diag.per_iteration] == [1, 0]
@@ -185,8 +185,8 @@ class TestMinimize:
 
     def test_slack_golden(self, g5, m3):
         scc = scc_decompose(g5)
-        best, diag = minimize(g5, scc, [], m3, check=True)
-        assert classify(scc, best).cost == 1
+        best, cls, diag = minimize(g5, scc, [], m3, check=True)
+        assert cls == classify(scc, best) and cls.cost == 1
         assert diag.distances() == [4]
         assert diag.per_iteration[0].paths == 2
 
@@ -194,8 +194,8 @@ class TestMinimize:
         g = diagonal(9)
         scc = scc_decompose(g)
         m = find_allowed_matching(g, [])
-        best, diag = minimize(g, scc, [], m, check=True)
-        assert classify(scc, best).cost == 9
+        best, cls, diag = minimize(g, scc, [], m, check=True)
+        assert cls == classify(scc, best) and cls.cost == 9
         assert diag.iterations == 1
 
     def test_self_loops_certify_without_search(self):
@@ -215,8 +215,8 @@ class TestMinimize:
 
     def test_empty_graph(self):
         g = diagonal(0)
-        best, diag = minimize(g, scc_decompose(g), [], Matching(0))
-        assert best.n == 0
+        best, cls, diag = minimize(g, scc_decompose(g), [], Matching(0))
+        assert best.n == 0 and cls.cost == 0
         assert diag.iterations == 0 and diag.per_iteration == []
 
     def test_random_sweep_matches_oracle(self):
@@ -232,8 +232,9 @@ class TestMinimize:
                 assert want is None
                 continue
             scc = scc_decompose(g)
-            best, diag = minimize(g, scc, f, m0, check=True)
-            assert classify(scc, best).cost == want
+            best, cls, diag = minimize(g, scc, f, m0, check=True)
+            # the terminal round's classification is the optimum's
+            assert cls == classify(scc, best) and cls.cost == want
             assert best.is_allowed(f)
             best.validate(g)
             dists = diag.distances()
@@ -245,7 +246,7 @@ class TestMinimize:
 
     def test_costs_drop_by_path_count(self, g5, m3):
         scc = scc_decompose(g5)
-        _, diag = minimize(g5, scc, [], m3)
+        _, _, diag = minimize(g5, scc, [], m3)
         running = classify(scc, m3).cost
         for it in diag.per_iteration:
             running -= it.paths

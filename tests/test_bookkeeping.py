@@ -83,7 +83,7 @@ class TestRoundCounters:
     def _check(self, g, forbidden, rounds, build_work):
         scc = scc_decompose(g)
         m0 = greedy_allowed_matching(g, forbidden)
-        _, diagnostics = minimize(g, scc, forbidden, m0)
+        _, _, diagnostics = minimize(g, scc, forbidden, m0)
         assert _rounds(diagnostics) == rounds
         fg = flow_graph(g, m0, forbidden)
         assert fg.build_work == build_work

@@ -5,8 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from bruteforce import closure, scc_partition
-from families import erdos_renyi
+from bruteforce import closure, reference_scc, scc_partition, stars_and_cycles
+from families import erdos_renyi, preferential
 from minput import (
     IndexOutOfRange,
     Problem,
@@ -198,6 +198,31 @@ class TestScc:
                         if indeg[b] == 0:
                             frontier.append(b)
             assert seen == scc.n_comps
+
+    def test_same_numbering_as_reference_tarjan(self):
+        # The numbering is an output (see SccInfo): every field must match
+        # Tarjan's, which numbers components in the order the search finishes them.
+        rng = random.Random(24)
+        graphs = [
+            SparseDigraph(0, []),
+            SparseDigraph(5000, [(v, v + 1) for v in range(4999)]),
+            SparseDigraph(3000, [(v, (v + 1) % 3000) for v in range(3000)]),
+        ]
+        for i in range(2000):
+            kind = i % 4
+            if kind == 0:
+                n = rng.randint(1, 40)
+                g = erdos_renyi(n, rng.choice([0.03, 0.08, 0.15, 0.3, 0.6]), rng)
+            elif kind == 1:
+                n = rng.randint(2, 300)
+                g = erdos_renyi(n, rng.uniform(0.5, 3.0) / n, rng)
+            elif kind == 2:
+                g = preferential(rng.randint(1, 80), rng.randint(1, 3), rng)
+            else:
+                g = stars_and_cycles(rng)
+            graphs.append(g)
+        for g in graphs:
+            assert scc_decompose(g) == reference_scc(g)
 
     def test_deep_chain_no_recursion_limit(self):
         n = 5000

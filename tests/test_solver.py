@@ -1,8 +1,13 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import minput
 from bruteforce import assignment_min_inputs
 from families import chain, diagonal, erdos_renyi, random_forbidden
 from minput import (
@@ -202,6 +207,37 @@ class TestSolveValidation:
         b = solve(Problem(g5, frozenset([3])))
         assert a.input_set == b.input_set
         assert a.certificate == b.certificate
+
+
+# A round that applies none of its paths breaks the law that each path
+# lowers the cost by one; run under ``python -O`` by the test below.
+BROKEN_ROUND = """
+import random
+import minput.augment
+from families import erdos_renyi
+from minput import Problem, solve
+
+minput.augment.augment_on_paths = lambda m, paths: m
+try:
+    solve(Problem(erdos_renyi(60, 1.5 / 60, random.Random(3))), check=True)
+except AssertionError as exc:
+    print(exc)
+"""
+
+
+class TestSelfCheck:
+    def test_check_raises_under_python_dash_o(self):
+        """``check=True`` must not rest on ``assert`` statements, which
+        ``python -O`` strips: the broken round still raises AssertionError."""
+        src = str(pathlib.Path(minput.__file__).resolve().parents[1])
+        tests = str(pathlib.Path(__file__).resolve().parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", BROKEN_ROUND],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "each path must lower the cost by one"
 
 
 class TestSolveRandom:
