@@ -70,7 +70,10 @@ class SparseDigraph:
 
     Parallel edges are collapsed; self loops are kept.  Adjacency is
     stored both ways (``out_adj`` and ``in_adj``) as sorted lists, which
-    makes every traversal in the package deterministic.
+    makes every traversal in the package deterministic.  The build
+    sorts each out-list in place and replaces only a list that has
+    parallel edges; the file readers hand their lists over through
+    ``_from_lists`` and give them up.
 
     Parameters
     ----------
@@ -102,23 +105,43 @@ class SparseDigraph:
         """The graph with an edge ``u -> v`` for each ``v`` in ``out_adj[u]``.
 
         Both lists come from ``empty_adjacency`` and are taken over, not
-        copied.  The caller has checked that every id in ``out_adj`` is a
-        plain int in ``[0, n)`` and has left ``in_adj`` empty; the file
-        readers in ``cli`` check ids as they read them.
+        copied: the caller gives them up.  Each out-list is sorted in
+        place, and one with parallel edges is replaced by a new list.
+        The caller has checked that every id in ``out_adj`` is a plain
+        int in ``[0, n)`` and has left ``in_adj`` empty; the file readers
+        in ``cli`` check ids as they read them.
         """
         g = cls.__new__(cls)
         g._finish(out_adj, in_adj)
         return g
 
     def _finish(self, out_adj: list[list[int]], in_adj: list[list[int]]) -> None:
-        """Sort and dedupe each out-list, fill ``in_adj`` and count ``m``."""
+        """Sort each out-list in place, fill ``in_adj`` and count ``m``.
+
+        A sorted list's parallel edges are repeats of the id just before
+        them, so the fill spots them without building anything; only a
+        list that has one is replaced by its sorted distinct ids.  The
+        lists are the caller's, taken over and changed where they lie.
+        """
         m = 0
         for u, nbrs in enumerate(out_adj):
+            nbrs.sort()
+            prev = -1
+            for v in nbrs:
+                if v == prev:
+                    break
+                in_adj[v].append(u)
+                prev = v
+            else:
+                m += len(nbrs)
+                continue
+            # a repeat of prev: the ids up to prev are in in_adj already
             nbrs = sorted(set(nbrs))
             out_adj[u] = nbrs
             m += len(nbrs)
             for v in nbrs:
-                in_adj[v].append(u)
+                if v > prev:
+                    in_adj[v].append(u)
         # in_adj ends up sorted because sources are visited in ascending order
         self.n = len(out_adj)
         self.m = m
@@ -132,7 +155,9 @@ class SparseDigraph:
                 yield (u, v)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and v in self.out_adj[u]
+        """Whether ``u -> v`` is an edge; both ids are checked by ``vertex_id``."""
+        u = vertex_id(u, self.n, "edge endpoint")
+        return vertex_id(v, self.n, "edge endpoint") in self.out_adj[u]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseDigraph):

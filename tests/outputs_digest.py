@@ -32,6 +32,9 @@ Categories:
   reader reports that size before any later malformed line, which the
   one-loop reader kept in ``bruteforce`` as a reference does not, so
   trees with either reader may differ on them.
+* ``graph``: ``n``, ``m``, ``out_adj`` and ``in_adj`` of a
+  ``SparseDigraph`` built from each instance's edges with seeded
+  parallel edges added and the list shuffled.
 
 The first line names the package imported and differs between trees.
 Pytest does not collect this file.
@@ -108,11 +111,12 @@ def main(src: Path) -> None:
     import minput
     from bruteforce import (dump_edge_list, flow_graph, random_edge_list_file,
                             random_matrix_market_file)
-    from minput import Problem, Solution, cli, solve
+    from minput import Problem, Solution, SparseDigraph, cli, solve
     from minput.matching import find_allowed_matching
 
     digests = {k: hashlib.sha256()
-               for k in ("solution", "rounds", "work", "unsolvable", "flow", "cli", "files")}
+               for k in ("solution", "rounds", "work", "unsolvable", "flow", "cli", "files",
+                         "graph")}
     seen = dict.fromkeys(["solved", "unsolvable", "gateways", "slack", "checked", "oracle",
                           "files", "file_errors"], 0)
 
@@ -146,6 +150,13 @@ def main(src: Path) -> None:
                     seen["gateways"] += fg.aux_base > fg.t_id + 1
                     seen["slack"] += fg.n_families > 0
                     record("flow", i, fg.build_work, fg.node_count(), fg.explicit_edges(), fg.dump())
+
+                edges = list(g.edges())
+                extra = random.Random(f"graph/{i}")
+                edges += extra.choices(edges, k=extra.randint(0, len(edges))) if edges else []
+                extra.shuffle(edges)
+                h = SparseDigraph(g.n, edges)
+                record("graph", i, h.n, h.m, h.out_adj, h.in_adj)
 
                 Path("g.txt").write_text(dump_edge_list(g), encoding="utf-8")
                 Path("g.mtx").write_text(_matrix_market(g, rng), encoding="utf-8")

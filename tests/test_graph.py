@@ -17,7 +17,29 @@ from minput import (
     scc_decompose,
     solve,
 )
-from minput.graph import reachable_from
+from minput.graph import empty_adjacency, reachable_from
+
+
+def _multigraph_edges(n, rng):
+    """Shuffled edges of a multigraph on ``n`` vertices whose sorted
+    out-lists repeat an id at the start, in the middle or at the end,
+    repeat a self loop, or are one id repeated throughout."""
+    edges = []
+    for u in range(n):
+        ids = sorted(rng.sample(range(n), rng.randint(0, n)))
+        if ids and rng.random() < 0.3:
+            ids.append(ids[0])
+        if ids and rng.random() < 0.3:
+            ids.append(ids[len(ids) // 2])
+        if ids and rng.random() < 0.3:
+            ids.append(ids[-1])
+        if rng.random() < 0.2:
+            ids += [u] * rng.randint(2, 4)
+        if rng.random() < 0.15:
+            ids = [rng.randrange(n)] * rng.randint(1, 5)
+        edges += [(u, v) for v in ids]
+    rng.shuffle(edges)
+    return edges
 
 
 class TestSparseDigraph:
@@ -27,6 +49,20 @@ class TestSparseDigraph:
         assert g.out_adj == [[1, 2], [], [1]]
         assert g.in_adj == [[], [0, 2], [0]]
         assert list(g.edges()) == [(0, 1), (0, 2), (2, 1)]
+
+        rng = random.Random(15)
+        for _ in range(600):
+            n = rng.randint(1, 9)
+            edges = _multigraph_edges(n, rng)
+            distinct = sorted(set(edges))
+            out_ref = [[v for u, v in distinct if u == w] for w in range(n)]
+            in_ref = [[u for u, v in distinct if v == w] for w in range(n)]
+            out_adj, in_adj = empty_adjacency(n)
+            for u, v in edges:
+                out_adj[u].append(v)
+            for g in (SparseDigraph(n, edges), SparseDigraph(n, (e for e in edges)),
+                      SparseDigraph._from_lists(out_adj, in_adj)):
+                assert (g.out_adj, g.in_adj, g.m) == (out_ref, in_ref, len(distinct)), edges
 
     def test_self_loop_kept(self):
         g = SparseDigraph(2, [(0, 0), (0, 1)])

@@ -181,6 +181,7 @@ ID_ENTRY_POINTS = {
     "find_allowed_matching": find_allowed_matching,
     "hall_violator": hall_violator,
     "reachable_from": reachable_from,
+    "has_edge": lambda g, ids: (g.has_edge(ids[0], 1), g.has_edge(1, ids[0])),
     "check_structural_controllability": check_structural_controllability,
     "numeric_rank_spot_check": numeric_rank_spot_check,
     "brute_force_min_input_set": brute_force_min_input_set,
