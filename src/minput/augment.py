@@ -12,9 +12,11 @@ the terminal round skips its search when no edge enters ``t``: then the
 cost equals the number of source SCCs, a lower bound on every
 matching's cost, so optimality needs no proof by search.
 
-Slack families stay implicit throughout (see flowgraph): inside this
-module each family is a single token node with a path capacity, and
-tokens re-expand to distinct materialised slack ids in emitted paths.
+The search runs in the flow graph's internal node space (see
+flowgraph), where a gateway or a slack family is one component node.
+A family node admits ``k - 1`` paths per round, and emitted paths carry
+the paper's ids: a gateway's own id, and a fresh slack id per path
+through a family.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ class Diagnostics:
 class LayeredDag:
     """Single-use DAG of edges lying on shortest s -> t paths.
 
-    ``dist`` covers the internal node space: flow-graph ids below
-    ``aux_base`` plus one token per slack family.  ``useful`` marks
+    ``dist`` covers the flow graph's internal node space, ``view_size``
+    ids with one component node per SCC.  ``useful`` marks
     nodes on at least one shortest s -> t path; ``indeg`` counts useful
     in-edges per useful node and is consumed by ``extract_paths``.
     """
@@ -81,20 +83,21 @@ class LayeredDag:
 
 
 def _run_bfs(fg: FlowGraph) -> tuple[LayeredDag | None, int]:
-    if not fg.extra_in[fg.t_id]:
+    if not fg.t_in:
         return None, 0
     n = fg.n
     n2 = 2 * n
-    size = fg.aux_base + fg.n_families
+    size = fg.view_size
     s_id, t_id = fg.s_id, fg.t_id
-    out_adj, mate_dst, extra_out = fg.out_adj, fg.mate_of_dst, fg.extra_out
+    out_adj, mate_dst, out_view = fg.out_adj, fg.mate_of_dst, fg.out_view
     dist = [-1] * size
     dist[s_id] = 0
     frontier = [s_id]
     work = 0
     d = 0
-    # The scan is ``fg.out_view`` written inline, as it touches every
-    # node and edge once and the view would build a list per source copy.
+    # The scan writes ``fg.out_view`` inline for source copies and
+    # matched destination copies, as it touches every node and edge once
+    # and the view would build a list per source copy.
     while frontier and dist[t_id] < 0:
         d += 1
         nxt: list[int] = []
@@ -116,7 +119,7 @@ def _run_bfs(fg: FlowGraph) -> tuple[LayeredDag | None, int]:
                         dist[u] = d
                         nxt.append(u)
                     continue
-            nbrs = extra_out[x]
+            nbrs = out_view(x)
             work += len(nbrs) + 1
             for w in nbrs:
                 if dist[w] < 0:
@@ -156,7 +159,7 @@ def _run_bfs(fg: FlowGraph) -> tuple[LayeredDag | None, int]:
 def layered_bfs(fg: FlowGraph) -> LayeredDag | None:
     """Layered DAG of shortest s -> t paths, or None when t is unreachable.
 
-    Every s -> t path ends at an entry of ``extra_in[t]``, so when that
+    Every s -> t path ends at an entry of ``fg.t_in``, so when that
     list is empty the search is skipped and costs no work.  It is empty
     exactly when every unmatched vertex is the lone free member of a
     source SCC, that is when the cost equals the number of source SCCs,
@@ -170,20 +173,19 @@ def layered_bfs(fg: FlowGraph) -> LayeredDag | None:
 def extract_paths(dag: LayeredDag) -> PathSet:
     """Maximal set of vertex-disjoint shortest s -> t paths.
 
-    Paths start from the useful entries of ``extra_in[t]`` in order
-    (direct destination copies, then family tokens) and are traced
+    Paths start from the useful entries of ``fg.t_in`` in order
+    (direct destination copies, then family nodes) and are traced
     backwards, always picking the lowest-id live in-neighbour; used
     vertices die and every node whose useful in-degree drains to zero
     dies with them, so the loop stops exactly when no shortest path
-    survives.  A direct copy starts at most one path.  A token starts
-    one path per slack id of its family while it lives, each through
-    its lowest live useful member and a fresh materialised slack id.
-    Consumes the DAG.
+    survives.  A direct copy starts at most one path.  A family node
+    starts up to ``k - 1`` paths while it lives, each through its lowest
+    live useful member and the next of its slack ids.  Paths carry the
+    paper's ids (``fg.paper_ids``).  Consumes the DAG.
     """
     fg = dag.fg
-    aux_base = fg.aux_base
     s_id, t_id = fg.s_id, fg.t_id
-    extra_in = fg.extra_in
+    ids = fg.paper_ids
     in_view, out_view = fg.in_view, fg.out_view
     dist = dag.dist
     indeg = dag.indeg
@@ -191,16 +193,16 @@ def extract_paths(dag: LayeredDag) -> PathSet:
     work = 0
     paths: PathSet = []
 
-    for head in extra_in[t_id]:
+    for head in fg.t_in:
         if not live[head]:
             continue
-        if head < aux_base:
-            members, prefixes = [head], ([t_id],)
+        if head in ids:
+            members = in_view(head)
+            prefixes = ([t_id, z] for z in ids[head])
         else:
-            members = extra_in[head]
-            prefixes = ([t_id, z] for z in fg.slack_ids(head - aux_base))
-        # A token whose slack ids run out is left alive, not killed:
-        # a kill would cascade and add to ``work``.
+            members, prefixes = [head], ([t_id],)
+        # A family node whose slack ids run out is left alive, not
+        # killed: a kill would cascade and add to ``work``.
         p = 0
         for rev in prefixes:
             if not live[head]:
@@ -209,7 +211,7 @@ def extract_paths(dag: LayeredDag) -> PathSet:
                 p += 1
                 work += 1
             cur = members[p]
-            rev.append(cur)
+            trail = [cur]  # internal ids, from the member back to s
             while cur != s_id:
                 cands = in_view(cur)
                 work += len(cands)
@@ -219,16 +221,16 @@ def extract_paths(dag: LayeredDag) -> PathSet:
                     if dist[u] == level and live[u] and (best < 0 or u < best):
                         best = u
                 cur = best
-                rev.append(cur)
+                trail.append(cur)
+            # a gateway, the node after s, takes its paper id
+            rev += [ids[x][0] if x in ids else x for x in trail]
             rev.reverse()
             paths.append(rev)
 
             # kill interior vertices, then cascade useful in-degree drains
-            queue: list[int] = []
-            for x in rev[1:-1]:
-                if x < aux_base:
-                    live[x] = 0
-                    queue.append(x)
+            queue = trail[-2::-1]
+            for x in queue:
+                live[x] = 0
             while queue:
                 x = queue.pop()
                 dx1 = dist[x] + 1
@@ -249,8 +251,8 @@ def augment_on_paths(m: Matching, paths: PathSet) -> Matching:
 
     Each destination-to-source edge undoes the matched pair it
     reversed, each source-to-destination edge becomes matched; all
-    other edges (super source, gateways, slack nodes, free-vertex
-    swaps inside a component) carry no matching change.
+    other edges (super source, gateways, slack ids, free-vertex swaps
+    inside a component) carry no matching change.
     """
     n = m.n
     for path in paths:

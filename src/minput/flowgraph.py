@@ -17,29 +17,35 @@ Edges, for a matching M on the splitting of G:
   gateway caps path flow into ``X_i`` at one, since freeing one member
   of ``X_i`` already pays for the component);
 * unmatched destination copies outside one-free source components reach
-  ``t``: directly when their SCC is not a source (the build reads these
-  from the round's ``MatchClass.unmatched``), otherwise through a
+  ``t``: directly when their SCC is not a source, otherwise through a
   family of ``k - 1`` interchangeable slack nodes shared by the ``k``
   unmatched members of their SCC (the component must keep at least one
   unmatched member, so only ``k - 1`` paths may drain it).
 
-The core edges are never stored: ``g.out_adj``, ``g.in_adj`` and the
-mate arrays answer them, as the residual graph in Hopcroft-Karp is never
-stored.  A round only tabulates the other edges, which touch ``s``,
-``t``, the gateways and the unmatched destination copies, in the tables
-``extra_out`` and ``extra_in`` of the internal node space, where each
-slack family is a single token node ``aux_base + f`` with edges
-``member -> token -> t``.  Slack families are complete bipartite and
-would cost Theta(k^2) edges if materialised; the token keeps every
-traversal O(n + m).  ``FlowGraph.out_view`` and ``FlowGraph.in_view``
-state the edge rule of that space once; ``FlowGraph.explicit_edges`` is
-the one materialiser, expanding ``out_view`` into the paper's graph, and
-``dump`` prints what it returns.
+Gateways and slack families are two states of one node per source SCC:
+the *component node* of component ``c``, with ``k`` its unmatched
+count.  At ``k == 0`` it is the gateway, with edges from ``s`` and to the
+non-forbidden members' destination copies; at ``k >= 2`` it is the
+family, with edges from the unmatched members and to ``t``, and at most
+``k - 1`` paths of a round may use it.  A family is complete bipartite
+and would cost Theta(k^2) edges if materialised; its one node keeps
+every traversal O(n + m).
+
+No edge is stored.  ``g.out_adj``, ``g.in_adj``, the mate arrays, the
+SCCs and the round's ``MatchClass`` answer every rule, as the residual
+graph in Hopcroft-Karp is never stored.  A round builds only the two
+lists a search starts from: ``s``'s out-list and ``t``'s in-list.
+``FlowGraph.out_view`` and ``FlowGraph.in_view`` state the edge rule
+once; ``FlowGraph.explicit_edges`` is the one materialiser, expanding
+``out_view`` into the paper's graph, and ``dump`` prints what it
+returns.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import cached_property
+from itertools import chain, product
 from typing import Collection, Sequence
 
 from .graph import SccInfo, SparseDigraph
@@ -50,40 +56,31 @@ class FlowGraph:
     """Flow graph for one (graph, SCC, matching) triple, built from the
     matching's ``MatchClass`` ``cls``, which the caller classifies.
 
-    Node ids: source copy of vertex ``u`` is ``u``; destination copy of
-    ``v`` is ``n + v``; ``s`` is ``2n``, ``t`` is ``2n + 1``; the ``r``
-    gateways, one per fully matched source SCC, start at ``2n + 2``;
-    materialised slack nodes follow from ``aux_base = 2n + 2 + r``
-    onwards, grouped by family.
+    Internal node ids: source copy of vertex ``u`` is ``u``; destination
+    copy of ``v`` is ``n + v``; ``s`` is ``2n``, ``t`` is ``2n + 1``;
+    the component node of component ``c`` is ``2n + 2 + c``, so the
+    view spans ``view_size`` ids, at most ``3n + 2``.
 
-    ``extra_out[x]`` lists the non-core out-neighbours of ``x`` in the
-    internal node space.  Every unmatched destination copy, ``s``, each
-    gateway and each family token has an entry (an empty tuple for the
-    free member of a singleton one-free component, which has nothing to
-    swap with); matched destination copies and ``t`` have none.
-    ``extra_in[x]`` does the same for in-neighbours of gateways, tokens,
-    ``t`` and the destination copies a swap or a gateway enters;
-    ``extra_in[t]`` ascends, direct destination copies before tokens,
-    and ``extra_in[token]`` lists the family's members.  Family ``f``
-    owns one slack id fewer than its members, from ``aux_base +
-    slack_offset[f]`` up to ``aux_base + slack_offset[f + 1]``.  The
-    core edges come from ``out_adj``, ``in_adj``, ``mate_of_src`` and
-    ``mate_of_dst``, shared with the graph and the matching, so the view
-    is valid only until the matching changes.
+    ``s_out`` lists the free source copies, then the component node of
+    each fully matched source component.  ``t_in`` lists the unmatched
+    destination copies outside source components, then the component
+    node of each source component with two or more unmatched members.
+    Both ascend.  The rest comes from ``out_adj``, ``in_adj``,
+    ``mate_of_src``, ``mate_of_dst``, the SCCs and ``cls``, shared with
+    their owners, so the view is valid only until the matching changes.
 
-    ``out_view`` and ``in_view`` return one token per family and keep
-    the matched edge in its forward direction too; a level check drops
-    it, as a matched source copy's only in-neighbour, its mate's
-    destination copy, sits one BFS level below it.  ``explicit_edges``,
-    the only materialiser, drops that edge and expands tokens into slack
-    ids.  ``augment`` writes ``out_view`` inline in the BFS forward scan
-    only: that scan reaches every node, and the view would build a list
-    per source copy.
+    ``out_view`` and ``in_view`` keep the matched edge in its forward
+    direction too; a level check drops it, as a matched source copy's
+    only in-neighbour, its mate's destination copy, sits one BFS level
+    below it.  ``explicit_edges``, the only materialiser, drops that edge
+    and gives component nodes their paper ids (``paper_ids``, computed
+    once per graph).
+    ``augment`` writes ``out_view`` inline in the BFS forward scan for
+    source copies and matched destination copies: that scan reaches
+    every node, and the view would build a list per source copy.
 
-    A build makes one comprehension over ``mate_of_src`` (the edges
-    out of ``s``); the rest costs O(1) per unmatched vertex and per
-    source component, plus the members of each component that gets
-    swap, gateway or slack edges.
+    A build makes one comprehension over ``mate_of_src`` (``s_out``) and
+    otherwise costs O(1) per unmatched vertex and per source component.
     """
 
     def __init__(
@@ -95,98 +92,51 @@ class FlowGraph:
         cls: MatchClass,
     ):
         n = g.n
-        forb = frozenset(forbidden)
-        mate_src = m.mate_of_src
-        mate_dst = m.mate_of_dst
-        comps = scc.comps
-        r = len(cls.x_comps)
-        s_id = 2 * n
         t_id = 2 * n + 1
-        aux_base = 2 * n + 2 + r
-        y_sizes = [len(comps[c]) for c in cls.y_comps]
-        work = sum(y_sizes)
-        # Every one-free member gets an entry; a singleton component has
-        # no swap target, so only the others get a list and a loop body.
-        extra_out: dict[int, Sequence[int]] = dict.fromkeys([n + v for v in cls.y_free], ())
-        extra_in: dict[int, Sequence[int]] = {}
-        swaps = [(c, v) for c, v, k in zip(cls.y_comps, cls.y_free, y_sizes) if k > 1]
-        for c, yfree in swaps:
-            x = n + yfree
-            targets = [n + v for v in comps[c] if v != yfree and v not in forb]
-            extra_out[x] = targets
-            via = [x]
-            for y in targets:
-                extra_in[y] = via
-
-        from_s = [s_id]
-        gates = list(range(s_id + 2, aux_base))
-        for gate, c in zip(gates, cls.x_comps):
-            targets = [n + v for v in comps[c] if v not in forb]
-            extra_out[gate] = targets
-            extra_in[gate] = from_s
-            via = [gate]
-            for y in targets:
-                extra_in[y] = via
-            work += len(comps[c])
-
-        to_t = [t_id]
-        tokens: list[int] = []
-        slack_offset = [0]
-        comp_unmatched = cls.comp_unmatched
-        for c in [c for c in scc.source_ids if comp_unmatched[c] >= 2]:
-            members = [n + v for v in comps[c] if mate_dst[v] < 0]
-            token = aux_base + len(tokens)
-            via = [token]
-            for x in members:
-                extra_out[x] = via
-            extra_out[token] = to_t
-            extra_in[token] = members
-            tokens.append(token)
-            slack_offset.append(slack_offset[-1] + len(members) - 1)
-            work += len(comps[c])
-        work += len(scc.source_ids)
-
-        comp_id = scc.comp_id
-        is_source = scc.is_source
-        direct = [n + v for v in cls.unmatched if not is_source[comp_id[v]]]
-        extra_out.update(dict.fromkeys(direct, to_t))
-        # unmatched vertices outside one-free components, as each
-        # one-free component holds exactly one
-        work += len(cls.unmatched) - len(cls.y_comps)
-        extra_in[t_id] = direct + tokens
-
-        s_out = [u for u, v in enumerate(mate_src) if v < 0]
-        s_out.extend(gates)
-        extra_out[s_id] = s_out
-        work += n + r
+        comp_id, is_source = scc.comp_id, scc.is_source
+        s_out = [u for u, v in enumerate(m.mate_of_src) if v < 0]
+        s_out += [t_id + 1 + c for c in cls.x_comps]
+        t_in = [n + v for v in cls.unmatched if not is_source[comp_id[v]]]
+        t_in += [t_id + 1 + c for c in scc.source_ids if cls.comp_unmatched[c] >= 2]
 
         self.n = n
-        self.s_id = s_id
+        self.s_id = 2 * n
         self.t_id = t_id
-        self.aux_base = aux_base
+        self.view_size = t_id + 1 + scc.n_comps
         self.out_adj = g.out_adj
         self.in_adj = g.in_adj
-        self.mate_of_src = mate_src
-        self.mate_of_dst = mate_dst
-        self.extra_out = extra_out
-        self.extra_in = extra_in
-        self.n_families = len(tokens)
-        self.slack_offset = slack_offset
-        self.build_work = work
+        self.mate_of_src = m.mate_of_src
+        self.mate_of_dst = m.mate_of_dst
+        self.scc = scc
+        self.cls = cls
+        self.forbidden = frozenset(forbidden)
+        self.s_out = s_out
+        self.t_in = t_in
+        self.build_work = n + len(cls.x_comps) + len(cls.unmatched) + len(scc.source_ids)
+
+    @cached_property
+    def paper_ids(self) -> dict[int, range]:
+        """The paper's ids of each gateway and family node, in id order:
+        one id per gateway from ``t + 1`` on, in component order, then
+        the ``k - 1`` slack ids of each family."""
+        t = self.t_id
+        s_out, t_in = self.s_out, self.t_in
+        ids = {}
+        nxt = t + 1
+        for x in s_out[bisect_right(s_out, t):] + t_in[bisect_right(t_in, t):]:
+            end = nxt + max(self.cls.comp_unmatched[x - t - 1] - 1, 1)
+            ids[x] = range(nxt, end)
+            nxt = end
+        return ids
 
     def node_count(self) -> int:
         """Total nodes in the materialised view; at most 3n + 2."""
-        return self.aux_base + self.slack_offset[-1]
+        return self.t_id + 1 + sum(map(len, self.paper_ids.values()))
 
-    def slack_ids(self, f: int) -> range:
-        base = self.aux_base
-        return range(base + self.slack_offset[f], base + self.slack_offset[f + 1])
-
-    def _slack_family(self, x: int) -> tuple[int, int]:
-        """(family, slot) of a materialised slack node id."""
-        rel = x - self.aux_base
-        f = bisect_right(self.slack_offset, rel) - 1
-        return f, rel - self.slack_offset[f]
+    def _allowed(self, c: int, skip: int = -1) -> list[int]:
+        """Destination copies of the non-forbidden members of ``c`` but ``skip``."""
+        n, forb = self.n, self.forbidden
+        return [n + v for v in self.scc.comps[c] if v != skip and v not in forb]
 
     def out_view(self, x: int) -> Sequence[int]:
         """Out-neighbours of ``x`` in the internal node space; for a
@@ -195,10 +145,26 @@ class FlowGraph:
         if x < n:
             return [n + v for v in self.out_adj[x]]
         if x < 2 * n:
-            u = self.mate_of_dst[x - n]
+            v = x - n
+            u = self.mate_of_dst[v]
             if u >= 0:
                 return [u]
-        return self.extra_out.get(x, ())
+            c = self.scc.comp_id[v]
+            if not self.scc.is_source[c]:
+                return [self.t_id]
+            if self.cls.comp_unmatched[c] >= 2:
+                return [self.t_id + 1 + c]
+            return self._allowed(c, v)
+        if x == self.s_id:
+            return self.s_out
+        c = x - self.t_id - 1
+        if c >= 0 and self.scc.is_source[c]:
+            k = self.cls.comp_unmatched[c]
+            if k == 0:
+                return self._allowed(c)
+            if k >= 2:
+                return [self.t_id]
+        return ()
 
     def in_view(self, x: int) -> Sequence[int]:
         """In-neighbours of ``x`` in the internal node space; for a
@@ -208,45 +174,68 @@ class FlowGraph:
             v = self.mate_of_src[x]
             return [self.s_id] if v < 0 else [n + v]
         if x < 2 * n:
-            cands = self.in_adj[x - n]
-            extra = self.extra_in.get(x)
-            return cands + extra if extra else cands
-        return self.extra_in.get(x, ())
+            v = x - n
+            cands = self.in_adj[v]
+            c = self.scc.comp_id[v]
+            if not self.scc.is_source[c] or v in self.forbidden:
+                return cands
+            k = self.cls.comp_unmatched[c]
+            if k == 0:
+                return cands + [self.t_id + 1 + c]
+            if k == 1 and self.cls.y_free[c] != v:
+                return cands + [n + self.cls.y_free[c]]
+            return cands
+        if x == self.t_id:
+            return self.t_in
+        c = x - self.t_id - 1
+        if c >= 0 and self.scc.is_source[c]:
+            k = self.cls.comp_unmatched[c]
+            if k == 0:
+                return [self.s_id]
+            if k >= 2:
+                mate_dst = self.mate_of_dst
+                return [n + v for v in self.scc.comps[c] if mate_dst[v] < 0]
+        return ()
 
     def explicit_edges(self) -> list[tuple[int, int]]:
         """Every edge of the materialised view: ``out_view`` of each node
-        below ``aux_base`` without a source copy's forward matched edge,
-        each family token expanded into its slack ids, then each slack
-        id's edge to ``t``."""
+        up to ``t`` without a source copy's forward matched edge, then of
+        each gateway and family node, with every component node expanded
+        into its paper ids."""
         n = self.n
-        aux_base = self.aux_base
+        ids = self.paper_ids
         edges = []
-        for x in range(aux_base):
+        for x in chain(range(self.t_id + 1), ids):
             mate = self.mate_of_src[x] if x < n else -1
             matched = n + mate if mate >= 0 else -1
             for y in self.out_view(x):
-                if y >= aux_base:
-                    edges.extend((x, z) for z in self.slack_ids(y - aux_base))
-                elif y != matched:
-                    edges.append((x, y))
-        edges.extend((x, self.t_id) for x in range(aux_base, self.node_count()))
+                if y != matched:
+                    edges.extend(product(ids.get(x, (x,)), ids.get(y, (y,))))
         return edges
 
+    @cached_property
+    def _names(self) -> list[str]:
+        """Names of the paper ids from ``s`` on."""
+        names = ["s", "t"]
+        families = 0
+        for x, ids in self.paper_ids.items():
+            if self.cls.comp_unmatched[x - self.t_id - 1]:
+                families += 1
+                names += [f"slack{families}.{j}" for j in range(1, len(ids) + 1)]
+            else:
+                names.append(f"gate{len(names) - 1}")
+        return names
+
     def node_name(self, x: int, labels: list[str] | None = None) -> str:
+        """Name of paper id ``x``: ``a.src``, ``a.dst``, ``s``, ``t``,
+        ``gate<i>`` or ``slack<f>.<j>``."""
         n = self.n
         if x < n:
             return f"{labels[x] if labels else x}.src"
         if x < 2 * n:
             v = x - n
             return f"{labels[v] if labels else v}.dst"
-        if x == self.s_id:
-            return "s"
-        if x == self.t_id:
-            return "t"
-        if x < self.aux_base:
-            return f"gate{x - self.s_id - 1}"
-        f, j = self._slack_family(x)
-        return f"slack{f + 1}.{j + 1}"
+        return self._names[x - 2 * n]
 
     def dump(self, labels: list[str] | None = None) -> str:
         """Edge list of the materialised view, one ``a -> b`` line, sorted."""

@@ -332,11 +332,10 @@ class MatchClass:
     """Classification of source SCCs and unmatched vertices for one matching.
 
     Source components split by their number of unmatched members: none
-    (``x_comps``), exactly one (``y_comps``, with the free vertex kept
-    side by side in ``y_free``), or two and more.  ``unmatched`` lists
-    every unmatched vertex and ``comp_unmatched`` holds the unmatched
-    count of every component.  Every list is ascending except
-    ``y_free``, which follows ``y_comps``.
+    (``x_comps``), exactly one (the keys of ``y_free``, which maps each
+    to its free vertex), or two and more.  ``unmatched`` lists every
+    unmatched vertex and ``comp_unmatched`` holds the unmatched count of
+    every component.  Lists and keys ascend.
 
     Per round, ``classify`` makes one comprehension over the
     destination mates and allocates one zeroed count per component;
@@ -346,8 +345,7 @@ class MatchClass:
     """
 
     x_comps: list[int]
-    y_comps: list[int]
-    y_free: list[int]
+    y_free: dict[int, int]
     unmatched: list[int]
     comp_unmatched: list[int]
 
@@ -365,8 +363,7 @@ def classify(scc: SccInfo, m: Matching) -> MatchClass:
     for c in comps_of_free:
         comp_unmatched[c] += 1
     x_comps = [c for c in scc.source_ids if comp_unmatched[c] == 0]
-    y_comps = [c for c in scc.source_ids if comp_unmatched[c] == 1]
     # the free vertex of a one-free component is the only one stored under it
     free_of = dict(zip(comps_of_free, unmatched))
-    y_free = [free_of[c] for c in y_comps]
-    return MatchClass(x_comps, y_comps, y_free, unmatched, comp_unmatched)
+    y_free = {c: free_of[c] for c in scc.source_ids if comp_unmatched[c] == 1}
+    return MatchClass(x_comps, y_free, unmatched, comp_unmatched)

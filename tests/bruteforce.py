@@ -260,6 +260,12 @@ def flow_graph(g: SparseDigraph, m: Matching, forbidden: Collection[int] = ()) -
     return FlowGraph(g, scc, m, forbidden, classify(scc, m))
 
 
+def component_nodes(fg: FlowGraph) -> tuple[list[int], list[int]]:
+    """The gateway and the slack family nodes of ``fg``, in its internal
+    ids: the component nodes at the ends of ``s_out`` and ``t_in``."""
+    return [x for x in fg.s_out if x > fg.t_id], [x for x in fg.t_in if x > fg.t_id]
+
+
 def dump_edge_list(g: SparseDigraph) -> str:
     """``g`` in the edge-list format that ``minput --graph`` reads."""
     lines = [f"{g.n} {g.m}"]
@@ -500,34 +506,31 @@ def random_matrix_market_file(rng) -> tuple[str, int | None]:
 
 
 class ExplicitFlow:
-    """Flow-graph stand-in with no core nodes and no slack families,
-    duck-typed for layered_bfs / extract_paths.
-
-    With ``n = 0`` there is no graph or matching behind the view, so
-    every node's edges sit in the ``extra_out`` / ``extra_in`` tables,
-    which ``FlowGraph``'s own views read.
-    """
-
-    out_view = FlowGraph.out_view
-    in_view = FlowGraph.in_view
+    """Flow-graph stand-in with no core nodes and no component nodes,
+    duck-typed for layered_bfs / extract_paths: every node's edges sit
+    in plain adjacency dicts, ascending."""
 
     def __init__(self, size: int, edges: list[tuple[int, int]], s_id: int, t_id: int):
         self.n = 0
-        self.aux_base = size
-        self.n_families = 0
-        self.slack_offset = [0]
+        self.view_size = size
         self.s_id = s_id
         self.t_id = t_id
         self.out_adj: list[list[int]] = []
-        self.in_adj: list[list[int]] = []
-        self.mate_of_src: list[int] = []
         self.mate_of_dst: list[int] = []
-        self.extra_out: dict[int, list[int]] = {x: [] for x in range(size)}
-        self.extra_in: dict[int, list[int]] = {x: [] for x in range(size)}
+        self.out: dict[int, list[int]] = {x: [] for x in range(size)}
+        self.into: dict[int, list[int]] = {x: [] for x in range(size)}
         for a, b in sorted(set(edges)):
-            self.extra_out[a].append(b)
-            self.extra_in[b].append(a)
+            self.out[a].append(b)
+            self.into[b].append(a)
+        self.t_in = self.into[t_id]
+        self.paper_ids: dict[int, range] = {}
         self.build_work = 0
+
+    def out_view(self, x: int) -> list[int]:
+        return self.out[x]
+
+    def in_view(self, x: int) -> list[int]:
+        return self.into[x]
 
 
 def reference_flow_edges(
@@ -539,7 +542,8 @@ def reference_flow_edges(
 
     ``comp_of`` numbers the SCCs; gateways follow the fully matched
     source components and slack families the source components with two
-    or more unmatched members, both in ascending component number.
+    or more unmatched members, both in ascending component number, in
+    the paper's numbering: gateways from ``2n + 2`` on, then slack ids.
     """
     n = g.n
     s, t = 2 * n, 2 * n + 1
@@ -577,16 +581,16 @@ def reference_flow_edges(
     return nxt, edges
 
 
-def reference_classify(scc, m) -> tuple[list[int], ...]:
+def reference_classify(scc, m) -> tuple:
     """The ``MatchClass`` fields, in declaration order, written straight
     from its docstring with one naive pass per component.
 
-    Source components with no unmatched member are ``x_comps``, with
-    exactly one are ``y_comps`` (their free vertex in ``y_free``).
+    Source components with no unmatched member are ``x_comps``; those
+    with exactly one map to their free vertex in ``y_free``.
     ``unmatched`` holds every unmatched vertex, ascending, and
     ``comp_unmatched`` the unmatched count of each component.
     """
-    x_comps, y_comps, y_free = [], [], []
+    x_comps, y_free = [], {}
     comp_unmatched = []
     unmatched = []
     for c, members in enumerate(scc.comps):
@@ -596,9 +600,8 @@ def reference_classify(scc, m) -> tuple[list[int], ...]:
         if scc.is_source[c] and not free:
             x_comps.append(c)
         elif scc.is_source[c] and len(free) == 1:
-            y_comps.append(c)
-            y_free.append(free[0])
-    return x_comps, y_comps, y_free, sorted(unmatched), comp_unmatched
+            y_free[c] = free[0]
+    return x_comps, y_free, sorted(unmatched), comp_unmatched
 
 
 def all_shortest_paths(

@@ -16,11 +16,12 @@ Categories:
 
 * ``solution``: input set, cost, certificate and ``b_pattern``;
 * ``rounds``: every round's ``(dist, paths, cost)``;
-* ``work``: every round's ``work`` counter, apart from ``rounds`` so
-  that a change to the counters shows apart from a change to results;
+* ``work``: every round's ``work`` counter and the first round's
+  ``build_work``, apart from ``rounds`` and ``flow`` so that a change
+  to the counters shows apart from a change to results;
 * ``unsolvable``: reason, detail and witness;
-* ``flow``: the first round's ``build_work``, ``node_count``,
-  ``explicit_edges`` and ``dump()``;
+* ``flow``: the first round's ``node_count``, ``explicit_edges`` and
+  ``dump()``;
 * ``cli``: exit code, stdout, stderr, ``--out`` and ``--dump-flow``
   bytes of ``--graph`` and ``--mm`` runs, with and without
   ``--verify``, and with ``--oracle`` at ``n <= 6``.
@@ -109,8 +110,8 @@ def _file_run(cli, name: str, text: str, argv: list[str]) -> tuple:
 def main(src: Path) -> None:
     sys.path.insert(0, str(src))
     import minput
-    from bruteforce import (dump_edge_list, flow_graph, random_edge_list_file,
-                            random_matrix_market_file)
+    from bruteforce import (component_nodes, dump_edge_list, flow_graph,
+                            random_edge_list_file, random_matrix_market_file)
     from minput import Problem, Solution, SparseDigraph, cli, solve
     from minput.matching import find_allowed_matching
 
@@ -147,9 +148,11 @@ def main(src: Path) -> None:
                 m0 = find_allowed_matching(g, forbidden)
                 if m0 is not None:
                     fg = flow_graph(g, m0, forbidden)
-                    seen["gateways"] += fg.aux_base > fg.t_id + 1
-                    seen["slack"] += fg.n_families > 0
-                    record("flow", i, fg.build_work, fg.node_count(), fg.explicit_edges(), fg.dump())
+                    gateways, families = component_nodes(fg)
+                    seen["gateways"] += len(gateways) > 0
+                    seen["slack"] += len(families) > 0
+                    record("work", i, fg.build_work)
+                    record("flow", i, fg.node_count(), fg.explicit_edges(), fg.dump())
 
                 edges = list(g.edges())
                 extra = random.Random(f"graph/{i}")

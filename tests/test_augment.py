@@ -1,7 +1,13 @@
 import math
 import random
 
-from bruteforce import ExplicitFlow, all_shortest_paths, assignment_min_inputs, flow_graph
+from bruteforce import (
+    ExplicitFlow,
+    all_shortest_paths,
+    assignment_min_inputs,
+    component_nodes,
+    flow_graph,
+)
 from families import chain, diagonal, erdos_renyi, random_forbidden
 from minput import (
     IterationStats,
@@ -24,15 +30,17 @@ class TestLayeredBfs:
         assert layered_bfs(flow_graph(g4, m2)) is None
 
     def test_gateway_route(self, g4, m1):
-        dag = layered_bfs(flow_graph(g4, m1))
+        fg = flow_graph(g4, m1)
+        dag = layered_bfs(fg)
         assert dag is not None
         assert dag.dist_t == 5
         # s -> gate1 -> b.dst -> b.src -> c.dst -> t
-        assert dag.dist[10] == 1
+        [gate], _ = component_nodes(fg)
+        assert dag.dist[gate] == 1
         assert dag.dist[5] == 2
         assert dag.dist[1] == 3
         assert dag.dist[6] == 4
-        assert dag.useful[6] and dag.useful[10]
+        assert dag.useful[6] and dag.useful[gate]
         assert dag.indeg[9] == 1
 
     def test_slack_route(self, g5, m3):
@@ -40,9 +48,9 @@ class TestLayeredBfs:
         dag = layered_bfs(fg)
         assert dag is not None
         assert dag.dist_t == 4
-        token = fg.aux_base
-        assert dag.dist[token] == 3
-        assert dag.indeg[token] == 3  # all three unmatched members feed it
+        _, [family] = component_nodes(fg)
+        assert dag.dist[family] == 3
+        assert dag.indeg[family] == 3  # all three unmatched members feed it
 
     def test_chain_from_empty(self):
         g = chain(2)

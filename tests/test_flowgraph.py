@@ -1,7 +1,7 @@
 import random
 from collections import deque
 
-from bruteforce import flow_graph, random_matching, reference_flow_edges
+from bruteforce import component_nodes, flow_graph, random_matching, reference_flow_edges
 from families import erdos_renyi, random_forbidden
 from minput import find_allowed_matching, layered_bfs, scc_decompose
 
@@ -65,28 +65,31 @@ class TestGoldenDumps:
     def test_one_free_source_component(self, g4, m2):
         fg = flow_graph(g4, m2)
         assert fg.dump(AB) == DUMP_ONE_FREE
-        assert fg.n_families == 0 and fg.aux_base == fg.t_id + 1  # no gateway
-        assert fg.extra_in[fg.t_id] == []
+        assert component_nodes(fg) == ([], [])  # no gateway, no family
+        assert fg.paper_ids == {}
+        assert fg.t_in == []
 
     def test_gateway_component(self, g4, m1):
         fg = flow_graph(g4, m1)
         assert fg.dump(AB) == DUMP_GATEWAY
-        assert fg.aux_base == fg.t_id + 2  # one gateway
-        assert fg.extra_in[fg.t_id] == [4 + 2]
+        [gate], families = component_nodes(fg)  # one gateway
+        assert families == []
+        assert fg.paper_ids == {gate: range(10, 11)}
+        assert fg.t_in == [4 + 2]
 
     def test_slack_family(self, g5, m3):
         fg = flow_graph(g5, m3)
         assert fg.dump(ABE) == DUMP_SLACK
-        assert fg.n_families == 1
-        assert fg.extra_in[fg.aux_base] == [7, 8, 9]
-        assert fg.slack_offset == [0, 2]
-        assert list(fg.slack_ids(0)) == [12, 13]
+        gateways, [family] = component_nodes(fg)
+        assert gateways == []
+        assert fg.in_view(family) == [7, 8, 9]
+        assert fg.paper_ids == {family: range(12, 14)}
 
 
 class TestNodeIds:
     def test_layout(self, g4, m1):
         fg = flow_graph(g4, m1)
-        assert (fg.s_id, fg.t_id, fg.aux_base) == (8, 9, 11)
+        assert (fg.s_id, fg.t_id, fg.view_size) == (8, 9, 13)  # three SCCs
         assert fg.node_count() == 11
         assert [fg.node_name(x, AB) for x in range(fg.node_count())] == [
             "a.src", "b.src", "c.src", "d.src",
@@ -162,6 +165,7 @@ class TestStructuralProperties:
                 continue
             fg = flow_graph(g, m, f)
             assert fg.node_count() <= 3 * n + 2
+            assert fg.view_size <= 3 * n + 2
             assert fg.build_work <= 20 * (n + g.m + 1)
 
     def test_source_copies_have_one_in_edge(self):
@@ -200,7 +204,7 @@ def _implicit_view_cases():
 
 def _plain_bfs(fg):
     """Distances from s over ``out_view``, -1 where unreached."""
-    dist = [-1] * (fg.aux_base + fg.n_families)
+    dist = [-1] * fg.view_size
     dist[fg.s_id] = 0
     queue = deque([fg.s_id])
     while queue:
@@ -222,8 +226,9 @@ class TestImplicitView:
             assert fg.node_count() == count
             assert len(edges) == len(set(edges))
             assert set(edges) == want
-            seen["gateway"] += fg.aux_base > fg.t_id + 1
-            seen["slack"] += fg.n_families > 0
+            gateways, families = component_nodes(fg)
+            seen["gateway"] += len(gateways) > 0
+            seen["slack"] += len(families) > 0
             seen["swap"] += any(
                 n <= a < 2 * n and n <= b < 2 * n for a, b in edges
             )
@@ -231,7 +236,7 @@ class TestImplicitView:
 
     def test_views_mirror_each_other(self):
         for _, _, _, fg in _implicit_view_cases():
-            nodes = range(fg.aux_base + fg.n_families)
+            nodes = range(fg.view_size)
             assert {(x, y) for x in nodes for y in fg.out_view(x)} == {
                 (x, y) for y in nodes for x in fg.in_view(y)
             }

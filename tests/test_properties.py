@@ -94,7 +94,7 @@ def test_no_edge_into_t_iff_cost_meets_lower_bound(inst, rng, keep):
     fg = build_flow_graph(g, scc, m, forbidden, cls)
     into_t = [x for x, y in fg.explicit_edges() if y == fg.t_id]
     assert cls.cost >= len(scc.source_ids)
-    assert (not fg.extra_in[fg.t_id]) == (not into_t) == (cls.cost == len(scc.source_ids))
+    assert (not fg.t_in) == (not into_t) == (cls.cost == len(scc.source_ids))
     if not into_t:
         assert layered_bfs(fg) is None
 
