@@ -65,7 +65,7 @@ class LayeredDag:
     """Single-use DAG of edges lying on shortest s -> t paths.
 
     ``dist`` covers the flow graph's internal node space, ``view_size``
-    ids with one component node per SCC.  ``useful`` marks
+    ids with one component node per source SCC.  ``useful`` marks
     nodes on at least one shortest s -> t path; ``indeg`` counts useful
     in-edges per useful node and is consumed by ``extract_paths``.
     """

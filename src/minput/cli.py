@@ -66,7 +66,7 @@ def ingest_edge_list(path: str) -> SparseDigraph:
     vertex cap is reported before any edge line is read; each edge goes
     straight into its source's adjacency list.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         pairs = _edge_list_pairs(fh)
         lineno, n, declared = next(pairs, (None, None, None))
         if lineno is None:
@@ -89,18 +89,18 @@ def ingest_edge_list(path: str) -> SparseDigraph:
 def ingest_matrix_market(path: str, zero_tol: float = 0.0) -> SparseDigraph:
     """Matrix Market coordinate ingestion.
 
-    A stored entry (row, col, value) with ``|value| > zero_tol`` means
-    the matrix couples state ``col`` into state ``row``, i.e. edge
-    col -> row after shifting the 1-based file indices down.  Accepts
-    real, integer and pattern fields, general or symmetric.  A NaN
-    entry value, or a ``zero_tol`` that is NaN, infinite or negative,
-    is a ParseError: NaN is neither zero nor a coupling.  A size line
-    over the vertex cap is reported before any entry is read; each
-    entry goes straight into its column's adjacency list.
+    A stored entry (row, col, value) with ``|value| > zero_tol``, or any
+    pattern entry, means the matrix couples state ``col`` into state
+    ``row``: edge col -> row after shifting the 1-based indices down.
+    Accepts real, integer and pattern fields, general or symmetric.  A
+    NaN entry value, or a ``zero_tol`` that is NaN, infinite or
+    negative, is a ParseError: NaN is neither zero nor a coupling.  A
+    size line over the vertex cap is reported before any entry is read;
+    each entry goes straight into its column's adjacency list.
     """
     if not 0.0 <= zero_tol < math.inf:
         raise ParseError(f"zero tolerance must be finite and >= 0, got {zero_tol!r}")
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         banner = fh.readline()
         fields = banner.split()
         if len(fields) < 5 or fields[0] != "%%MatrixMarket":
@@ -143,7 +143,7 @@ def ingest_matrix_market(path: str, zero_tol: float = 0.0) -> SparseDigraph:
                 raise ParseError(f"expected {want} fields per entry", lineno)
             try:
                 r, c = int(parts[0]), int(parts[1])
-                value = 1.0 if pattern else float(parts[2])
+                value = math.inf if pattern else float(parts[2])
             except ValueError:
                 raise ParseError(f"malformed entry {raw.strip()!r}", lineno) from None
             if not (0 < r <= n and 0 < c <= n):
@@ -164,7 +164,7 @@ def ingest_matrix_market(path: str, zero_tol: float = 0.0) -> SparseDigraph:
 def read_forbidden(path: str, n: int) -> frozenset[int]:
     """Whitespace-separated forbidden vertex ids; ``#`` comments allowed."""
     forbidden = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.split("#", 1)[0].strip()
             if not text:

@@ -23,13 +23,13 @@ Edges, for a matching M on the splitting of G:
   unmatched member, so only ``k - 1`` paths may drain it).
 
 Gateways and slack families are two states of one node per source SCC:
-the *component node* of component ``c``, with ``k`` its unmatched
-count.  At ``k == 0`` it is the gateway, with edges from ``s`` and to the
-non-forbidden members' destination copies; at ``k >= 2`` it is the
-family, with edges from the unmatched members and to ``t``, and at most
-``k - 1`` paths of a round may use it.  A family is complete bipartite
-and would cost Theta(k^2) edges if materialised; its one node keeps
-every traversal O(n + m).
+the *component node* of component ``c``, with ``k`` its unmatched count.
+At ``k == 0`` it is the gateway, with edges from ``s`` and to the
+non-forbidden members' destination copies; at ``k >= 2`` it is the family,
+with edges from the unmatched members and to ``t``, and at most ``k - 1``
+paths of a round may use it.  A family is complete bipartite, Theta(k^2)
+edges if materialised; its one node keeps every traversal O(n + m).  SCCs
+number their ``r`` sources first, so the node space has ``2n + 2 + r`` ids.
 
 No edge is stored.  ``g.out_adj``, ``g.in_adj``, the mate arrays, the
 SCCs and the round's ``MatchClass`` answer every rule, as the residual
@@ -57,9 +57,9 @@ class FlowGraph:
     matching's ``MatchClass`` ``cls``, which the caller classifies.
 
     Internal node ids: source copy of vertex ``u`` is ``u``; destination
-    copy of ``v`` is ``n + v``; ``s`` is ``2n``, ``t`` is ``2n + 1``;
-    the component node of component ``c`` is ``2n + 2 + c``, so the
-    view spans ``view_size`` ids, at most ``3n + 2``.
+    copy of ``v`` is ``n + v``; ``s`` is ``2n``, ``t`` is ``2n + 1``; the
+    component node of source component ``c < r`` is ``2n + 2 + c``, so
+    the view spans ``view_size = 2n + 2 + r`` ids, at most ``3n + 2``.
 
     ``s_out`` lists the free source copies, then the component node of
     each fully matched source component.  ``t_in`` lists the unmatched
@@ -93,16 +93,17 @@ class FlowGraph:
     ):
         n = g.n
         t_id = 2 * n + 1
-        comp_id, is_source = scc.comp_id, scc.is_source
+        comp_id, r = scc.comp_id, len(scc.source_ids)
         s_out = [u for u, v in enumerate(m.mate_of_src) if v < 0]
         s_out += [t_id + 1 + c for c in cls.x_comps]
-        t_in = [n + v for v in cls.unmatched if not is_source[comp_id[v]]]
+        t_in = [n + v for v in cls.unmatched if comp_id[v] >= r]
         t_in += [t_id + 1 + c for c in scc.source_ids if cls.comp_unmatched[c] >= 2]
 
         self.n = n
         self.s_id = 2 * n
         self.t_id = t_id
-        self.view_size = t_id + 1 + scc.n_comps
+        self.r = r
+        self.view_size = t_id + 1 + r
         self.out_adj = g.out_adj
         self.in_adj = g.in_adj
         self.mate_of_src = m.mate_of_src
@@ -112,7 +113,7 @@ class FlowGraph:
         self.forbidden = frozenset(forbidden)
         self.s_out = s_out
         self.t_in = t_in
-        self.build_work = n + len(cls.x_comps) + len(cls.unmatched) + len(scc.source_ids)
+        self.build_work = n + len(cls.x_comps) + len(cls.unmatched) + r
 
     @cached_property
     def paper_ids(self) -> dict[int, range]:
@@ -150,7 +151,7 @@ class FlowGraph:
             if u >= 0:
                 return [u]
             c = self.scc.comp_id[v]
-            if not self.scc.is_source[c]:
+            if c >= self.r:
                 return [self.t_id]
             if self.cls.comp_unmatched[c] >= 2:
                 return [self.t_id + 1 + c]
@@ -158,7 +159,7 @@ class FlowGraph:
         if x == self.s_id:
             return self.s_out
         c = x - self.t_id - 1
-        if c >= 0 and self.scc.is_source[c]:
+        if c >= 0:
             k = self.cls.comp_unmatched[c]
             if k == 0:
                 return self._allowed(c)
@@ -177,7 +178,7 @@ class FlowGraph:
             v = x - n
             cands = self.in_adj[v]
             c = self.scc.comp_id[v]
-            if not self.scc.is_source[c] or v in self.forbidden:
+            if c >= self.r or v in self.forbidden:
                 return cands
             k = self.cls.comp_unmatched[c]
             if k == 0:
@@ -188,7 +189,7 @@ class FlowGraph:
         if x == self.t_id:
             return self.t_in
         c = x - self.t_id - 1
-        if c >= 0 and self.scc.is_source[c]:
+        if c >= 0:
             k = self.cls.comp_unmatched[c]
             if k == 0:
                 return [self.s_id]

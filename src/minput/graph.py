@@ -206,12 +206,12 @@ def induced_subgraph(g: SparseDigraph, keep: list[int]) -> tuple[SparseDigraph, 
 class SccInfo:
     """Strongly connected components of a digraph.
 
-    Components are numbered in the order in which a depth-first search
-    over out-edges, from vertex 0 upward, finishes them.  The order of
-    ``source_ids`` and ``MatchClass.x_comps``, the flow graph's
-    component nodes, the paper ids of its gateways and slack families,
-    and the all-forbidden source component ``solve`` reports follow this
-    numbering, so it stays whatever algorithm finds the components.
+    The ``r`` sources, components no edge enters from another, are
+    numbered ``0 .. r-1``, then the rest; each group keeps the order in
+    which a depth-first search over out-edges, from vertex 0 upward,
+    finishes it.  Outputs read only the sources' order (``source_ids``,
+    ``MatchClass.x_comps``, gateway and slack paper ids, the all-forbidden
+    component ``solve`` reports); it must not depend on the SCC algorithm.
 
     Attributes
     ----------
@@ -219,16 +219,13 @@ class SccInfo:
         Component index per vertex.
     comps : list[list[int]]
         Members of each component, sorted ascending.
-    is_source : list[bool]
-        True for components with no incoming edge from another component.
-    source_ids : list[int]
-        Indices of source components, ascending.
+    source_ids : range
+        ``range(r)``, the indices of the source components.
     """
 
     comp_id: list[int]
     comps: list[list[int]]
-    is_source: list[bool]
-    source_ids: list[int]
+    source_ids: range
 
     @property
     def n_comps(self) -> int:
@@ -265,7 +262,7 @@ def scc_decompose(g: SparseDigraph) -> SccInfo:
                 post.append(path.pop())
     comp_id = [-1] * n
     comps: list[list[int]] = []
-    is_source: list[bool] = []
+    placed = others, sources = [], []  # placement order, indexed by "is a source"
     for root in reversed(post):
         if comp_id[root] >= 0:
             continue
@@ -273,7 +270,7 @@ def scc_decompose(g: SparseDigraph) -> SccInfo:
         comp_id[root] = c
         members = [root]
         comps.append(members)
-        is_source.append(True)
+        source = True
         for v in members:  # grows as the flood reaches new members
             for u in inn[v]:
                 cu = comp_id[u]
@@ -281,13 +278,15 @@ def scc_decompose(g: SparseDigraph) -> SccInfo:
                     comp_id[u] = c
                     members.append(u)
                 elif cu != c:
-                    is_source[c] = False
+                    source = False
         members.sort()
-    # Back to the order in which the first search finished the components.
-    last = len(comps) - 1
-    is_source.reverse()
-    source_ids = [c for c, flag in enumerate(is_source) if flag]
-    return SccInfo([last - c for c in comp_id], comps[::-1], is_source, source_ids)
+        placed[source].append(c)
+    # Sources, then the rest, each reversed back to the first search's finish order.
+    order = sources[::-1] + others[::-1]
+    new = [0] * len(order)
+    for i, c in enumerate(order):
+        new[c] = i
+    return SccInfo([new[c] for c in comp_id], [comps[c] for c in order], range(len(sources)))
 
 
 def reachable_from(g: SparseDigraph, seeds: Iterable[int]) -> set[int]:

@@ -7,7 +7,6 @@ assignment reference is meant for instances beyond a few vertices.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 from typing import Collection
 
 import numpy as np
@@ -49,8 +48,9 @@ def scc_partition(g: SparseDigraph) -> set[frozenset[int]]:
 
 def reference_scc(g: SparseDigraph) -> SccInfo:
     """SCCs by Tarjan's algorithm, iterative, in the numbering ``SccInfo``
-    documents: components in the order the depth-first search over
-    out-edges, roots from vertex 0 upward, finishes them.
+    documents: source components first, then the others, each in the
+    order the depth-first search over out-edges, roots from vertex 0
+    upward, finishes them.
 
     A component is not a source when an edge is scanned into a
     component that has already closed, or when it is entered by a tree
@@ -99,8 +99,11 @@ def reference_scc(g: SparseDigraph) -> SccInfo:
                     is_source.append(not work)
                 elif low[v] < low[work[-1][0]]:
                     low[work[-1][0]] = low[v]
-    source_ids = [c for c, flag in enumerate(is_source) if flag]
-    return SccInfo(comp_id, comps, is_source, source_ids)
+    order = [c for c in range(len(comps)) if is_source[c]]
+    order += [c for c in range(len(comps)) if not is_source[c]]
+    new = {c: i for i, c in enumerate(order)}
+    return SccInfo([new[c] for c in comp_id], [comps[c] for c in order],
+                   range(is_source.count(True)))
 
 
 def assignment_min_inputs(g: SparseDigraph, forbidden: Collection[int]) -> int | None:
@@ -281,7 +284,7 @@ def reference_edge_list(path: str) -> SparseDigraph:
     n = None
     declared = 0
     edges: list[tuple[int, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.split("#", 1)[0].strip()
             if not text:
@@ -316,7 +319,7 @@ def reference_matrix_market(path: str, zero_tol: float = 0.0) -> SparseDigraph:
     ``minput.cli.ingest_matrix_market`` is compared against."""
     if not 0.0 <= zero_tol < math.inf:
         raise ParseError(f"zero tolerance must be finite and >= 0, got {zero_tol!r}")
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         banner = fh.readline()
         fields = banner.split()
         if len(fields) < 5 or fields[0] != "%%MatrixMarket":
@@ -353,7 +356,7 @@ def reference_matrix_market(path: str, zero_tol: float = 0.0) -> SparseDigraph:
                 raise ParseError(f"expected {want} fields per entry", lineno)
             try:
                 r, c = int(parts[0]), int(parts[1])
-                value = 1.0 if value_kind == "pattern" else float(parts[2])
+                value = math.inf if value_kind == "pattern" else float(parts[2])
             except ValueError:
                 raise ParseError(f"malformed entry {text!r}", lineno) from None
             if not (1 <= r <= dims[0] and 1 <= c <= dims[0]):
@@ -597,9 +600,9 @@ def reference_classify(scc, m) -> tuple:
         free = [v for v in members if m.mate_of_dst[v] < 0]
         comp_unmatched.append(len(free))
         unmatched.extend(free)
-        if scc.is_source[c] and not free:
+        if c < len(scc.source_ids) and not free:
             x_comps.append(c)
-        elif scc.is_source[c] and len(free) == 1:
+        elif c < len(scc.source_ids) and len(free) == 1:
             y_free[c] = free[0]
     return x_comps, y_free, sorted(unmatched), comp_unmatched
 
@@ -634,18 +637,3 @@ def all_shortest_paths(
 
     descend(s, [s])
     return dist[t], paths
-
-
-def max_disjoint_shortest(paths: list[list[int]]) -> int:
-    """Largest number of interior-vertex-disjoint paths from the list."""
-    best = 0
-    for k in range(len(paths), 0, -1):
-        for combo in combinations(paths, k):
-            interiors = [set(p[1:-1]) for p in combo]
-            if all(
-                interiors[i].isdisjoint(interiors[j])
-                for i in range(k)
-                for j in range(i + 1, k)
-            ):
-                return k
-    return best

@@ -36,6 +36,10 @@ Categories:
 * ``graph``: ``n``, ``m``, ``out_adj`` and ``in_adj`` of a
   ``SparseDigraph`` built from each instance's edges with seeded
   parallel edges added and the list shuffled.
+* ``scc``: each instance's component count and the members of its
+  source components in ``source_ids`` order.  Only the order of the
+  sources reaches an output, so this does not depend on how the other
+  components are numbered, and it moves with any change to that order.
 
 The first line names the package imported and differs between trees.
 Pytest does not collect this file.
@@ -113,11 +117,12 @@ def main(src: Path) -> None:
     from bruteforce import (component_nodes, dump_edge_list, flow_graph,
                             random_edge_list_file, random_matrix_market_file)
     from minput import Problem, Solution, SparseDigraph, cli, solve
+    from minput.graph import scc_decompose
     from minput.matching import find_allowed_matching
 
     digests = {k: hashlib.sha256()
                for k in ("solution", "rounds", "work", "unsolvable", "flow", "cli", "files",
-                         "graph")}
+                         "graph", "scc")}
     seen = dict.fromkeys(["solved", "unsolvable", "gateways", "slack", "checked", "oracle",
                           "files", "file_errors"], 0)
 
@@ -160,6 +165,8 @@ def main(src: Path) -> None:
                 extra.shuffle(edges)
                 h = SparseDigraph(g.n, edges)
                 record("graph", i, h.n, h.m, h.out_adj, h.in_adj)
+                scc = scc_decompose(g)
+                record("scc", i, scc.n_comps, [scc.comps[c] for c in scc.source_ids])
 
                 Path("g.txt").write_text(dump_edge_list(g), encoding="utf-8")
                 Path("g.mtx").write_text(_matrix_market(g, rng), encoding="utf-8")

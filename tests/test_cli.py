@@ -161,6 +161,17 @@ class TestMatrixMarket:
         text = "%%MatrixMarket matrix coordinate real general\n2 2 1\n2 1 -inf\n"
         assert list(ingest_matrix_market(_write(tmp_path / "a.mtx", text)).edges()) == [(0, 1)]
 
+    @pytest.mark.parametrize("symmetry,edges", [
+        ("general", [(0, 1), (1, 2)]),
+        ("symmetric", [(0, 1), (1, 0), (1, 2), (2, 1)]),
+    ])
+    def test_pattern_entry_is_a_coupling_at_any_zero_tol(self, tmp_path, symmetry, edges):
+        text = f"%%MatrixMarket matrix coordinate pattern {symmetry}\n3 3 2\n2 1\n3 2\n"
+        path = _write(tmp_path / "a.mtx", text)
+        for read in (ingest_matrix_market, reference_matrix_market):
+            for tol in (0.0, 1.0, 2.0):
+                assert sorted(read(path, tol).edges()) == edges, (read, tol)
+
 
 def _outcome(read, path, *args):
     """The graph a reader builds, or the type, message and line of the error it raises."""
@@ -234,6 +245,18 @@ class TestReadersAgainstReference:
                     "size reported first"}
         assert set(seen) - {"same"} == expected, seen
         assert seen["graph with edges"] >= self.FILES // 4, seen
+
+
+@pytest.mark.parametrize("readers,text,args", [
+    ((ingest_edge_list, reference_edge_list), CHAIN3, ()),
+    ((ingest_matrix_market, reference_matrix_market), MM_GENERAL, ()),
+    ((read_forbidden,), "0 2  # pinned\n3\n", (5,)),
+], ids=["graph", "mm", "forbidden"])
+def test_byte_order_mark_is_skipped(tmp_path, readers, text, args):
+    plain = _write(tmp_path / "plain", text)
+    marked = _write(tmp_path / "marked", "\ufeff" + text)
+    for read in readers:
+        assert read(marked, *args) == read(plain, *args), read
 
 
 class TestReadForbidden:

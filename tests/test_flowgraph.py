@@ -89,7 +89,7 @@ class TestGoldenDumps:
 class TestNodeIds:
     def test_layout(self, g4, m1):
         fg = flow_graph(g4, m1)
-        assert (fg.s_id, fg.t_id, fg.view_size) == (8, 9, 13)  # three SCCs
+        assert (fg.s_id, fg.t_id, fg.view_size) == (8, 9, 11)  # one source SCC
         assert fg.node_count() == 11
         assert [fg.node_name(x, AB) for x in range(fg.node_count())] == [
             "a.src", "b.src", "c.src", "d.src",
@@ -221,7 +221,9 @@ class TestImplicitView:
         seen = {"gateway": 0, "swap": 0, "slack": 0}
         for g, f, m, fg in _implicit_view_cases():
             n = g.n
-            count, want = reference_flow_edges(g, scc_decompose(g).comp_id, m, f)
+            scc = scc_decompose(g)
+            count, want = reference_flow_edges(g, scc.comp_id, m, f)
+            assert fg.view_size == 2 * n + 2 + len(scc.source_ids)
             edges = fg.explicit_edges()
             assert fg.node_count() == count
             assert len(edges) == len(set(edges))

@@ -170,7 +170,7 @@ class TestScc:
     def test_four_vertex_example(self, g4):
         scc = scc_decompose(g4)
         assert sorted(map(sorted, scc.comps)) == [[0, 1], [2], [3]]
-        by_member = {tuple(c): scc.is_source[i] for i, c in enumerate(scc.comps)}
+        by_member = {tuple(c): i < len(scc.source_ids) for i, c in enumerate(scc.comps)}
         assert by_member[(0, 1)] is True
         assert by_member[(2,)] is False
         assert by_member[(3,)] is False
@@ -206,7 +206,7 @@ class TestScc:
                 has_incoming = any(
                     scc.comp_id[u] != c and v in members for u, v in g.edges()
                 )
-                assert scc.is_source[c] == (not has_incoming)
+                assert (c < len(scc.source_ids)) == (not has_incoming)
 
     def test_condensation_acyclic(self):
         rng = random.Random(22)
@@ -237,7 +237,8 @@ class TestScc:
 
     def test_same_numbering_as_reference_tarjan(self):
         # The numbering is an output (see SccInfo): every field must match
-        # Tarjan's, which numbers components in the order the search finishes them.
+        # Tarjan's, renumbered sources first, each group in the order the
+        # search finishes it.
         rng = random.Random(24)
         graphs = [
             SparseDigraph(0, []),
@@ -271,7 +272,7 @@ class TestScc:
         g = SparseDigraph(n, [(v, (v + 1) % n) for v in range(n)])
         scc = scc_decompose(g)
         assert scc.n_comps == 1
-        assert scc.is_source == [True]
+        assert scc.source_ids == range(1)
 
 
 class TestReachableFrom:

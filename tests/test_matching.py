@@ -228,11 +228,11 @@ class TestClassify:
             tagged = sorted(cls.x_comps + [*cls.y_free] + rest)
             assert tagged == list(range(scc.n_comps))
             for c in rest:
-                assert not scc.is_source[c] or cls.comp_unmatched[c] >= 2
+                assert c >= len(scc.source_ids) or cls.comp_unmatched[c] >= 2
             for c in cls.x_comps:
-                assert scc.is_source[c] and cls.comp_unmatched[c] == 0
+                assert c < len(scc.source_ids) and cls.comp_unmatched[c] == 0
             for c, free in cls.y_free.items():
-                assert scc.is_source[c] and cls.comp_unmatched[c] == 1
+                assert c < len(scc.source_ids) and cls.comp_unmatched[c] == 1
                 assert scc.comp_id[free] == c and m.mate_of_dst[free] < 0
             assert cls.unmatched == [v for v in range(n) if m.mate_of_dst[v] < 0]
 

@@ -41,7 +41,7 @@ def test_scc_partition_and_sources(name, g):
         frozenset(cond.nodes[x]["members"]) for x in cond if cond.in_degree(x) == 0
     }
     assert {frozenset(scc.comps[c]) for c in scc.source_ids} == sources
-    assert scc.source_ids == [c for c in range(scc.n_comps) if scc.is_source[c]]
+    assert scc.source_ids == range(len(sources))
 
 
 @pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])

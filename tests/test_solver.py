@@ -152,7 +152,7 @@ class TestUnsolvable:
             n = rng.randint(2, 40)
             g = erdos_renyi(n, rng.choice([0.03, 0.08, 0.15]), rng)
             scc = scc_decompose(g)
-            inner = [v for v in range(n) if not scc.is_source[scc.comp_id[v]]]
+            inner = [v for v in range(n) if scc.comp_id[v] >= len(scc.source_ids)]
             f = frozenset(v for v in inner if rng.random() < 0.7)
             out = solve(Problem(g, f))
             if isinstance(out, Unsolvable):
