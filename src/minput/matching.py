@@ -15,9 +15,11 @@ all matched; minimising this cost over allowed matchings is what the
 rest of the package is about.
 
 ``find_allowed_matching`` builds the start that minimisation improves:
-a Hopcroft-Karp cover of the forbidden destinations, run from the
-forbidden side, extended by the Karp-Sipser rule in O(n + m).  The
-closer that start is to optimal, the fewer rounds remain.
+Karp-Sipser, then repair.  The Karp-Sipser rule builds a maximal
+matching in O(n + m) with nothing forbidden; then a Hopcroft-Karp
+search from the forbidden side, warm-started from that matching,
+covers the forbidden destinations it left free.  The closer that start
+is to optimal, the fewer rounds remain.
 """
 
 from __future__ import annotations
@@ -112,7 +114,11 @@ class Matching:
 
 
 def hopcroft_karp(
-    n_left: int, n_right: int, adj: list[list[int]]
+    n_left: int,
+    n_right: int,
+    adj: list[list[int]],
+    mate_left: list[int] | None = None,
+    mate_right: list[int] | None = None,
 ) -> tuple[list[int], list[int]]:
     """Maximum matching in a bipartite graph, O(E sqrt(V)).
 
@@ -122,6 +128,11 @@ def hopcroft_karp(
         Side sizes; left vertices are ``0 .. n_left-1``.
     adj : list[list[int]]
         Right neighbours of each left vertex.
+    mate_left, mate_right : list[int], optional
+        A warm start: consistent mate arrays of a matching along ``adj``,
+        -1 where free.  Both are given or neither; they are extended in
+        place and returned.  Augmenting paths only ever rematch a left
+        vertex, so every left vertex matched at the start stays matched.
 
     Returns
     -------
@@ -132,8 +143,9 @@ def hopcroft_karp(
     left vertices in ascending order and the augmenting search scans
     adjacency lists in the order given.
     """
-    mate_left = [-1] * n_left
-    mate_right = [-1] * n_right
+    if mate_left is None or mate_right is None:
+        mate_left = [-1] * n_left
+        mate_right = [-1] * n_right
     inf = n_left + n_right + 1
     dist = [inf] * n_left
     queue: deque[int] = deque()
@@ -195,49 +207,24 @@ def hopcroft_karp(
                         via.pop()
 
 
-def _cover_forbidden(
-    g: SparseDigraph, f_list: list[int]
-) -> tuple[list[int], list[int]]:
-    """Hopcroft-Karp from the forbidden side: ``f_list`` is the left
-    side and every vertex's source copy the right, so each phase starts
-    from at most ``len(f_list)`` free forbidden destinations."""
-    return hopcroft_karp(len(f_list), g.n, [g.in_adj[f] for f in f_list])
-
-
-def find_allowed_matching(g: SparseDigraph, forbidden: Collection[int]) -> Matching | None:
-    """Maximal matching whose unmatched vertices all avoid ``forbidden``.
-
-    First covers every forbidden destination by a maximum matching
-    between the forbidden destination copies and their in-neighbours'
-    source copies, found by Hopcroft-Karp with the forbidden side on
-    the left.  If some forbidden vertex cannot be covered there is no
-    allowed matching at all and the result is None (``hall_violator``
-    says why).  Otherwise the cover is extended by the Karp-Sipser rule
-    in O(n + m), never unmatching a forbidden destination:
+def _karp_sipser(g: SparseDigraph) -> Matching:
+    """Maximal matching of the splitting by the Karp-Sipser rule, O(n + m).
 
     * every free source and free destination keeps the number of its
       free neighbours on the other side;
     * a free vertex with exactly one free neighbour is matched to it.
-      Such vertices wait on a stack: the ones present after the cover
-      come off in ascending order, sources before destinations, and a
-      vertex whose count drops to one is pushed when it does, so it
-      comes off before every vertex pushed earlier;
+      Such vertices wait on a stack: the ones present at the start come
+      off in ascending order, sources before destinations, and a vertex
+      whose count drops to one is pushed when it does, so it comes off
+      before every vertex pushed earlier;
     * when the stack holds no such vertex, the lowest free source with
       a free neighbour takes its lowest free destination.
 
     A degree-one match never shrinks the largest matching still
-    reachable, so the start is close to maximum and ``minimize`` has
-    few rounds left to run.
+    reachable, so the result is close to maximum.
     """
     n = g.n
-    f_list = vertex_ids(forbidden, n, "forbidden vertex")
     match = Matching(n)
-    if f_list:
-        mate_f, _ = _cover_forbidden(g, f_list)
-        if min(mate_f) < 0:
-            return None
-        for f, u in zip(f_list, mate_f):
-            match.add(u, f)
     out_adj, in_adj = g.out_adj, g.in_adj
     mate_src, mate_dst = match.mate_of_src, match.mate_of_dst
     # Free neighbours of each free source and destination.  A vertex's
@@ -245,13 +232,6 @@ def find_allowed_matching(g: SparseDigraph, forbidden: Collection[int]) -> Match
     # count of 1 always belongs to a free vertex.
     free_out = list(map(len, out_adj))
     free_in = list(map(len, in_adj))
-    for f in f_list:
-        u = mate_dst[f]
-        free_out[u] = free_in[f] = 0
-        for w in in_adj[f]:
-            free_out[w] -= 1
-        for w in out_adj[u]:
-            free_in[w] -= 1
     # degree-one vertices wait on a stack, a source u as u and a
     # destination v as ~v; the first ones come off in ascending order
     stack = [u for u, count in enumerate(free_out) if count == 1]
@@ -302,18 +282,68 @@ def find_allowed_matching(g: SparseDigraph, forbidden: Collection[int]) -> Match
     return match
 
 
+def find_allowed_matching(g: SparseDigraph, forbidden: Collection[int]) -> Matching | None:
+    """Allowed matching to start minimisation from: Karp-Sipser, then repair.
+
+    First ``_karp_sipser`` builds a maximal matching with nothing
+    forbidden.  Then the forbidden destinations it left free are covered
+    by ``hopcroft_karp`` with the forbidden vertices on the left and
+    every vertex's source copy on the right, warm-started from the
+    Karp-Sipser mates of the forbidden destinations; a source matched to
+    an allowed destination counts as free there.  An augmenting path
+    runs from a free forbidden destination, through forbidden-matched
+    sources, to a source that is either
+
+    * free: the matching grows by one; or
+    * matched to an allowed destination, which gives up its mate: the
+      size stays.
+
+    No other destination loses its mate, so the result is allowed, and
+    every forbidden destination the Karp-Sipser pass covered stays
+    covered.  A destination given up may keep a free in-neighbour, so
+    the result need not be maximal.  The repair's phases are bounded as
+    in Hopcroft-Karp, so the start costs O(n + m) plus O(m sqrt(n)).
+    The result is None exactly when no matching covers every forbidden
+    destination (``hall_violator`` says why).  With nothing forbidden
+    the result is the Karp-Sipser matching itself.
+    """
+    f_list = vertex_ids(forbidden, g.n, "forbidden vertex")
+    match = _karp_sipser(g)
+    if not f_list:
+        return match
+    mate_src, mate_dst = match.mate_of_src, match.mate_of_dst
+    mate_f = [mate_dst[f] for f in f_list]
+    f_of_src = [-1] * g.n
+    for fi, (f, u) in enumerate(zip(f_list, mate_f)):
+        if u >= 0:  # the search may move u to another forbidden mate
+            f_of_src[u] = fi
+            mate_src[u] = mate_dst[f] = -1
+    hopcroft_karp(len(f_list), g.n, [g.in_adj[f] for f in f_list], mate_f, f_of_src)
+    if min(mate_f) < 0:
+        return None
+    for f, u in zip(f_list, mate_f):
+        v = mate_src[u]
+        if v >= 0:  # an allowed destination gives up its mate
+            mate_dst[v] = -1
+        mate_src[u] = f
+        mate_dst[f] = u
+    return match
+
+
 def hall_violator(g: SparseDigraph, forbidden: Collection[int]) -> list[int]:
     """Forbidden vertices ``S`` with fewer in-neighbours than members.
 
     Empty when every forbidden vertex can be covered.  Otherwise ``S``
-    holds the lowest forbidden vertex the Hopcroft-Karp cover leaves
-    uncovered plus every forbidden vertex reachable from it by
-    alternating paths (any in-neighbour, then that source's mate).  All
-    of ``S``'s in-neighbours are matched into ``S`` minus its start, so
+    holds the lowest forbidden vertex left uncovered by a maximum
+    matching of the forbidden destinations into their in-neighbours'
+    source copies (a cold ``hopcroft_karp`` from the forbidden side),
+    plus every forbidden vertex reachable from it by alternating paths
+    (any in-neighbour, then that source's mate).  All of ``S``'s
+    in-neighbours are matched into ``S`` minus its start, so
     ``|N_in(S)| = |S| - 1``: no matching covers ``S``.  Sorted.
     """
     f_list = vertex_ids(forbidden, g.n, "forbidden vertex")
-    mate_f, f_of_src = _cover_forbidden(g, f_list)
+    mate_f, f_of_src = hopcroft_karp(len(f_list), g.n, [g.in_adj[f] for f in f_list])
     if not f_list or min(mate_f) >= 0:
         return []
     seen = {mate_f.index(-1)}

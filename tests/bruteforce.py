@@ -152,9 +152,10 @@ def assignment_min_inputs(g: SparseDigraph, forbidden: Collection[int]) -> int |
 
 def greedy_allowed_matching(g: SparseDigraph, forbidden: Collection[int]) -> Matching | None:
     """The package's first allowed-matching start, kept as a fixed
-    input for the pinned work counters: a Hopcroft-Karp cover of the
-    forbidden destinations with the in-neighbour sources on the left,
-    then a greedy extension in ascending (source, destination) order.
+    input for the pinned work counters and for the coverage sweeps that
+    need non-optimal starts: a Hopcroft-Karp cover of the forbidden
+    destinations with the in-neighbour sources on the left, then a
+    greedy extension in ascending (source, destination) order.
     """
     n = g.n
     f_list = sorted(set(forbidden))

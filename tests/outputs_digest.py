@@ -15,6 +15,9 @@ from the helpers beside this file, so every tree sees the same stream:
 Categories:
 
 * ``solution``: input set, cost, certificate and ``b_pattern``;
+* ``cost``: each instance's cost, or its unsolvable reason.  An input
+  set can change at the same cost, so a change to the start or the
+  loop moves ``solution`` and should leave this alone;
 * ``rounds``: every round's ``(dist, paths, cost)``;
 * ``work``: every round's ``work`` counter and the first round's
   ``build_work``, apart from ``rounds`` and ``flow`` so that a change
@@ -121,7 +124,7 @@ def main(src: Path) -> None:
     from minput.matching import find_allowed_matching
 
     digests = {k: hashlib.sha256()
-               for k in ("solution", "rounds", "work", "unsolvable", "flow", "cli", "files",
+               for k in ("solution", "cost", "rounds", "work", "unsolvable", "flow", "cli", "files",
                          "graph", "scc")}
     seen = dict.fromkeys(["solved", "unsolvable", "gateways", "slack", "checked", "oracle",
                           "files", "file_errors"], 0)
@@ -143,12 +146,14 @@ def main(src: Path) -> None:
                 if isinstance(res, Solution):
                     seen["solved"] += 1
                     record("solution", i, res.input_set, res.cost, res.certificate, res.b_pattern)
+                    record("cost", i, res.cost)
                     rounds = res.diagnostics.per_iteration
                     record("rounds", i, [(it.dist, it.paths, it.cost) for it in rounds])
                     record("work", i, [it.work for it in rounds])
                 else:
                     seen["unsolvable"] += 1
                     record("unsolvable", i, res.reason.value, res.detail, res.witness)
+                    record("cost", i, res.reason.value)
 
                 m0 = find_allowed_matching(g, forbidden)
                 if m0 is not None:

@@ -2,16 +2,19 @@ import random
 
 import pytest
 
-from bruteforce import max_matching_size
-from families import chain, erdos_renyi, random_forbidden
+from bruteforce import assignment_min_inputs, greedy_forbidden, max_matching_size
+from families import chain, erdos_renyi, preferential, random_forbidden
 from minput import (
     IndexOutOfRange,
+    Problem,
+    Solution,
     SparseDigraph,
     classify,
     find_allowed_matching,
     scc_decompose,
+    solve,
 )
-from minput.matching import Matching, hopcroft_karp
+from minput.matching import Matching, hall_violator, hopcroft_karp
 
 
 class TestMatching:
@@ -116,6 +119,34 @@ class TestHopcroftKarp:
             got = sum(1 for v in left if v >= 0)
             assert got == max_matching_size(nl, nr, adj)
 
+    def test_warm_start(self):
+        # from any matching along adj, a warm start reaches the cold size,
+        # keeps every left vertex it started matched, and works in place
+        rng = random.Random(34)
+        for _ in range(300):
+            nl = rng.randint(0, 8)
+            nr = rng.randint(0, 8)
+            adj = [
+                sorted({rng.randrange(nr) for _ in range(rng.randint(0, nr))})
+                for _ in range(nl)
+            ]
+            warm_left, warm_right = [-1] * nl, [-1] * nr
+            for u in range(nl):
+                for v in adj[u]:
+                    if warm_right[v] < 0 and rng.random() < 0.5:
+                        warm_left[u], warm_right[v] = v, u
+                        break
+            started = [u for u in range(nl) if warm_left[u] >= 0]
+            cold, _ = hopcroft_karp(nl, nr, adj)
+            left, right = hopcroft_karp(nl, nr, adj, warm_left, warm_right)
+            assert left is warm_left and right is warm_right
+            assert sum(v >= 0 for v in left) == sum(v >= 0 for v in cold)
+            assert all(left[u] >= 0 for u in started)
+            for u, v in enumerate(left):
+                if v >= 0:
+                    assert v in adj[u] and right[v] == u
+            assert sum(u >= 0 for u in right) == sum(v >= 0 for v in left)
+
 
 class TestFindAllowedMatching:
     def test_four_vertex_no_forbidden(self, g4, m2):
@@ -140,7 +171,7 @@ class TestFindAllowedMatching:
         assert find_allowed_matching(g, [1, 2]) is None
 
     def test_five_vertex_no_forbidden(self, g5):
-        # Degree-one vertices after the (empty) cover: sources 1 and 4,
+        # Degree-one vertices at the start: sources 1 and 4,
         # then destinations 2 and 4.  Source 1 takes (1, 0); that leaves
         # source 0 one free destination, so it is pushed and comes off
         # next: (0, 1).  That leaves source 2 one: (2, 3), and source 4
@@ -187,10 +218,48 @@ class TestFindAllowedMatching:
                 continue
             m.validate(g)
             assert m.is_allowed(f)
+            # the Karp-Sipser pass alone is maximal: no edge joins a free
+            # source to a free destination
+            ks = find_allowed_matching(g, [])
             for u, v in g.edges():
-                # maximal: no edge joins a free source to a free destination
-                assert m.mate_of_src[u] >= 0 or m.mate_of_dst[v] >= 0
+                assert ks.mate_of_src[u] >= 0 or ks.mate_of_dst[v] >= 0
         assert nones > 0
+
+    def test_repair_properties(self):
+        """The repaired start is a valid allowed matching, None exactly
+        when a Hall set blocks F, never smaller than the start with
+        nothing forbidden, and minimises to the reference cost."""
+        rng = random.Random(33)
+        seen = dict.fromkeys(["none", "repaired", "solved"], 0)
+        for _ in range(400):
+            n = rng.randint(2, 40)
+            if rng.random() < 0.5:
+                g = erdos_renyi(n, rng.choice([1.0, 2.0, 3.0]) / n, rng)
+            else:
+                g = preferential(n, rng.randint(1, 3), rng)
+            share = rng.choice([0.1, 0.3, 0.6])
+            if rng.random() < 0.5:
+                f = greedy_forbidden(g, share, rng)
+            else:
+                f = random_forbidden(n, share, rng)
+            m = find_allowed_matching(g, f)
+            assert (m is None) == bool(hall_violator(g, f))
+            if m is None:
+                seen["none"] += 1
+            else:
+                m.validate(g)
+                assert m.is_allowed(f)
+                empty = find_allowed_matching(g, [])
+                assert m.size >= empty.size
+                seen["repaired"] += not empty.is_allowed(f)
+            res = solve(Problem(g, f), check=True)
+            want = assignment_min_inputs(g, f)
+            if isinstance(res, Solution):
+                assert res.cost == want
+                seen["solved"] += 1
+            else:
+                assert want is None
+        assert min(seen.values()) >= 20, seen
 
 
 class TestClassify:
