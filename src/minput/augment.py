@@ -12,11 +12,9 @@ the terminal round skips its search when no edge enters ``t``: then the
 cost equals the number of source SCCs, a lower bound on every
 matching's cost, so optimality needs no proof by search.
 
-The search runs in the flow graph's internal node space (see
-flowgraph), where a gateway or a slack family is one component node.
-A family node admits ``k - 1`` paths per round, and emitted paths carry
-the paper's ids: a gateway's own id, and a fresh slack id per path
-through a family.
+The search runs in the flow graph's node space (see flowgraph), where a
+gateway or a slack family is one component node, and emitted paths
+carry the same ids.  A family node admits ``k - 1`` paths per round.
 """
 
 from __future__ import annotations
@@ -171,7 +169,8 @@ def layered_bfs(fg: FlowGraph) -> LayeredDag | None:
 
 
 def extract_paths(dag: LayeredDag) -> PathSet:
-    """Maximal set of vertex-disjoint shortest s -> t paths.
+    """Maximal set of shortest s -> t paths, vertex-disjoint but for
+    family nodes.
 
     Paths start from the useful entries of ``fg.t_in`` in order
     (direct destination copies, then family nodes) and are traced
@@ -180,12 +179,10 @@ def extract_paths(dag: LayeredDag) -> PathSet:
     dies with them, so the loop stops exactly when no shortest path
     survives.  A direct copy starts at most one path.  A family node
     starts up to ``k - 1`` paths while it lives, each through its lowest
-    live useful member and the next of its slack ids.  Paths carry the
-    paper's ids (``fg.paper_ids``).  Consumes the DAG.
+    live useful member.  Paths carry the view's ids.  Consumes the DAG.
     """
     fg = dag.fg
     s_id, t_id = fg.s_id, fg.t_id
-    ids = fg.paper_ids
     in_view, out_view = fg.in_view, fg.out_view
     dist = dag.dist
     indeg = dag.indeg
@@ -196,15 +193,15 @@ def extract_paths(dag: LayeredDag) -> PathSet:
     for head in fg.t_in:
         if not live[head]:
             continue
-        if head in ids:
+        if head > t_id:
             members = in_view(head)
-            prefixes = ([t_id, z] for z in ids[head])
+            prefix, cap = [t_id, head], fg.cls.comp_unmatched[head - t_id - 1] - 1
         else:
-            members, prefixes = [head], ([t_id],)
-        # A family node whose slack ids run out is left alive, not
-        # killed: a kill would cascade and add to ``work``.
+            members, prefix, cap = [head], [t_id], 1
+        # A family node whose cap runs out is left alive, not killed: a
+        # kill would cascade and add to ``work``.
         p = 0
-        for rev in prefixes:
+        for _ in range(cap):
             if not live[head]:
                 break
             while not live[members[p]]:
@@ -222,8 +219,7 @@ def extract_paths(dag: LayeredDag) -> PathSet:
                         best = u
                 cur = best
                 trail.append(cur)
-            # a gateway, the node after s, takes its paper id
-            rev += [ids[x][0] if x in ids else x for x in trail]
+            rev = prefix + trail
             rev.reverse()
             paths.append(rev)
 
@@ -251,7 +247,7 @@ def augment_on_paths(m: Matching, paths: PathSet) -> Matching:
 
     Each destination-to-source edge undoes the matched pair it
     reversed, each source-to-destination edge becomes matched; all
-    other edges (super source, gateways, slack ids, free-vertex swaps
+    other edges (super source, component nodes, free-vertex swaps
     inside a component) carry no matching change.
     """
     n = m.n

@@ -36,16 +36,15 @@ SCCs and the round's ``MatchClass`` answer every rule, as the residual
 graph in Hopcroft-Karp is never stored.  A round builds only the two
 lists a search starts from: ``s``'s out-list and ``t``'s in-list.
 ``FlowGraph.out_view`` and ``FlowGraph.in_view`` state the edge rule
-once; ``FlowGraph.explicit_edges`` is the one materialiser, expanding
-``out_view`` into the paper's graph, and ``dump`` prints what it
-returns.
+once; ``FlowGraph.explicit_edges`` is the one materialiser, listing
+``out_view`` in the same ids, and ``dump`` prints what it returns.  The
+view's ids are the only node space: paths and dumps name a component
+node ``gate<c>`` or ``family<c>``, never the paper's slack nodes, so a
+dump has O(n + m) lines.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from functools import cached_property
-from itertools import chain, product
 from typing import Collection, Sequence
 
 from .graph import SccInfo, SparseDigraph
@@ -72,9 +71,7 @@ class FlowGraph:
     ``out_view`` and ``in_view`` keep the matched edge in its forward
     direction too; a level check drops it, as a matched source copy's
     only in-neighbour, its mate's destination copy, sits one BFS level
-    below it.  ``explicit_edges``, the only materialiser, drops that edge
-    and gives component nodes their paper ids (``paper_ids``, computed
-    once per graph).
+    below it.  ``explicit_edges``, the only materialiser, drops that edge.
     ``augment`` writes ``out_view`` inline in the BFS forward scan for
     source copies and matched destination copies: that scan reaches
     every node, and the view would build a list per source copy.
@@ -115,24 +112,9 @@ class FlowGraph:
         self.t_in = t_in
         self.build_work = n + len(cls.x_comps) + len(cls.unmatched) + r
 
-    @cached_property
-    def paper_ids(self) -> dict[int, range]:
-        """The paper's ids of each gateway and family node, in id order:
-        one id per gateway from ``t + 1`` on, in component order, then
-        the ``k - 1`` slack ids of each family."""
-        t = self.t_id
-        s_out, t_in = self.s_out, self.t_in
-        ids = {}
-        nxt = t + 1
-        for x in s_out[bisect_right(s_out, t):] + t_in[bisect_right(t_in, t):]:
-            end = nxt + max(self.cls.comp_unmatched[x - t - 1] - 1, 1)
-            ids[x] = range(nxt, end)
-            nxt = end
-        return ids
-
     def node_count(self) -> int:
-        """Total nodes in the materialised view; at most 3n + 2."""
-        return self.t_id + 1 + sum(map(len, self.paper_ids.values()))
+        """Ids in the view, ``view_size``; at most 3n + 2."""
+        return self.view_size
 
     def _allowed(self, c: int, skip: int = -1) -> list[int]:
         """Destination copies of the non-forbidden members of ``c`` but ``skip``."""
@@ -199,44 +181,32 @@ class FlowGraph:
         return ()
 
     def explicit_edges(self) -> list[tuple[int, int]]:
-        """Every edge of the materialised view: ``out_view`` of each node
-        up to ``t`` without a source copy's forward matched edge, then of
-        each gateway and family node, with every component node expanded
-        into its paper ids."""
+        """Every edge of the view: ``out_view`` of each id without a
+        source copy's forward matched edge."""
         n = self.n
-        ids = self.paper_ids
         edges = []
-        for x in chain(range(self.t_id + 1), ids):
+        for x in range(self.view_size):
             mate = self.mate_of_src[x] if x < n else -1
             matched = n + mate if mate >= 0 else -1
-            for y in self.out_view(x):
-                if y != matched:
-                    edges.extend(product(ids.get(x, (x,)), ids.get(y, (y,))))
+            edges.extend((x, y) for y in self.out_view(x) if y != matched)
         return edges
 
-    @cached_property
-    def _names(self) -> list[str]:
-        """Names of the paper ids from ``s`` on."""
-        names = ["s", "t"]
-        families = 0
-        for x, ids in self.paper_ids.items():
-            if self.cls.comp_unmatched[x - self.t_id - 1]:
-                families += 1
-                names += [f"slack{families}.{j}" for j in range(1, len(ids) + 1)]
-            else:
-                names.append(f"gate{len(names) - 1}")
-        return names
-
     def node_name(self, x: int, labels: list[str] | None = None) -> str:
-        """Name of paper id ``x``: ``a.src``, ``a.dst``, ``s``, ``t``,
-        ``gate<i>`` or ``slack<f>.<j>``."""
+        """Name of id ``x``: ``a.src``, ``a.dst``, ``s``, ``t``, or
+        ``gate<c>`` / ``family<c>`` for the node of source component
+        ``c`` (``family<c>`` also at ``k == 1``, where it has no edges)."""
         n = self.n
         if x < n:
             return f"{labels[x] if labels else x}.src"
         if x < 2 * n:
             v = x - n
             return f"{labels[v] if labels else v}.dst"
-        return self._names[x - 2 * n]
+        if x == self.s_id:
+            return "s"
+        if x == self.t_id:
+            return "t"
+        c = x - self.t_id - 1
+        return f"{'family' if self.cls.comp_unmatched[c] else 'gate'}{c}"
 
     def dump(self, labels: list[str] | None = None) -> str:
         """Edge list of the materialised view, one ``a -> b`` line, sorted."""

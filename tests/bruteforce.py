@@ -527,7 +527,6 @@ class ExplicitFlow:
             self.out[a].append(b)
             self.into[b].append(a)
         self.t_in = self.into[t_id]
-        self.paper_ids: dict[int, range] = {}
         self.build_work = 0
 
     def out_view(self, x: int) -> list[int]:
@@ -583,6 +582,31 @@ def reference_flow_edges(
         if c not in sources:
             edges.update((n + v, t) for v in free[c])
     return nxt, edges
+
+
+def contract_reference(
+    g: SparseDigraph, comp_of: list[int], m, edges: set[tuple[int, int]]
+) -> set[tuple[int, int]]:
+    """``reference_flow_edges``' edge set in ``FlowGraph``'s ids: the
+    gateway of source component ``c``, or each of the ``k - 1`` slack
+    ids of its family, becomes the one node ``2n + 2 + c``.  The paper's
+    numbering is recomputed from the rule ``reference_flow_edges``
+    states: gateways, then each family's slack ids, in ascending
+    component number."""
+    n = g.n
+    ncomp = max(comp_of, default=-1) + 1
+    free = [0] * ncomp
+    for v in range(n):
+        free[comp_of[v]] += m.mate_of_dst[v] < 0
+    entered = {comp_of[v] for u, v in g.edges() if comp_of[u] != comp_of[v]}
+    sources = [c for c in range(ncomp) if c not in entered]
+    owner = [c for c in sources if not free[c]]
+    owner += [c for c in sources for _ in range(free[c] - 1)]
+
+    def node(x: int) -> int:
+        return x if x < 2 * n + 2 else 2 * n + 2 + owner[x - 2 * n - 2]
+
+    return {(node(a), node(b)) for a, b in edges}
 
 
 def reference_classify(scc, m) -> tuple:

@@ -23,8 +23,8 @@ Categories:
   ``build_work``, apart from ``rounds`` and ``flow`` so that a change
   to the counters shows apart from a change to results;
 * ``unsolvable``: reason, detail and witness;
-* ``flow``: the first round's ``node_count``, ``explicit_edges`` and
-  ``dump()``;
+* ``flow``: the first round's ``node_count`` (the view's size),
+  ``explicit_edges`` in the view's ids, and ``dump()``;
 * ``cli``: exit code, stdout, stderr, ``--out`` and ``--dump-flow``
   bytes of ``--graph`` and ``--mm`` runs, with and without
   ``--verify``, and with ``--oracle`` at ``n <= 6``.

@@ -18,7 +18,7 @@ from bruteforce import (
     reference_matrix_market,
 )
 from families import chain
-from minput import IndexOutOfRange, MinputError, NotSquare, ParseError
+from minput import IndexOutOfRange, MinputError, NotSquare, ParseError, SparseDigraph
 from minput.cli import ingest_edge_list, ingest_matrix_market, read_forbidden, run
 
 
@@ -356,6 +356,18 @@ class TestRunSolve:
         assert run(["--graph", gpath, "--dump-flow", str(dest)]) == 0
         capsys.readouterr()
         assert dest.read_text() == "1.dst -> 0.src\ns -> 1.src\n"
+
+    def test_dump_flow_is_linear_on_a_star(self, tmp_path, capsys):
+        # A bidirected star is one source SCC that any matching leaves
+        # with n - 2 unmatched members: in the paper's graph a family of
+        # n - 3 slack nodes, each fed by every one of them.
+        n = 300
+        edges = [(0, i) for i in range(1, n)] + [(i, 0) for i in range(1, n)]
+        gpath = _write(tmp_path / "g.txt", dump_edge_list(SparseDigraph(n, edges)))
+        dest = tmp_path / "flow.txt"
+        assert run(["--graph", gpath, "--dump-flow", str(dest)]) == 0
+        capsys.readouterr()
+        assert len(dest.read_text().splitlines()) <= len(edges) + 5 * n
 
     def test_dump_flow_lists_isolated_vertices(self, tmp_path, capsys):
         gpath = _write(tmp_path / "g.txt", "3 1\n1 2\n")

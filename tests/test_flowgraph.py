@@ -3,6 +3,7 @@ from collections import deque
 
 from bruteforce import (
     component_nodes,
+    contract_reference,
     flow_graph,
     greedy_allowed_matching,
     random_matching,
@@ -32,31 +33,27 @@ b.src -> a.dst
 b.src -> c.dst
 c.dst -> t
 d.dst -> c.src
-gate1 -> a.dst
-gate1 -> b.dst
+gate0 -> a.dst
+gate0 -> b.dst
 s -> d.src
-s -> gate1"""
+s -> gate0"""
 
 DUMP_SLACK = """\
 a.dst -> b.src
 a.src -> a.dst
 a.src -> b.dst
 b.dst -> c.src
-c.dst -> slack1.1
-c.dst -> slack1.2
+c.dst -> family0
 c.src -> d.dst
-d.dst -> slack1.1
-d.dst -> slack1.2
+d.dst -> family0
 d.src -> c.dst
 d.src -> e.dst
-e.dst -> slack1.1
-e.dst -> slack1.2
+e.dst -> family0
 e.src -> d.dst
+family0 -> t
 s -> a.src
 s -> d.src
-s -> e.src
-slack1.1 -> t
-slack1.2 -> t"""
+s -> e.src"""
 
 
 def _out(fg, x):
@@ -72,7 +69,6 @@ class TestGoldenDumps:
         fg = flow_graph(g4, m2)
         assert fg.dump(AB) == DUMP_ONE_FREE
         assert component_nodes(fg) == ([], [])  # no gateway, no family
-        assert fg.paper_ids == {}
         assert fg.t_in == []
 
     def test_gateway_component(self, g4, m1):
@@ -80,7 +76,7 @@ class TestGoldenDumps:
         assert fg.dump(AB) == DUMP_GATEWAY
         [gate], families = component_nodes(fg)  # one gateway
         assert families == []
-        assert fg.paper_ids == {gate: range(10, 11)}
+        assert (gate, fg.node_name(gate)) == (10, "gate0")
         assert fg.t_in == [4 + 2]
 
     def test_slack_family(self, g5, m3):
@@ -89,7 +85,7 @@ class TestGoldenDumps:
         gateways, [family] = component_nodes(fg)
         assert gateways == []
         assert fg.in_view(family) == [7, 8, 9]
-        assert fg.paper_ids == {family: range(12, 14)}
+        assert (family, fg.node_name(family)) == (12, "family0")
 
 
 class TestNodeIds:
@@ -100,7 +96,7 @@ class TestNodeIds:
         assert [fg.node_name(x, AB) for x in range(fg.node_count())] == [
             "a.src", "b.src", "c.src", "d.src",
             "a.dst", "b.dst", "c.dst", "d.dst",
-            "s", "t", "gate1",
+            "s", "t", "gate0",
         ]
 
     def test_default_names(self, g4, m2):
@@ -110,9 +106,8 @@ class TestNodeIds:
 
     def test_slack_names(self, g5, m3):
         fg = flow_graph(g5, m3)
-        assert fg.node_name(12) == "slack1.1"
-        assert fg.node_name(13) == "slack1.2"
-        assert fg.node_count() == 14
+        assert fg.node_name(12) == "family0"
+        assert fg.node_count() == fg.view_size == 13
 
 
 class TestNeighbors:
@@ -121,14 +116,14 @@ class TestNeighbors:
         assert _out(fg, fg.s_id) == [0, 3, 4]
         assert _out(fg, 0) == [5, 6]  # a.src -> a.dst, b.dst
         assert _out(fg, 5) == [1]  # a.dst -> b.src (reversed match)
-        assert _out(fg, 7) == [12, 13]  # c.dst -> slack family
+        assert _out(fg, 7) == [12]  # c.dst -> family node
         assert _out(fg, 12) == [fg.t_id]
         assert _out(fg, fg.t_id) == []
 
     def test_in_examples(self, g5, m3):
         fg = flow_graph(g5, m3)
         assert _in(fg, fg.s_id) == []
-        assert _in(fg, fg.t_id) == [12, 13]
+        assert _in(fg, fg.t_id) == [12]
         assert _in(fg, 12) == [7, 8, 9]
         assert _in(fg, 0) == [fg.s_id]  # a.src is unmatched
         assert _in(fg, 1) == [5]  # b.src matched through a.dst
@@ -156,7 +151,7 @@ class TestForbiddenExclusion:
         fg = flow_graph(g4, m1, forbidden=[0])
         gate = fg.s_id + 2
         assert _out(fg, gate) == [5]
-        assert "gate1 -> a.dst" not in fg.dump(AB)
+        assert "gate0 -> a.dst" not in fg.dump(AB)
 
 
 class TestStructuralProperties:
@@ -230,12 +225,11 @@ class TestImplicitView:
         for g, f, m, fg in _implicit_view_cases():
             n = g.n
             scc = scc_decompose(g)
-            count, want = reference_flow_edges(g, scc.comp_id, m, f)
-            assert fg.view_size == 2 * n + 2 + len(scc.source_ids)
+            _, paper = reference_flow_edges(g, scc.comp_id, m, f)
+            assert fg.node_count() == fg.view_size == 2 * n + 2 + len(scc.source_ids)
             edges = fg.explicit_edges()
-            assert fg.node_count() == count
             assert len(edges) == len(set(edges))
-            assert set(edges) == want
+            assert set(edges) == contract_reference(g, scc.comp_id, m, paper)
             gateways, families = component_nodes(fg)
             seen["gateway"] += len(gateways) > 0
             seen["slack"] += len(families) > 0

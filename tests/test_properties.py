@@ -86,13 +86,18 @@ def test_checked_solve_is_exact(inst):
 def test_no_edge_into_t_iff_cost_meets_lower_bound(inst, rng, keep):
     """On any matching, ``t`` has no in-edge exactly when the cost equals
     the number of source SCCs, the bound every matching's cost meets;
-    ``layered_bfs`` then returns None."""
+    ``layered_bfs`` then returns None.  The materialised view has at
+    most ``m + 5n`` edges: each graph edge once, at most ``n`` from
+    ``s``, the extra out-edges of the destination copies, and at most
+    ``2|c| + 2`` at the node of each source component ``c``."""
     g, forbidden = inst
     scc = scc_decompose(g)
     m = random_matching(g, rng, keep)
     cls = classify(scc, m)
     fg = build_flow_graph(g, scc, m, forbidden, cls)
-    into_t = [x for x, y in fg.explicit_edges() if y == fg.t_id]
+    edges = fg.explicit_edges()
+    assert len(edges) <= g.m + 5 * g.n
+    into_t = [x for x, y in edges if y == fg.t_id]
     assert cls.cost >= len(scc.source_ids)
     assert (not fg.t_in) == (not into_t) == (cls.cost == len(scc.source_ids))
     if not into_t:
