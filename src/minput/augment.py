@@ -12,9 +12,11 @@ the terminal round skips its search when no edge enters ``t``: then the
 cost equals the number of source SCCs, a lower bound on every
 matching's cost, so optimality needs no proof by search.
 
-The search runs in the flow graph's node space (see flowgraph), where a
-gateway or a slack family is one component node, and emitted paths
-carry the same ids.  A family node admits ``k - 1`` paths per round.
+The search runs in the flow graph's node space (see flowgraph), where
+each source SCC has one component node, and emitted paths carry the
+same ids.  A component node with ``k >= 2`` unmatched members admits
+``k - 1`` paths to ``t`` per round; a swap inside a component with one
+unmatched member passes through its node like any other path node.
 """
 
 from __future__ import annotations
@@ -247,8 +249,8 @@ def augment_on_paths(m: Matching, paths: PathSet) -> Matching:
 
     Each destination-to-source edge undoes the matched pair it
     reversed, each source-to-destination edge becomes matched; all
-    other edges (super source, component nodes, free-vertex swaps
-    inside a component) carry no matching change.
+    other edges (those at ``s``, ``t`` and the component nodes) carry
+    no matching change.
     """
     n = m.n
     for path in paths:

@@ -1,46 +1,47 @@
 """Flow graph of a matching, kept as a view of (G, M), whose s -> t paths
 are cost-reducing augmentations.
 
-Edges, for a matching M on the splitting of G:
+The view is the residual graph, for a matching M on the splitting of G,
+of one fixed network N, whose edges have capacity 1 unless stated:
 
-* core nodes are the splitting's source and destination copies; every
-  unmatched edge keeps its ``u_src -> v_dst`` direction while every
-  matched edge is reversed to ``v_dst -> u_src``;
-* a super source ``s`` feeds every source copy with no outgoing matched
-  edge;
-* for each source SCC with exactly one unmatched member, that member's
-  destination copy gains edges to the destination copies of the other
-  non-forbidden members (swapping the free vertex inside the component
-  is cost neutral);
-* for each fully matched source SCC ``X_i`` a gateway node sits between
-  ``s`` and the non-forbidden destination copies of ``X_i`` (the
-  gateway caps path flow into ``X_i`` at one, since freeing one member
-  of ``X_i`` already pays for the component);
-* unmatched destination copies outside one-free source components reach
-  ``t``: directly when their SCC is not a source, otherwise through a
-  family of ``k - 1`` interchangeable slack nodes shared by the ``k``
-  unmatched members of their SCC (the component must keep at least one
-  unmatched member, so only ``k - 1`` paths may drain it).
+* ``s -> u_src`` for every vertex ``u`` and ``u_src -> v_dst`` for
+  every edge ``u -> v`` of G;
+* ``v_dst -> t`` when ``v`` lies in no source SCC, else
+  ``v_dst -> D_c -> t`` for its source SCC ``c``, where ``D_c -> t`` has
+  capacity ``|c| - 1`` (each source SCC keeps an unmatched member, its
+  input) and a forbidden ``v_dst`` carries a lower bound of 1.
 
-Gateways and slack families are two states of one node per source SCC:
-the *component node* of component ``c``, with ``k`` its unmatched count.
-At ``k == 0`` it is the gateway, with edges from ``s`` and to the
-non-forbidden members' destination copies; at ``k >= 2`` it is the family,
-with edges from the unmatched members and to ``t``, and at most ``k - 1``
-paths of a round may use it.  A family is complete bipartite, Theta(k^2)
-edges if materialised; its one node keeps every traversal O(n + m).  SCCs
-number their ``r`` sources first, so the node space has ``2n + 2 + r`` ids.
+A matched pair ``(u, v)`` is one unit along ``s -> u_src -> v_dst`` and
+on to ``t``.  So an unmatched edge keeps ``u_src -> v_dst`` and a matched
+one is reversed; ``s`` reaches the free source copies (edges into ``s``
+or out of ``t`` lie on no s -> t path and are left out); an unmatched
+destination copy reaches ``t``, or ``D_c`` inside source SCC ``c``; and
+``D_c``, the *component node*, reaches the matched members' copies but
+the forbidden ones (the lower bound leaves them no reverse capacity),
+and reaches ``t`` while ``|c| - 1 - covered = k - 1`` is positive, ``k``
+being the unmatched count.  ``D_c`` stands for the paper's ``k - 1``
+slack nodes and for its swap edges: ``y_dst -> D_c -> x_dst`` moves a
+one-free component's free member from ``y`` to ``x`` at no cost.  The
+gateway is the one encoding outside N: a fully matched source SCC
+(``k == 0``) exceeds ``D_c``'s capacity, and ``s -> D_c`` lets one path
+free a member, which pays for the input the component needs anyway.
 
-No edge is stored.  ``g.out_adj``, ``g.in_adj``, the mate arrays, the
-SCCs and the round's ``MatchClass`` answer every rule, as the residual
-graph in Hopcroft-Karp is never stored.  A round builds only the two
-lists a search starts from: ``s``'s out-list and ``t``'s in-list.
-``FlowGraph.out_view`` and ``FlowGraph.in_view`` state the edge rule
-once; ``FlowGraph.explicit_edges`` is the one materialiser, listing
-``out_view`` in the same ids, and ``dump`` prints what it returns.  The
-view's ids are the only node space: paths and dumps name a component
-node ``gate<c>`` or ``family<c>``, never the paper's slack nodes, so a
-dump has O(n + m) lines.
+The s -> t distance grows strictly between rounds by Dinic's (1970)
+shortest-augmenting-path argument: a round augments a maximal set of
+shortest paths, after which the view differs only by reversed path
+edges and deleted edges (a used ``s`` or ``t`` edge, ``D_c -> t`` once
+``k`` is 1, a used gateway), so no new path is as short.  The
+``6 sqrt(n)`` round cap of Hopcroft-Karp still holds: the node space is
+unchanged and a round's paths are vertex-disjoint but at the ``D_c``
+they leave to ``t``.
+
+No edge is stored: the graph's adjacency, the mate arrays, the SCCs and
+the round's ``MatchClass`` answer every rule, as Hopcroft-Karp never
+stores its residual graph, and a round builds only ``s``'s out-list and
+``t``'s in-list.  ``FlowGraph.out_view`` and ``FlowGraph.in_view`` state
+the rule once; ``FlowGraph.explicit_edges``, the one materialiser, lists
+``out_view`` in the same ids and ``dump`` prints it, naming component
+``c``'s node ``comp<c>``, so a dump has O(n + m) lines.
 """
 
 from __future__ import annotations
@@ -59,6 +60,12 @@ class FlowGraph:
     copy of ``v`` is ``n + v``; ``s`` is ``2n``, ``t`` is ``2n + 1``; the
     component node of source component ``c < r`` is ``2n + 2 + c``, so
     the view spans ``view_size = 2n + 2 + r`` ids, at most ``3n + 2``.
+
+    A destination copy's rules read only its mate and its component.
+    Only the component node reads ``k``: its in-neighbours are ``s`` at
+    ``k == 0`` and the unmatched members' copies otherwise, its
+    out-neighbours the matched, non-forbidden members' copies plus ``t``
+    at ``k >= 2``.
 
     ``s_out`` lists the free source copies, then the component node of
     each fully matched source component.  ``t_in`` lists the unmatched
@@ -116,11 +123,6 @@ class FlowGraph:
         """Ids in the view, ``view_size``; at most 3n + 2."""
         return self.view_size
 
-    def _allowed(self, c: int, skip: int = -1) -> list[int]:
-        """Destination copies of the non-forbidden members of ``c`` but ``skip``."""
-        n, forb = self.n, self.forbidden
-        return [n + v for v in self.scc.comps[c] if v != skip and v not in forb]
-
     def out_view(self, x: int) -> Sequence[int]:
         """Out-neighbours of ``x`` in the internal node space; for a
         source copy this includes its matched destination copy."""
@@ -133,21 +135,17 @@ class FlowGraph:
             if u >= 0:
                 return [u]
             c = self.scc.comp_id[v]
-            if c >= self.r:
-                return [self.t_id]
-            if self.cls.comp_unmatched[c] >= 2:
-                return [self.t_id + 1 + c]
-            return self._allowed(c, v)
+            return [self.t_id] if c >= self.r else [self.t_id + 1 + c]
         if x == self.s_id:
             return self.s_out
         c = x - self.t_id - 1
-        if c >= 0:
-            k = self.cls.comp_unmatched[c]
-            if k == 0:
-                return self._allowed(c)
-            if k >= 2:
-                return [self.t_id]
-        return ()
+        if c < 0:
+            return ()
+        mate_dst, forb = self.mate_of_dst, self.forbidden
+        out = [n + v for v in self.scc.comps[c] if mate_dst[v] >= 0 and v not in forb]
+        if self.cls.comp_unmatched[c] >= 2:
+            out.append(self.t_id)
+        return out
 
     def in_view(self, x: int) -> Sequence[int]:
         """In-neighbours of ``x`` in the internal node space; for a
@@ -160,25 +158,18 @@ class FlowGraph:
             v = x - n
             cands = self.in_adj[v]
             c = self.scc.comp_id[v]
-            if c >= self.r or v in self.forbidden:
+            if c >= self.r or self.mate_of_dst[v] < 0 or v in self.forbidden:
                 return cands
-            k = self.cls.comp_unmatched[c]
-            if k == 0:
-                return cands + [self.t_id + 1 + c]
-            if k == 1 and self.cls.y_free[c] != v:
-                return cands + [n + self.cls.y_free[c]]
-            return cands
+            return cands + [self.t_id + 1 + c]
         if x == self.t_id:
             return self.t_in
         c = x - self.t_id - 1
-        if c >= 0:
-            k = self.cls.comp_unmatched[c]
-            if k == 0:
-                return [self.s_id]
-            if k >= 2:
-                mate_dst = self.mate_of_dst
-                return [n + v for v in self.scc.comps[c] if mate_dst[v] < 0]
-        return ()
+        if c < 0:
+            return ()
+        if self.cls.comp_unmatched[c] == 0:
+            return [self.s_id]
+        mate_dst = self.mate_of_dst
+        return [n + v for v in self.scc.comps[c] if mate_dst[v] < 0]
 
     def explicit_edges(self) -> list[tuple[int, int]]:
         """Every edge of the view: ``out_view`` of each id without a
@@ -193,8 +184,7 @@ class FlowGraph:
 
     def node_name(self, x: int, labels: list[str] | None = None) -> str:
         """Name of id ``x``: ``a.src``, ``a.dst``, ``s``, ``t``, or
-        ``gate<c>`` / ``family<c>`` for the node of source component
-        ``c`` (``family<c>`` also at ``k == 1``, where it has no edges)."""
+        ``comp<c>`` for the node of source component ``c``."""
         n = self.n
         if x < n:
             return f"{labels[x] if labels else x}.src"
@@ -205,8 +195,7 @@ class FlowGraph:
             return "s"
         if x == self.t_id:
             return "t"
-        c = x - self.t_id - 1
-        return f"{'family' if self.cls.comp_unmatched[c] else 'gate'}{c}"
+        return f"comp{x - self.t_id - 1}"
 
     def dump(self, labels: list[str] | None = None) -> str:
         """Edge list of the materialised view, one ``a -> b`` line, sorted."""

@@ -361,11 +361,12 @@ def hall_violator(g: SparseDigraph, forbidden: Collection[int]) -> list[int]:
 class MatchClass:
     """Classification of source SCCs and unmatched vertices for one matching.
 
-    Source components split by their number of unmatched members: none
-    (``x_comps``), exactly one (the keys of ``y_free``, which maps each
-    to its free vertex), or two and more.  ``unmatched`` lists every
-    unmatched vertex and ``comp_unmatched`` holds the unmatched count of
-    every component.  Lists and keys ascend.
+    ``x_comps`` lists the source components with no unmatched member,
+    which the flow graph gives a gateway and the input set a
+    representative.  ``unmatched`` lists every unmatched vertex and
+    ``comp_unmatched`` holds the unmatched count of every component,
+    the one number a component node of the flow graph reads.  Lists
+    ascend.
 
     Per round, ``classify`` makes one comprehension over the
     destination mates and allocates one zeroed count per component;
@@ -375,7 +376,6 @@ class MatchClass:
     """
 
     x_comps: list[int]
-    y_free: dict[int, int]
     unmatched: list[int]
     comp_unmatched: list[int]
 
@@ -386,14 +386,10 @@ class MatchClass:
 
 
 def classify(scc: SccInfo, m: Matching) -> MatchClass:
-    """Sort the source components by unmatched count; see ``MatchClass``."""
+    """Count each component's unmatched members; see ``MatchClass``."""
     unmatched = m.unmatched()
-    comps_of_free = list(map(scc.comp_id.__getitem__, unmatched))
     comp_unmatched = [0] * scc.n_comps
-    for c in comps_of_free:
+    for c in map(scc.comp_id.__getitem__, unmatched):
         comp_unmatched[c] += 1
     x_comps = [c for c in scc.source_ids if comp_unmatched[c] == 0]
-    # the free vertex of a one-free component is the only one stored under it
-    free_of = dict(zip(comps_of_free, unmatched))
-    y_free = {c: free_of[c] for c in scc.source_ids if comp_unmatched[c] == 1}
-    return MatchClass(x_comps, y_free, unmatched, comp_unmatched)
+    return MatchClass(x_comps, unmatched, comp_unmatched)

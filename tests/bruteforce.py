@@ -539,9 +539,9 @@ class ExplicitFlow:
 def reference_flow_edges(
     g: SparseDigraph, comp_of: list[int], m, forbidden
 ) -> tuple[int, set[tuple[int, int]]]:
-    """(node count, edge set) of the materialised flow graph, written
-    straight from the construction rules in the ``minput.flowgraph``
-    docstring.
+    """(node count, edge set) of the paper's flow graph, with its swap
+    edges and its families of ``k - 1`` slack nodes, written straight
+    from the paper's construction.
 
     ``comp_of`` numbers the SCCs; gateways follow the fully matched
     source components and slack families the source components with two
@@ -584,41 +584,68 @@ def reference_flow_edges(
     return nxt, edges
 
 
-def contract_reference(
-    g: SparseDigraph, comp_of: list[int], m, edges: set[tuple[int, int]]
-) -> set[tuple[int, int]]:
-    """``reference_flow_edges``' edge set in ``FlowGraph``'s ids: the
-    gateway of source component ``c``, or each of the ``k - 1`` slack
-    ids of its family, becomes the one node ``2n + 2 + c``.  The paper's
-    numbering is recomputed from the rule ``reference_flow_edges``
-    states: gateways, then each family's slack ids, in ascending
-    component number."""
+def reference_residual_edges(
+    g: SparseDigraph, comp_of: list[int], m, forbidden
+) -> tuple[int, set[tuple[int, int]]]:
+    """(node count, edge set) of the residual graph of the fixed network
+    N for the flow that ``m`` sends, plus the gateway, written straight
+    from N's definition.
+
+    N's nodes are ``u_src = u``, ``v_dst = n + v``, ``s = 2n``,
+    ``t = 2n + 1`` and ``D_c = 2n + 2 + i`` for the ``i``-th source SCC
+    in ascending component number.  Its arcs, with (lower bound,
+    capacity): ``s -> u_src`` (0, 1); ``u_src -> v_dst`` (0, 1) for each
+    edge; ``v_dst -> t`` (0, 1) outside source SCCs; inside source SCC
+    ``c``, ``v_dst -> D_c`` (1 for a forbidden ``v``, else 0; 1) and
+    ``D_c -> t`` (0, ``|c| - 1``).  Each matched pair sends one unit
+    along ``s -> u_src -> v_dst`` and on to ``t``.  An arc below its
+    capacity gives a forward residual edge and one above its lower bound
+    a reverse edge; edges into ``s`` or out of ``t`` lie on no s -> t
+    path and are dropped.  The gateway adds ``s -> D_c`` for every
+    source SCC whose members are all matched.
+    """
     n = g.n
+    s, t = 2 * n, 2 * n + 1
+    forb = set(forbidden)
     ncomp = max(comp_of, default=-1) + 1
-    free = [0] * ncomp
-    for v in range(n):
-        free[comp_of[v]] += m.mate_of_dst[v] < 0
     entered = {comp_of[v] for u, v in g.edges() if comp_of[u] != comp_of[v]}
     sources = [c for c in range(ncomp) if c not in entered]
-    owner = [c for c in sources if not free[c]]
-    owner += [c for c in sources for _ in range(free[c] - 1)]
+    d_node = {c: 2 * n + 2 + i for i, c in enumerate(sources)}
+    covered = [int(m.mate_of_dst[v] >= 0) for v in range(n)]
 
-    def node(x: int) -> int:
-        return x if x < 2 * n + 2 else 2 * n + 2 + owner[x - 2 * n - 2]
-
-    return {(node(a), node(b)) for a, b in edges}
+    arcs = []  # (tail, head, lower bound, capacity, flow)
+    arcs += [(s, u, 0, 1, int(m.mate_of_src[u] >= 0)) for u in range(n)]
+    arcs += [(u, n + v, 0, 1, int(m.mate_of_src[u] == v)) for u, v in g.edges()]
+    for v in range(n):
+        c = comp_of[v]
+        if c in d_node:
+            arcs.append((n + v, d_node[c], int(v in forb), 1, covered[v]))
+        else:
+            arcs.append((n + v, t, 0, 1, covered[v]))
+    edges: set[tuple[int, int]] = set()
+    for c in sources:
+        members = [v for v in range(n) if comp_of[v] == c]
+        flow = sum(covered[v] for v in members)
+        arcs.append((d_node[c], t, 0, len(members) - 1, flow))
+        if flow == len(members):
+            edges.add((s, d_node[c]))
+    for a, b, low, cap, flow in arcs:
+        if flow < cap:
+            edges.add((a, b))
+        if flow > low:
+            edges.add((b, a))
+    return 2 * n + 2 + len(sources), {(a, b) for a, b in edges if b != s and a != t}
 
 
 def reference_classify(scc, m) -> tuple:
     """The ``MatchClass`` fields, in declaration order, written straight
     from its docstring with one naive pass per component.
 
-    Source components with no unmatched member are ``x_comps``; those
-    with exactly one map to their free vertex in ``y_free``.
+    Source components with no unmatched member are ``x_comps``.
     ``unmatched`` holds every unmatched vertex, ascending, and
     ``comp_unmatched`` the unmatched count of each component.
     """
-    x_comps, y_free = [], {}
+    x_comps = []
     comp_unmatched = []
     unmatched = []
     for c, members in enumerate(scc.comps):
@@ -627,9 +654,7 @@ def reference_classify(scc, m) -> tuple:
         unmatched.extend(free)
         if c < len(scc.source_ids) and not free:
             x_comps.append(c)
-        elif c < len(scc.source_ids) and len(free) == 1:
-            y_free[c] = free[0]
-    return x_comps, y_free, sorted(unmatched), comp_unmatched
+    return x_comps, sorted(unmatched), comp_unmatched
 
 
 def all_shortest_paths(

@@ -43,6 +43,12 @@ Categories:
   source components in ``source_ids`` order.  Only the order of the
   sources reaches an output, so this does not depend on how the other
   components are numbered, and it moves with any change to that order.
+* ``loop``: every round's ``(dist, paths, cost)`` and the final cost of
+  ``minimize(check=True)`` on 3000 seeded instances, each from a random
+  allowed start: a random matching, with the forbidden set drawn among
+  its matched destinations.  Neither ``solve``'s start nor the greedy
+  one leaves a shortest path through a swap inside a component, so only
+  this category sees a change to how the loop searches there.
 
 The first line names the package imported and differs between trees.
 Pytest does not collect this file.
@@ -61,6 +67,7 @@ from pathlib import Path
 
 INSTANCES = 3000
 FILES = 2000
+LOOPS = 3000
 
 
 def _instance(rng: random.Random):
@@ -117,17 +124,18 @@ def _file_run(cli, name: str, text: str, argv: list[str]) -> tuple:
 def main(src: Path) -> None:
     sys.path.insert(0, str(src))
     import minput
-    from bruteforce import (component_nodes, dump_edge_list, flow_graph,
-                            random_edge_list_file, random_matrix_market_file)
+    from bruteforce import (component_nodes, dump_edge_list, flow_graph, random_edge_list_file,
+                            random_matching, random_matrix_market_file)
     from minput import Problem, Solution, SparseDigraph, cli, solve
+    from minput.augment import minimize
     from minput.graph import scc_decompose
     from minput.matching import find_allowed_matching
 
     digests = {k: hashlib.sha256()
                for k in ("solution", "cost", "rounds", "work", "unsolvable", "flow", "cli", "files",
-                         "graph", "scc")}
+                         "graph", "scc", "loop")}
     seen = dict.fromkeys(["solved", "unsolvable", "gateways", "slack", "checked", "oracle",
-                          "files", "file_errors"], 0)
+                          "files", "file_errors", "loops"], 0)
 
     def record(category: str, *fields) -> None:
         digests[category].update(repr(fields).encode() + b"\n")
@@ -202,6 +210,16 @@ def main(src: Path) -> None:
                 record("files", i, runs)
         finally:
             os.chdir(home)
+
+    for i in range(LOOPS):
+        rng = random.Random(f"loop/{i}")
+        g, _ = _instance(rng)
+        m0 = random_matching(g, rng, rng.choice([0.5, 0.8, 1.0]))
+        matched = [v for v in range(g.n) if m0.mate_of_dst[v] >= 0]
+        forbidden = rng.sample(matched, round(rng.choice([0.0, 0.1, 0.3]) * len(matched)))
+        _, cls, diag = minimize(g, scc_decompose(g), forbidden, m0, check=True)
+        seen["loops"] += 1
+        record("loop", i, [(it.dist, it.paths, it.cost) for it in diag.per_iteration], cls.cost)
 
     for category, digest in digests.items():
         print(f"{category:<11} {digest.hexdigest()}")

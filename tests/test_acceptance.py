@@ -115,12 +115,13 @@ def test_criterion_2_cost_parity_with_matching_oracle(capsys):
 
 
 GOLDEN_ONE_FREE = """\
-a.dst -> b.dst
+a.dst -> comp0
 a.src -> a.dst
 b.dst -> a.src
 b.src -> a.dst
 b.src -> b.dst
 c.dst -> b.src
+comp0 -> b.dst
 d.dst -> c.src
 s -> d.src"""
 
@@ -131,25 +132,25 @@ b.dst -> b.src
 b.src -> a.dst
 b.src -> c.dst
 c.dst -> t
+comp0 -> a.dst
+comp0 -> b.dst
 d.dst -> c.src
-gate0 -> a.dst
-gate0 -> b.dst
-s -> d.src
-s -> gate0"""
+s -> comp0
+s -> d.src"""
 
 GOLDEN_SLACK = """\
 a.dst -> b.src
 a.src -> a.dst
 a.src -> b.dst
 b.dst -> c.src
-c.dst -> family0
+c.dst -> comp0
 c.src -> d.dst
-d.dst -> family0
+comp0 -> t
+d.dst -> comp0
 d.src -> c.dst
 d.src -> e.dst
-e.dst -> family0
+e.dst -> comp0
 e.src -> d.dst
-family0 -> t
 s -> a.src
 s -> d.src
 s -> e.src"""
@@ -195,7 +196,7 @@ def test_criterion_3_worked_examples(capsys):
     checks.append(classify(scc5, after5).cost == 1)
 
     # a cycle is a cost-neutral rearrangement
-    cyc = augment_on_paths(m2.copy(), [[4, 5, 0, 4]])
+    cyc = augment_on_paths(m2.copy(), [[4, 10, 5, 0, 4]])
     checks.append(cyc.edges() == [(0, 0), (1, 2), (2, 3)] and classify(scc4, cyc).cost == 1)
 
     # full drives land on the same optima

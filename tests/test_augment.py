@@ -7,11 +7,10 @@ from bruteforce import (
     all_shortest_paths,
     assignment_min_inputs,
     component_nodes,
-    contract_reference,
     flow_graph,
     greedy_allowed_matching,
     random_matching,
-    reference_flow_edges,
+    reference_residual_edges,
 )
 from families import chain, diagonal, erdos_renyi, random_forbidden
 from minput import (
@@ -25,6 +24,7 @@ from minput import (
     scc_decompose,
     solve,
 )
+from minput import augment
 from minput.augment import minimize
 from minput.matching import Matching, classify
 from minput.oracle import brute_force_min_cost_allowed_matching
@@ -115,9 +115,8 @@ class TestEquivalenceSweep:
         # driven from the greedy start, which leaves more matchings with
         # an s -> t path to check than the package's start does, or half
         # the time from a random matching, whose families more often
-        # carry two paths; shortest paths are enumerated on the paper's
-        # construction with each gateway and slack family contracted to
-        # its component node
+        # carry two paths; shortest paths are enumerated on the residual
+        # graph of the fixed network plus the gateway
         rng = random.Random(50)
         agreed_no_path = 0
         checked = 0
@@ -130,7 +129,7 @@ class TestEquivalenceSweep:
                 m = random_matching(g, rng, 0.6)
             fg = flow_graph(g, m, f)
             comp_of = scc_decompose(g).comp_id
-            edges = contract_reference(g, comp_of, m, reference_flow_edges(g, comp_of, m, f)[1])
+            edges = reference_residual_edges(g, comp_of, m, f)[1]
             adj = [[] for _ in range(fg.view_size)]
             for a, b in sorted(edges):
                 adj[a].append(b)
@@ -176,7 +175,8 @@ class TestAugmentOnPaths:
 
     def test_cycle_is_cost_neutral(self, g4, m2):
         scc = scc_decompose(g4)
-        got = augment_on_paths(m2.copy(), [[4, 5, 0, 4]])
+        # a.dst -> comp0 -> b.dst -> a.src -> a.dst moves the free vertex
+        got = augment_on_paths(m2.copy(), [[4, 10, 5, 0, 4]])
         assert got.edges() == [(0, 0), (1, 2), (2, 3)]
         assert classify(scc, got).cost == classify(scc, m2).cost == 1
 
@@ -240,7 +240,36 @@ class TestMinimize:
         assert best.n == 0 and cls.cost == 0
         assert diag.iterations == 0 and diag.per_iteration == []
 
-    def test_random_sweep_matches_oracle(self):
+    def test_random_sweep_matches_oracle(self, monkeypatch):
+        # Neither the package's start nor the greedy one ever leaves a
+        # shortest path through a swap, so random allowed starts drive
+        # the loop too.  ``swaps`` counts the paths that pass the node of
+        # a component with one unmatched member.
+        swaps = 0
+
+        def counting_extract(dag):
+            nonlocal swaps
+            fg = dag.fg
+            paths = extract_paths(dag)
+            one_free = {fg.t_id + 1 + c for c in fg.scc.source_ids
+                        if fg.cls.comp_unmatched[c] == 1}
+            swaps += sum(not one_free.isdisjoint(p) for p in paths)
+            return paths
+
+        monkeypatch.setattr(augment, "extract_paths", counting_extract)
+
+        def run(g, f, m0, want):
+            scc = scc_decompose(g)
+            best, cls, diag = minimize(g, scc, f, m0, check=True)
+            # the terminal round's classification is the optimum's
+            assert cls == classify(scc, best) and cls.cost == want
+            assert best.is_allowed(f)
+            best.validate(g)
+            dists = diag.distances()
+            assert all(a < b for a, b in zip(dists, dists[1:]))
+            assert all(d >= 3 for d in dists)
+            assert diag.iterations <= int(6 * math.sqrt(g.n))
+
         rng = random.Random(51)
         solved = 0
         for _ in range(300):
@@ -252,18 +281,24 @@ class TestMinimize:
             if m0 is None:
                 assert want is None
                 continue
-            scc = scc_decompose(g)
-            best, cls, diag = minimize(g, scc, f, m0, check=True)
-            # the terminal round's classification is the optimum's
-            assert cls == classify(scc, best) and cls.cost == want
-            assert best.is_allowed(f)
-            best.validate(g)
-            dists = diag.distances()
-            assert all(a < b for a, b in zip(dists, dists[1:]))
-            assert all(d >= 3 for d in dists)
-            assert diag.iterations <= int(6 * math.sqrt(n))
+            run(g, f, m0, want)
             solved += 1
         assert solved > 150
+
+        rng = random.Random(53)
+        solved = 0
+        for _ in range(3000):
+            n = rng.randint(8, 16)
+            g = erdos_renyi(n, rng.choice([0.1, 0.15, 0.2]), rng)
+            m0 = random_matching(g, rng, 0.8)
+            matched = [v for v in range(n) if m0.mate_of_dst[v] >= 0]
+            f = frozenset(rng.sample(matched, round(0.3 * len(matched))))
+            want = assignment_min_inputs(g, f)
+            if want is not None:
+                run(g, f, m0, want)
+                solved += 1
+        assert solved > 2500
+        assert swaps >= 5, swaps  # 11 at this seed
 
     def test_costs_drop_by_path_count(self, g5, m3):
         scc = scc_decompose(g5)

@@ -30,7 +30,7 @@ from minput.matching import MatchClass
 class TestClassifyReference:
     def test_fields_in_order(self):
         names = [f.name for f in dataclasses.fields(MatchClass)]
-        assert names == ["x_comps", "y_free", "unmatched", "comp_unmatched"]
+        assert names == ["x_comps", "unmatched", "comp_unmatched"]
 
     def test_matches_reference(self):
         rng = random.Random(44)
@@ -45,7 +45,7 @@ class TestClassifyReference:
             cls = classify(scc, m)
             got = tuple(getattr(cls, f.name) for f in dataclasses.fields(MatchClass))
             assert got == reference_classify(scc, m)
-            sizes = [len(scc.comps[c]) for c in cls.y_free]
+            sizes = [len(scc.comps[c]) for c in scc.source_ids if cls.comp_unmatched[c] == 1]
             seen["single_one_free"] += sizes.count(1) > 0
             seen["multi_one_free"] += len(sizes) > sizes.count(1)
             seen["gateway"] += len(cls.x_comps) > 0
@@ -108,7 +108,7 @@ class TestRoundCounters:
         g, f = _mixed()
         assert (g.n, g.m, len(f)) == (255, 577, 38)
         fg = self._check(g, f, [
-            (5, 10, 53, 1474), (7, 3, 50, 1274), (11, 1, 49, 1211), (None, 0, 49, 1038),
+            (5, 10, 53, 1476), (7, 3, 50, 1274), (11, 1, 49, 1211), (None, 0, 49, 1038),
         ], 332)
         gateways, families = component_nodes(fg)
         assert (len(gateways), len(families)) == (2, 7)

@@ -355,7 +355,7 @@ class TestRunSolve:
         dest = tmp_path / "flow.txt"
         assert run(["--graph", gpath, "--dump-flow", str(dest)]) == 0
         capsys.readouterr()
-        assert dest.read_text() == "1.dst -> 0.src\ns -> 1.src\n"
+        assert dest.read_text() == "0.dst -> comp0\n1.dst -> 0.src\ns -> 1.src\n"
 
     def test_dump_flow_is_linear_on_a_star(self, tmp_path, capsys):
         # A bidirected star is one source SCC that any matching leaves
@@ -374,7 +374,7 @@ class TestRunSolve:
         dest = tmp_path / "flow.txt"
         assert run(["--graph", gpath, "--dump-flow", str(dest)]) == 0
         capsys.readouterr()
-        assert dest.read_text() == "2.dst -> 1.src\ns -> 0.src\ns -> 2.src\n"
+        assert dest.read_text() == "0.dst -> comp0\n1.dst -> comp1\n2.dst -> 1.src\ns -> 0.src\ns -> 2.src\n"
 
     def test_dump_flow_without_matching(self, tmp_path, capsys):
         gpath = _write(tmp_path / "g.txt", "3 2\n0 1\n0 2\n")

@@ -2,12 +2,13 @@ import random
 from collections import deque
 
 from bruteforce import (
+    ExplicitFlow,
     component_nodes,
-    contract_reference,
     flow_graph,
     greedy_allowed_matching,
     random_matching,
     reference_flow_edges,
+    reference_residual_edges,
 )
 from families import erdos_renyi, random_forbidden
 from minput import find_allowed_matching, layered_bfs, scc_decompose
@@ -16,12 +17,13 @@ AB = ["a", "b", "c", "d"]
 ABE = ["a", "b", "c", "d", "e"]
 
 DUMP_ONE_FREE = """\
-a.dst -> b.dst
+a.dst -> comp0
 a.src -> a.dst
 b.dst -> a.src
 b.src -> a.dst
 b.src -> b.dst
 c.dst -> b.src
+comp0 -> b.dst
 d.dst -> c.src
 s -> d.src"""
 
@@ -32,25 +34,25 @@ b.dst -> b.src
 b.src -> a.dst
 b.src -> c.dst
 c.dst -> t
+comp0 -> a.dst
+comp0 -> b.dst
 d.dst -> c.src
-gate0 -> a.dst
-gate0 -> b.dst
-s -> d.src
-s -> gate0"""
+s -> comp0
+s -> d.src"""
 
 DUMP_SLACK = """\
 a.dst -> b.src
 a.src -> a.dst
 a.src -> b.dst
 b.dst -> c.src
-c.dst -> family0
+c.dst -> comp0
 c.src -> d.dst
-d.dst -> family0
+comp0 -> t
+d.dst -> comp0
 d.src -> c.dst
 d.src -> e.dst
-e.dst -> family0
+e.dst -> comp0
 e.src -> d.dst
-family0 -> t
 s -> a.src
 s -> d.src
 s -> e.src"""
@@ -76,7 +78,7 @@ class TestGoldenDumps:
         assert fg.dump(AB) == DUMP_GATEWAY
         [gate], families = component_nodes(fg)  # one gateway
         assert families == []
-        assert (gate, fg.node_name(gate)) == (10, "gate0")
+        assert (gate, fg.node_name(gate)) == (10, "comp0")
         assert fg.t_in == [4 + 2]
 
     def test_slack_family(self, g5, m3):
@@ -85,7 +87,7 @@ class TestGoldenDumps:
         gateways, [family] = component_nodes(fg)
         assert gateways == []
         assert fg.in_view(family) == [7, 8, 9]
-        assert (family, fg.node_name(family)) == (12, "family0")
+        assert (family, fg.node_name(family)) == (12, "comp0")
 
 
 class TestNodeIds:
@@ -96,7 +98,7 @@ class TestNodeIds:
         assert [fg.node_name(x, AB) for x in range(fg.node_count())] == [
             "a.src", "b.src", "c.src", "d.src",
             "a.dst", "b.dst", "c.dst", "d.dst",
-            "s", "t", "gate0",
+            "s", "t", "comp0",
         ]
 
     def test_default_names(self, g4, m2):
@@ -106,7 +108,7 @@ class TestNodeIds:
 
     def test_slack_names(self, g5, m3):
         fg = flow_graph(g5, m3)
-        assert fg.node_name(12) == "family0"
+        assert fg.node_name(12) == "comp0"
         assert fg.node_count() == fg.view_size == 13
 
 
@@ -139,19 +141,19 @@ class TestNeighbors:
 
 class TestForbiddenExclusion:
     def test_free_swap_skips_forbidden(self, g4, m2):
-        plain = flow_graph(g4, m2)
-        assert _out(plain, 4) == [5]
-        assert _in(plain, 5) == [1, 4]
+        # the component node's out-list skips forbidden members, so the
+        # free vertex may only swap with non-forbidden ones
+        comp = flow_graph(g4, m2).s_id + 2
         fg = flow_graph(g4, m2, forbidden=[1])
-        # the free vertex may only swap with non-forbidden members
-        assert _out(fg, 4) == []
+        assert _out(fg, 4) == [comp]
+        assert _out(fg, comp) == []
         assert _in(fg, 5) == [1]
 
     def test_gateway_skips_forbidden(self, g4, m1):
         fg = flow_graph(g4, m1, forbidden=[0])
         gate = fg.s_id + 2
         assert _out(fg, gate) == [5]
-        assert "gate0 -> a.dst" not in fg.dump(AB)
+        assert "comp0 -> a.dst" not in fg.dump(AB)
 
 
 class TestStructuralProperties:
@@ -221,21 +223,30 @@ def _plain_bfs(fg):
 
 class TestImplicitView:
     def test_matches_reference_construction(self):
+        # The view is the residual graph of the fixed network plus the
+        # gateway.  A swap takes one hop more than in the paper's graph,
+        # so t is reachable in both or neither and the view is never
+        # the shorter.
         seen = {"gateway": 0, "swap": 0, "slack": 0}
         for g, f, m, fg in _implicit_view_cases():
             n = g.n
             scc = scc_decompose(g)
-            _, paper = reference_flow_edges(g, scc.comp_id, m, f)
-            assert fg.node_count() == fg.view_size == 2 * n + 2 + len(scc.source_ids)
+            size, residual = reference_residual_edges(g, scc.comp_id, m, f)
+            assert fg.node_count() == fg.view_size == size == 2 * n + 2 + len(scc.source_ids)
             edges = fg.explicit_edges()
             assert len(edges) == len(set(edges))
-            assert set(edges) == contract_reference(g, scc.comp_id, m, paper)
+            assert set(edges) == residual
             gateways, families = component_nodes(fg)
             seen["gateway"] += len(gateways) > 0
             seen["slack"] += len(families) > 0
             seen["swap"] += any(
-                n <= a < 2 * n and n <= b < 2 * n for a, b in edges
+                a > fg.t_id and fg.cls.comp_unmatched[a - fg.t_id - 1] == 1 for a, _ in edges
             )
+            size, paper = reference_flow_edges(g, scc.comp_id, m, f)
+            paper_t = _plain_bfs(ExplicitFlow(size, list(paper), fg.s_id, fg.t_id))[fg.t_id]
+            dag = layered_bfs(fg)
+            assert (dag is not None) == (paper_t >= 0)
+            assert dag is None or dag.dist_t >= paper_t
         assert min(seen.values()) >= 20, seen
 
     def test_views_mirror_each_other(self):

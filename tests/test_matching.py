@@ -267,7 +267,6 @@ class TestClassify:
         scc = scc_decompose(g4)
         cls = classify(scc, m1)
         assert [scc.comps[c] for c in cls.x_comps] == [[0, 1]]
-        assert cls.y_free == {}
         assert cls.unmatched == [2]
         assert sum(cls.comp_unmatched) == 1
 
@@ -275,13 +274,14 @@ class TestClassify:
         scc = scc_decompose(g4)
         cls = classify(scc, m2)
         assert cls.x_comps == []
-        assert [(scc.comps[c], v) for c, v in cls.y_free.items()] == [([0, 1], 0)]
+        assert [(scc.comps[c], cls.comp_unmatched[c]) for c in scc.source_ids] == [([0, 1], 1)]
         assert cls.unmatched == [0]
 
     def test_slack_source(self, g5, m3):
         scc = scc_decompose(g5)
         cls = classify(scc, m3)
-        assert cls.x_comps == [] and cls.y_free == {}
+        assert cls.x_comps == []
+        assert [(scc.comps[c], cls.comp_unmatched[c]) for c in scc.source_ids] == [([2, 3, 4], 3)]
         assert cls.unmatched == [2, 3, 4]
 
     def test_partition_property(self):
@@ -293,16 +293,9 @@ class TestClassify:
             assert m is not None
             scc = scc_decompose(g)
             cls = classify(scc, m)
-            rest = [c for c in range(scc.n_comps) if c not in cls.x_comps + [*cls.y_free]]
-            tagged = sorted(cls.x_comps + [*cls.y_free] + rest)
-            assert tagged == list(range(scc.n_comps))
-            for c in rest:
-                assert c >= len(scc.source_ids) or cls.comp_unmatched[c] >= 2
-            for c in cls.x_comps:
-                assert c < len(scc.source_ids) and cls.comp_unmatched[c] == 0
-            for c, free in cls.y_free.items():
-                assert c < len(scc.source_ids) and cls.comp_unmatched[c] == 1
-                assert scc.comp_id[free] == c and m.mate_of_dst[free] < 0
+            assert cls.x_comps == [c for c in scc.source_ids if cls.comp_unmatched[c] == 0]
+            for c, members in enumerate(scc.comps):
+                assert cls.comp_unmatched[c] == sum(m.mate_of_dst[v] < 0 for v in members)
             assert cls.unmatched == [v for v in range(n) if m.mate_of_dst[v] < 0]
 
 

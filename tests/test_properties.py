@@ -88,8 +88,10 @@ def test_no_edge_into_t_iff_cost_meets_lower_bound(inst, rng, keep):
     the number of source SCCs, the bound every matching's cost meets;
     ``layered_bfs`` then returns None.  The materialised view has at
     most ``m + 5n`` edges: each graph edge once, at most ``n`` from
-    ``s``, the extra out-edges of the destination copies, and at most
-    ``2|c| + 2`` at the node of each source component ``c``."""
+    ``s``, at most one out of each unmatched destination copy, and at
+    most ``|c| + 1`` out of the node of each source component ``c``.
+    No edge joins two destination copies: a swap inside a component
+    passes through its node."""
     g, forbidden = inst
     scc = scc_decompose(g)
     m = random_matching(g, rng, keep)
@@ -97,6 +99,7 @@ def test_no_edge_into_t_iff_cost_meets_lower_bound(inst, rng, keep):
     fg = build_flow_graph(g, scc, m, forbidden, cls)
     edges = fg.explicit_edges()
     assert len(edges) <= g.m + 5 * g.n
+    assert not any(g.n <= x < 2 * g.n and g.n <= y < 2 * g.n for x, y in edges)
     into_t = [x for x, y in edges if y == fg.t_id]
     assert cls.cost >= len(scc.source_ids)
     assert (not fg.t_in) == (not into_t) == (cls.cost == len(scc.source_ids))
