@@ -12,6 +12,15 @@ the terminal round skips its search when no edge enters ``t``: then the
 cost equals the number of source SCCs, a lower bound on every
 matching's cost, so optimality needs no proof by search.
 
+Otherwise the terminal round proves that no path is left from whichever
+side closes first (Pohl 1971; Beamer et al. 2012).  Next to the level
+search from ``s``, a residual search from ``t`` runs while its set of
+unexpanded nodes is the smaller and its work stays within the forward
+side's; once it meets the forward reach a path exists and it stops.
+Either reach running out without the other end proves the cut.  The
+forward side is the same level search in every round, so distances,
+DAGs and paths do not depend on the backward one.
+
 The search runs in the flow graph's node space (see flowgraph), where
 each source SCC has one component node, and emitted paths carry the
 same ids.  A component node with ``k >= 2`` unmatched members admits
@@ -37,7 +46,7 @@ PathSet = list[list[int]]
 class IterationStats:
     """One augmentation round: s -> t distance (None when t was
     unreachable), paths applied, matching cost afterwards, and nodes
-    plus edges touched."""
+    plus edges touched, the backward search's among them."""
 
     dist: int | None
     paths: int
@@ -82,7 +91,58 @@ class LayeredDag:
         self.work = work
 
 
+def _backward_steps(
+    fg: FlowGraph, stack: list[int], seen: bytearray, dist: list[int], budget: int, limit: int
+) -> tuple[int, bool]:
+    """Run the residual search from t until ``stack``, its unexpanded
+    nodes, is empty or holds ``limit`` of them, or its next node would
+    cost more than ``budget``.
+
+    Returns the work spent and whether the search met the forward reach
+    (a node with ``dist`` set, ``s`` among them), after which it stops
+    for good.  An empty stack means the reach is closed: no s -> t path
+    exists.  The in-neighbours are ``in_view``'s but a destination
+    copy's mate, as the matched edge is reversed in the residual graph;
+    a source copy's one in-neighbour is ``s`` or its mate's destination
+    copy.  A destination copy reads ``in_adj`` inline unless it is a
+    matched member of a source SCC, the one case where ``in_view`` may
+    add the component node.
+    """
+    n = fg.n
+    n2, s_id, r = 2 * n, fg.s_id, fg.r
+    in_adj, comp_id, in_view = fg.in_adj, fg.scc.comp_id, fg.in_view
+    mate_src, mate_dst = fg.mate_of_src, fg.mate_of_dst
+    work = 0
+    while stack and len(stack) < limit:
+        x = stack.pop()
+        if dist[x] >= 0:
+            return work, True
+        skip = -1
+        if x < n:
+            v = mate_src[x]
+            preds = (s_id,) if v < 0 else (n + v,)
+        elif x < n2:
+            v = x - n
+            skip = mate_dst[v]
+            preds = in_adj[v] if skip < 0 or comp_id[v] >= r else in_view(x)
+        else:
+            preds = in_view(x)
+        cost = len(preds) + 1
+        if work + cost > budget:
+            stack.append(x)
+            break
+        work += cost
+        for u in preds:
+            if not seen[u] and u != skip:
+                if dist[u] >= 0:
+                    return work, True
+                seen[u] = 1
+                stack.append(u)
+    return work, False
+
+
 def _run_bfs(fg: FlowGraph) -> tuple[LayeredDag | None, int]:
+    """``layered_bfs`` with the work of both searches and of the sweep."""
     if not fg.t_in:
         return None, 0
     n = fg.n
@@ -95,10 +155,24 @@ def _run_bfs(fg: FlowGraph) -> tuple[LayeredDag | None, int]:
     frontier = [s_id]
     work = 0
     d = 0
-    # The scan writes ``fg.out_view`` inline for source copies and
-    # matched destination copies, as it touches every node and edge once
-    # and the view would build a list per source copy.
+    # The residual search from t: ``back`` holds its unexpanded nodes and
+    # is None once it has met the forward reach.  Before each forward
+    # level it catches up while it is the smaller side.
+    seen = bytearray(size)
+    seen[t_id] = 1
+    back: list[int] | None = [t_id]
+    back_work = 0
+    # The forward scan writes ``fg.out_view`` inline for source copies
+    # and matched destination copies, as it touches every node and edge
+    # once and the view would build a list per source copy.
     while frontier and dist[t_id] < 0:
+        if back is not None and len(back) < len(frontier) and back_work < work:
+            spent, met = _backward_steps(fg, back, seen, dist, work - back_work, len(frontier))
+            back_work += spent
+            if met:
+                back = None
+            elif not back:
+                return None, work + back_work
         d += 1
         nxt: list[int] = []
         for x in frontier:
@@ -127,6 +201,7 @@ def _run_bfs(fg: FlowGraph) -> tuple[LayeredDag | None, int]:
                     if w != t_id:
                         nxt.append(w)
         frontier = nxt
+    work += back_work
     if dist[t_id] < 0:
         return None, work
 
@@ -165,6 +240,13 @@ def layered_bfs(fg: FlowGraph) -> LayeredDag | None:
     source SCC, that is when the cost equals the number of source SCCs,
     the lower bound every matching meets (each source SCC needs one
     input); the matching is then optimal without a search.
+
+    Otherwise a level search from ``s`` alternates with a residual
+    search from ``t``, which runs while it has fewer unexpanded nodes
+    and at most the forward side's work, and stops for good once it
+    meets the forward reach.  None comes from whichever side runs out
+    first; the DAG, from the forward side alone, is the same whatever
+    the backward one did.  The work counted covers both sides.
     """
     dag, _ = _run_bfs(fg)
     return dag
@@ -219,6 +301,8 @@ def extract_paths(dag: LayeredDag) -> PathSet:
                 for u in cands:
                     if dist[u] == level and live[u] and (best < 0 or u < best):
                         best = u
+                if best < 0:
+                    raise AssertionError(f"no live in-neighbour one level below node {cur}")
                 cur = best
                 trail.append(cur)
             rev = prefix + trail

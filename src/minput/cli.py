@@ -1,8 +1,8 @@
 """Command line front end: solve instances from files and verify the result.
 
 Exit codes: 0 solved, 2 no admissible input set exists, 1 anything
-else (bad flags, malformed files, oracle bound exceeded, internal
-verification failure).
+else (bad flags, malformed files, oracle bound exceeded, running out
+of memory, internal verification failure).
 """
 
 from __future__ import annotations
@@ -273,6 +273,9 @@ def run(argv: list[str] | None = None) -> int:
         return code
     except (MinputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -15,6 +15,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from minput import SparseDigraph, build_graph
+from minput.augment import LayeredDag
 from minput.errors import IndexOutOfRange, NotSquare, ParseError
 from minput.flowgraph import FlowGraph
 from minput.graph import SccInfo, scc_decompose
@@ -511,15 +512,21 @@ def random_matrix_market_file(rng) -> tuple[str, int | None]:
 
 class ExplicitFlow:
     """Flow-graph stand-in with no core nodes and no component nodes,
-    duck-typed for layered_bfs / extract_paths: every node's edges sit
-    in plain adjacency dicts, ascending."""
+    duck-typed for layered_bfs / extract_paths: with ``n == 0``, empty
+    adjacency and mate arrays and no SCC, every node reads its edges from
+    ``out_view`` and ``in_view``, which serve plain adjacency dicts,
+    ascending."""
 
     def __init__(self, size: int, edges: list[tuple[int, int]], s_id: int, t_id: int):
         self.n = 0
         self.view_size = size
         self.s_id = s_id
         self.t_id = t_id
+        self.r = 0
+        self.scc = SccInfo([], [], range(0))
         self.out_adj: list[list[int]] = []
+        self.in_adj: list[list[int]] = []
+        self.mate_of_src: list[int] = []
         self.mate_of_dst: list[int] = []
         self.out: dict[int, list[int]] = {x: [] for x in range(size)}
         self.into: dict[int, list[int]] = {x: [] for x in range(size)}
@@ -534,6 +541,79 @@ class ExplicitFlow:
 
     def in_view(self, x: int) -> list[int]:
         return self.into[x]
+
+
+def forward_layered_bfs(fg) -> tuple[LayeredDag | None, int]:
+    """``layered_bfs`` by the level search from ``s`` alone, with its
+    work: the reference for the package's search, which adds a residual
+    search from ``t`` beside the same level search.  None when ``t`` is
+    unreachable; an empty ``t_in`` skips the search."""
+    if not fg.t_in:
+        return None, 0
+    n = fg.n
+    n2 = 2 * n
+    size = fg.view_size
+    s_id, t_id = fg.s_id, fg.t_id
+    out_adj, mate_dst, out_view = fg.out_adj, fg.mate_of_dst, fg.out_view
+    dist = [-1] * size
+    dist[s_id] = 0
+    frontier = [s_id]
+    work = 0
+    d = 0
+    # ``out_view`` inline for source copies and matched destination
+    # copies; a source copy's matched edge fails the level check
+    while frontier and dist[t_id] < 0:
+        d += 1
+        nxt: list[int] = []
+        for x in frontier:
+            if x < n:
+                nbrs = out_adj[x]
+                work += len(nbrs) + 1
+                for v in nbrs:
+                    y = n + v
+                    if dist[y] < 0:
+                        dist[y] = d
+                        nxt.append(y)
+                continue
+            if x < n2:
+                u = mate_dst[x - n]
+                if u >= 0:
+                    work += 2
+                    if dist[u] < 0:
+                        dist[u] = d
+                        nxt.append(u)
+                    continue
+            nbrs = out_view(x)
+            work += len(nbrs) + 1
+            for w in nbrs:
+                if dist[w] < 0:
+                    dist[w] = d
+                    if w != t_id:
+                        nxt.append(w)
+        frontier = nxt
+    if dist[t_id] < 0:
+        return None, work
+
+    in_view = fg.in_view
+    useful = bytearray(size)
+    indeg = [0] * size
+    useful[t_id] = 1
+    stack = [t_id]
+    while stack:
+        x = stack.pop()
+        level = dist[x] - 1
+        cands = in_view(x)
+        work += len(cands) + 1
+        count = 0
+        for u in cands:
+            if dist[u] == level:
+                count += 1
+                if not useful[u]:
+                    useful[u] = 1
+                    if u != s_id:
+                        stack.append(u)
+        indeg[x] = count
+    return LayeredDag(fg, dist, dist[t_id], useful, indeg, work), work
 
 
 def reference_flow_edges(

@@ -19,9 +19,10 @@ Categories:
   set can change at the same cost, so a change to the start or the
   loop moves ``solution`` and should leave this alone;
 * ``rounds``: every round's ``(dist, paths, cost)``;
-* ``work``: every round's ``work`` counter and the first round's
-  ``build_work``, apart from ``rounds`` and ``flow`` so that a change
-  to the counters shows apart from a change to results;
+* ``work``: every round's ``work`` counter, the scans of the residual
+  search from ``t`` included, and the first round's ``build_work``,
+  apart from ``rounds`` and ``flow`` so that a change to the counters
+  shows apart from a change to results;
 * ``unsolvable``: reason, detail and witness;
 * ``flow``: the first round's ``node_count`` (the view's size),
   ``explicit_edges`` in the view's ids, and ``dump()``;

@@ -2,17 +2,21 @@ import math
 import random
 from collections import Counter
 
+import pytest
+
 from bruteforce import (
     ExplicitFlow,
     all_shortest_paths,
     assignment_min_inputs,
     component_nodes,
     flow_graph,
+    forward_layered_bfs,
     greedy_allowed_matching,
+    greedy_forbidden,
     random_matching,
     reference_residual_edges,
 )
-from families import chain, diagonal, erdos_renyi, random_forbidden
+from families import chain, diagonal, erdos_renyi, preferential, random_forbidden
 from minput import (
     IterationStats,
     Problem,
@@ -25,7 +29,8 @@ from minput import (
     solve,
 )
 from minput import augment
-from minput.augment import minimize
+from minput.augment import LayeredDag, minimize
+from minput.flowgraph import FlowGraph
 from minput.matching import Matching, classify
 from minput.oracle import brute_force_min_cost_allowed_matching
 
@@ -108,6 +113,80 @@ class TestExtractPaths:
         first = extract_paths(layered_bfs(fg))
         second = extract_paths(layered_bfs(fg))
         assert first == second
+
+    def test_broken_dag_raises(self):
+        # node 2 is useful, but its one in-neighbour a level down is dead
+        fg = ExplicitFlow(4, [(0, 1), (1, 2), (2, 3)], 0, 3)
+        dag = LayeredDag(fg, [0, 1, 2, 3], 3, bytearray([1, 0, 1, 1]), [0, 0, 1, 1], 0)
+        with pytest.raises(AssertionError, match="one level below node 2"):
+            extract_paths(dag)
+
+
+def _reach_sizes(size: int, edges, s: int, t: int) -> tuple[int, int]:
+    """Nodes reachable from ``s`` and nodes that reach ``t`` over ``edges``."""
+    out = [[] for _ in range(size)]
+    into = [[] for _ in range(size)]
+    for a, b in edges:
+        out[a].append(b)
+        into[b].append(a)
+    sizes = []
+    for start, adj in ((s, out), (t, into)):
+        seen = {start}
+        stack = [start]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        sizes.append(len(seen))
+    return sizes[0], sizes[1]
+
+
+class TestTwoSidedSearch:
+    def test_matches_forward_only_reference(self):
+        # Every round of the loop, from a random allowed start (gateways,
+        # slack and swaps), solve's start or the greedy one, on ER and PA
+        # graphs with and without forbidden vertices: the search gives
+        # the forward-only reference's DAG and paths, and None exactly
+        # when it does.  Its backward side costs at most the forward
+        # side's work.
+        rng = random.Random(61)
+        closed = {"backward smaller": 0, "backward larger": 0}
+        for i in range(3000):
+            n = rng.randint(2, 30)
+            if rng.random() < 0.5:
+                g = erdos_renyi(n, rng.choice([1.0, 2.0, 3.0]) / n, rng)
+            else:
+                g = preferential(n, rng.randint(1, 3), rng)
+            share = rng.choice([0.0, 0.3])
+            if i % 3 == 0:
+                m = random_matching(g, rng, rng.choice([0.5, 0.8, 1.0]))
+                matched = [v for v in range(n) if m.mate_of_dst[v] >= 0]
+                f = frozenset(rng.sample(matched, round(share * len(matched))))
+            else:
+                f = greedy_forbidden(g, share, rng)
+                m = find_allowed_matching(g, f) if i % 3 == 1 else greedy_allowed_matching(g, f)
+            scc = scc_decompose(g)
+            while True:
+                fg = FlowGraph(g, scc, m, f, classify(scc, m))
+                want, want_work = forward_layered_bfs(fg)
+                got, work = augment._run_bfs(fg)
+                assert work <= 2 * want_work
+                if want is None:
+                    assert got is None
+                    if fg.t_in:
+                        size, edges = reference_residual_edges(g, scc.comp_id, m, f)
+                        fwd, back = _reach_sizes(size, edges, fg.s_id, fg.t_id)
+                        if back != fwd:
+                            closed["backward smaller" if back < fwd else "backward larger"] += 1
+                    break
+                assert got is not None
+                assert (got.dist_t, got.dist, got.useful, got.indeg) == (
+                    want.dist_t, want.dist, want.useful, want.indeg)
+                paths = extract_paths(got)
+                assert paths == extract_paths(want)
+                augment_on_paths(m, paths)
+        assert min(closed.values()) >= 20, closed
 
 
 class TestEquivalenceSweep:

@@ -405,6 +405,16 @@ class TestRunErrors:
         assert run(["--graph", path]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_out_of_memory(self, tmp_path, capsys, monkeypatch):
+        def exhausted(path):
+            raise MemoryError
+
+        monkeypatch.setattr("minput.cli.ingest_edge_list", exhausted)
+        path = _write(tmp_path / "g.txt", CHAIN3)
+        assert run(["--graph", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_non_utf8_edge_list(self, tmp_path, capsys):
         path = tmp_path / "g.txt"
         path.write_bytes(b"3 2\n0 1\n1 \xff\n")
