@@ -102,31 +102,17 @@ def _backward_steps(
     (a node with ``dist`` set, ``s`` among them), after which it stops
     for good.  An empty stack means the reach is closed: no s -> t path
     exists.  The in-neighbours are ``in_view``'s but a destination
-    copy's mate, as the matched edge is reversed in the residual graph;
-    a source copy's one in-neighbour is ``s`` or its mate's destination
-    copy.  A destination copy reads ``in_adj`` inline unless it is a
-    matched member of a source SCC, the one case where ``in_view`` may
-    add the component node.
+    copy's mate, as the matched edge is reversed in the residual graph.
     """
     n = fg.n
-    n2, s_id, r = 2 * n, fg.s_id, fg.r
-    in_adj, comp_id, in_view = fg.in_adj, fg.scc.comp_id, fg.in_view
-    mate_src, mate_dst = fg.mate_of_src, fg.mate_of_dst
+    n2, in_view, mate_dst = 2 * n, fg.in_view, fg.mate_of_dst
     work = 0
     while stack and len(stack) < limit:
         x = stack.pop()
         if dist[x] >= 0:
             return work, True
-        skip = -1
-        if x < n:
-            v = mate_src[x]
-            preds = (s_id,) if v < 0 else (n + v,)
-        elif x < n2:
-            v = x - n
-            skip = mate_dst[v]
-            preds = in_adj[v] if skip < 0 or comp_id[v] >= r else in_view(x)
-        else:
-            preds = in_view(x)
+        skip = mate_dst[x - n] if n <= x < n2 else -1
+        preds = in_view(x)
         cost = len(preds) + 1
         if work + cost > budget:
             stack.append(x)
