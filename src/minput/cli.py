@@ -222,6 +222,9 @@ def run(argv: list[str] | None = None) -> int:
         if args.graph and args.mm:
             print("error: --graph and --mm are mutually exclusive", file=sys.stderr)
             return 1
+        if args.zero_tol != 0.0 and not args.mm:
+            print("error: --zero-tol applies only to --mm", file=sys.stderr)
+            return 1
         if args.graph:
             g = ingest_edge_list(args.graph)
         elif args.mm:

@@ -210,9 +210,9 @@ class SccInfo:
     numbered ``0 .. r-1``, then the rest; each group keeps the order in
     which a depth-first search over out-edges, from vertex 0 upward,
     finishes it.  Outputs read only the sources' order (``source_ids``,
-    ``MatchClass.x_comps``, the flow graph's component nodes, the
-    all-forbidden component ``solve`` reports); it must not depend on the
-    SCC algorithm.
+    ``MatchClass.x_comps``, the flow graph's component nodes and the
+    all-forbidden components ``solve`` names in its message); it must not
+    depend on the SCC algorithm.
 
     Attributes
     ----------

@@ -304,10 +304,24 @@ def find_allowed_matching(g: SparseDigraph, forbidden: Collection[int]) -> Match
     the result need not be maximal.  The repair's phases are bounded as
     in Hopcroft-Karp, so the start costs O(n + m) plus O(m sqrt(n)).
     The result is None exactly when no matching covers every forbidden
-    destination (``hall_violator`` says why).  With nothing forbidden
-    the result is the Karp-Sipser matching itself.
+    destination; ``solve`` then reports the repair's Hall set.  With
+    nothing forbidden the result is the Karp-Sipser matching itself.
     """
-    f_list = vertex_ids(forbidden, g.n, "forbidden vertex")
+    start = _allowed_start(g, vertex_ids(forbidden, g.n, "forbidden vertex"))
+    return start if isinstance(start, Matching) else None
+
+
+def _allowed_start(g: SparseDigraph, f_list: list[int]) -> Matching | list[int]:
+    """``find_allowed_matching`` on the sorted, checked forbidden ids ``f_list``.
+
+    Where the repair leaves a forbidden destination uncovered, its cover
+    of F is maximum, and the result is a Hall set ``S`` in place of a
+    matching: the lowest uncovered vertex plus every forbidden vertex
+    reachable from it by alternating paths (any in-neighbour, then that
+    source's forbidden mate).  All of ``S``'s in-neighbours are matched
+    into ``S`` minus its start, so ``|N_in(S)| = |S| - 1``: no matching
+    covers ``S``.  Sorted.
+    """
     match = _karp_sipser(g)
     if not f_list:
         return match
@@ -318,9 +332,18 @@ def find_allowed_matching(g: SparseDigraph, forbidden: Collection[int]) -> Match
         if u >= 0:  # the search may move u to another forbidden mate
             f_of_src[u] = fi
             mate_src[u] = mate_dst[f] = -1
-    hopcroft_karp(len(f_list), g.n, [g.in_adj[f] for f in f_list], mate_f, f_of_src)
+    in_f = [g.in_adj[f] for f in f_list]
+    hopcroft_karp(len(f_list), g.n, in_f, mate_f, f_of_src)
     if min(mate_f) < 0:
-        return None
+        seen = {mate_f.index(-1)}
+        queue = deque(seen)
+        while queue:
+            for u in in_f[queue.popleft()]:
+                fi = f_of_src[u]  # matched, or the cover would not be maximum
+                if fi not in seen:
+                    seen.add(fi)
+                    queue.append(fi)
+        return [f_list[fi] for fi in sorted(seen)]
     for f, u in zip(f_list, mate_f):
         v = mate_src[u]
         if v >= 0:  # an allowed destination gives up its mate
@@ -328,33 +351,6 @@ def find_allowed_matching(g: SparseDigraph, forbidden: Collection[int]) -> Match
         mate_src[u] = f
         mate_dst[f] = u
     return match
-
-
-def hall_violator(g: SparseDigraph, forbidden: Collection[int]) -> list[int]:
-    """Forbidden vertices ``S`` with fewer in-neighbours than members.
-
-    Empty when every forbidden vertex can be covered.  Otherwise ``S``
-    holds the lowest forbidden vertex left uncovered by a maximum
-    matching of the forbidden destinations into their in-neighbours'
-    source copies (a cold ``hopcroft_karp`` from the forbidden side),
-    plus every forbidden vertex reachable from it by alternating paths
-    (any in-neighbour, then that source's mate).  All of ``S``'s
-    in-neighbours are matched into ``S`` minus its start, so
-    ``|N_in(S)| = |S| - 1``: no matching covers ``S``.  Sorted.
-    """
-    f_list = vertex_ids(forbidden, g.n, "forbidden vertex")
-    mate_f, f_of_src = hopcroft_karp(len(f_list), g.n, [g.in_adj[f] for f in f_list])
-    if not f_list or min(mate_f) >= 0:
-        return []
-    seen = {mate_f.index(-1)}
-    queue = deque(seen)
-    while queue:
-        for u in g.in_adj[f_list[queue.popleft()]]:
-            fi = f_of_src[u]  # matched, or the cover would not be maximum
-            if fi not in seen:
-                seen.add(fi)
-                queue.append(fi)
-    return sorted(f_list[fi] for fi in seen)
 
 
 @dataclass

@@ -16,14 +16,8 @@ from enum import Enum
 from typing import Collection
 
 from .augment import Diagnostics, minimize
-from .graph import SccInfo, SparseDigraph, scc_decompose, vertex_id
-from .matching import (
-    MatchClass,
-    Matching,
-    classify,
-    find_allowed_matching,
-    hall_violator,
-)
+from .graph import SccInfo, SparseDigraph, scc_decompose, vertex_ids
+from .matching import MatchClass, Matching, _allowed_start, classify
 
 
 @dataclass
@@ -35,7 +29,6 @@ class Problem:
 
 
 class UnsolvableReason(str, Enum):
-    ISOLATED_FORBIDDEN = "IsolatedForbidden"
     SOURCE_SCC_ALL_FORBIDDEN = "SourceSccAllForbidden"
     NO_ALLOWED_MATCHING = "NoAllowedMatching"
 
@@ -44,11 +37,11 @@ class UnsolvableReason(str, Enum):
 class Unsolvable:
     """No admissible input set exists; ``reason`` says which gate failed.
 
-    ``witness`` is the sorted vertex set that proves it: the forbidden
-    isolated vertices (``IsolatedForbidden``), the members of an
-    all-forbidden source component (``SourceSccAllForbidden``), or
-    forbidden vertices with fewer in-neighbours than members, so that no
-    matching covers them (``NoAllowedMatching``).
+    ``witness`` is the sorted vertex set that proves it: the members of
+    every source component with no allowed vertex, an isolated forbidden
+    vertex among them (``SourceSccAllForbidden``), or forbidden vertices
+    ``S`` with one in-neighbour fewer than members (``|N_in(S)| = |S| - 1``),
+    so that no matching covers them (``NoAllowedMatching``).
     """
 
     reason: UnsolvableReason
@@ -103,42 +96,36 @@ def _input_set(scc: SccInfo, cls: MatchClass, forb: frozenset[int]) -> list[int]
 def solve(problem: Problem, *, check: bool = False) -> Solution | Unsolvable:
     """Solve an instance; ``check=True`` turns on per-round validation.
 
-    Pipeline: forbidden ids are checked; a forbidden vertex with no
-    incident edge makes the instance unsolvable at once; every source
-    SCC must contain an allowed vertex; an allowed matching is seeded,
-    minimised and read back out.  A vertex with no incident edge needs
-    no special handling past the first gate: it is a singleton source
-    SCC that stays unmatched, so the cost charges it one input.
+    Pipeline: forbidden ids are checked once; every source SCC must
+    contain an allowed vertex; an allowed matching is seeded, minimised
+    and read back out.  These are the only two ways an instance can be
+    unsolvable: the first gate names every all-forbidden source
+    component, and the start names the Hall set that its own maximum
+    cover of the forbidden vertices leaves uncovered.  A vertex with no
+    incident edge needs no special handling: it is a singleton source
+    SCC, so a forbidden one fails the first gate and an allowed one
+    stays unmatched, charged one input.
     """
     g = problem.graph
-    n = g.n
-    forb = frozenset(vertex_id(v, n, "forbidden vertex") for v in problem.forbidden)
-
-    blocked = sorted(v for v in forb if not g.out_adj[v] and not g.in_adj[v])
-    if blocked:
-        return Unsolvable(
-            UnsolvableReason.ISOLATED_FORBIDDEN,
-            f"isolated vertices {blocked} are forbidden but need their own input",
-            blocked,
-        )
+    f_list = vertex_ids(problem.forbidden, g.n, "forbidden vertex")
+    forb = frozenset(f_list)
 
     scc = scc_decompose(g)
-    for c in scc.source_ids:
-        if forb.issuperset(scc.comps[c]):
-            return Unsolvable(
-                UnsolvableReason.SOURCE_SCC_ALL_FORBIDDEN,
-                f"source component {scc.comps[c]} has no allowed vertex",
-                list(scc.comps[c]),
-            )
+    blocked = [scc.comps[c] for c in scc.source_ids if forb.issuperset(scc.comps[c])]
+    if blocked:
+        return Unsolvable(
+            UnsolvableReason.SOURCE_SCC_ALL_FORBIDDEN,
+            f"source components {blocked} have no allowed vertex",
+            sorted(v for members in blocked for v in members),
+        )
 
-    m0 = find_allowed_matching(g, forb)
-    if m0 is None:
-        hall = hall_violator(g, forb)
+    m0 = _allowed_start(g, f_list)
+    if not isinstance(m0, Matching):
         return Unsolvable(
             UnsolvableReason.NO_ALLOWED_MATCHING,
-            f"forbidden vertices {hall} have fewer distinct in-neighbours "
+            f"forbidden vertices {m0} have fewer distinct in-neighbours "
             "than members, so no matching covers them all",
-            hall,
+            m0,
         )
 
     m_opt, cls, diag = minimize(g, scc, forb, m0, check=check)

@@ -51,12 +51,14 @@ Categories:
   one leaves a shortest path through a swap inside a component, so only
   this category sees a change to how the loop searches there.
 
-The first line names the package imported and differs between trees.
-Pytest does not collect this file.
+The coverage line counts solved instances, each unsolvable reason and
+what the other categories exercised.  The first line names the package
+imported and differs between trees.  Pytest does not collect this file.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import hashlib
 import io
@@ -137,6 +139,7 @@ def main(src: Path) -> None:
                          "graph", "scc", "loop")}
     seen = dict.fromkeys(["solved", "unsolvable", "gateways", "slack", "checked", "oracle",
                           "files", "file_errors", "loops"], 0)
+    reasons: collections.Counter[str] = collections.Counter()
 
     def record(category: str, *fields) -> None:
         digests[category].update(repr(fields).encode() + b"\n")
@@ -161,6 +164,7 @@ def main(src: Path) -> None:
                     record("work", i, [it.work for it in rounds])
                 else:
                     seen["unsolvable"] += 1
+                    reasons[res.reason.value] += 1
                     record("unsolvable", i, res.reason.value, res.detail, res.witness)
                     record("cost", i, res.reason.value)
 
@@ -224,7 +228,8 @@ def main(src: Path) -> None:
 
     for category, digest in digests.items():
         print(f"{category:<11} {digest.hexdigest()}")
-    print("coverage    instances", INSTANCES, *(f"{k} {v}" for k, v in seen.items()))
+    print("coverage    instances", INSTANCES, *(f"{k} {v}" for k, v in seen.items()),
+          *(f"{k} {v}" for k, v in sorted(reasons.items())))
 
 
 if __name__ == "__main__":

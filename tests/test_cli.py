@@ -307,13 +307,19 @@ class TestRunSolve:
         assert payload["cost"] is None
 
     def test_unsolvable_witness(self, tmp_path, capsys):
-        # one source cannot cover two forbidden destinations
-        gpath = _write(tmp_path / "g.txt", "3 2\n0 1\n0 2\n")
-        fpath = _write(tmp_path / "f.txt", "1 2\n")
-        assert run(["--graph", gpath, "--forbidden", fpath]) == 2
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["reason"] == "NoAllowedMatching"
-        assert payload["witness"] == [1, 2]
+        cases = [
+            # one source cannot cover two forbidden destinations
+            ("3 2\n0 1\n0 2\n", "1 2\n", "NoAllowedMatching", [1, 2]),
+            # two forbidden isolated vertices, each a source component
+            ("3 0\n", "0 2\n", "SourceSccAllForbidden", [0, 2]),
+        ]
+        for graph, forbidden, reason, witness in cases:
+            gpath = _write(tmp_path / "g.txt", graph)
+            fpath = _write(tmp_path / "f.txt", forbidden)
+            assert run(["--graph", gpath, "--forbidden", fpath]) == 2
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["reason"] == reason
+            assert payload["witness"] == witness
 
     def test_verify_flag(self, tmp_path, capsys):
         path = _write(tmp_path / "g.txt", CHAIN3)
@@ -440,9 +446,11 @@ class TestRunErrors:
         path = _write(tmp_path / "a.mtx", MM_NAN_TOL)
         assert run(["--mm", path]) == 0
         assert json.loads(capsys.readouterr().out)["cost"] == 1
-        assert run(["--mm", path, "--zero-tol", "nan"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and "error:" in captured.err
+        gpath = _write(tmp_path / "g.txt", CHAIN3)
+        for argv in (["--mm", path], ["--graph", gpath]):
+            assert run([*argv, "--zero-tol", "nan"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and "error:" in captured.err
 
     def test_nan_entry(self, tmp_path, capsys):
         text = "%%MatrixMarket matrix coordinate real general\n2 2 2\n2 1 nan\n1 2 -1.0\n"

@@ -14,7 +14,7 @@ from minput import (
     scc_decompose,
     solve,
 )
-from minput.matching import Matching, hall_violator, hopcroft_karp
+from minput.matching import Matching, _allowed_start, hopcroft_karp
 
 
 class TestMatching:
@@ -227,8 +227,9 @@ class TestFindAllowedMatching:
 
     def test_repair_properties(self):
         """The repaired start is a valid allowed matching, None exactly
-        when a Hall set blocks F, never smaller than the start with
-        nothing forbidden, and minimises to the reference cost."""
+        when the private start returns a Hall set that blocks F, never
+        smaller than the start with nothing forbidden, and minimises to
+        the reference cost."""
         rng = random.Random(33)
         seen = dict.fromkeys(["none", "repaired", "solved"], 0)
         for _ in range(400):
@@ -243,10 +244,14 @@ class TestFindAllowedMatching:
             else:
                 f = random_forbidden(n, share, rng)
             m = find_allowed_matching(g, f)
-            assert (m is None) == bool(hall_violator(g, f))
+            start = _allowed_start(g, sorted(f))
             if m is None:
                 seen["none"] += 1
+                s = set(start)
+                assert start == sorted(s) and s <= f
+                assert len({u for v in s for u in g.in_adj[v]}) == len(s) - 1
             else:
+                assert start == m
                 m.validate(g)
                 assert m.is_allowed(f)
                 empty = find_allowed_matching(g, [])

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import minput
-from bruteforce import assignment_min_inputs
-from families import chain, diagonal, erdos_renyi, random_forbidden
+from bruteforce import assignment_min_inputs, greedy_forbidden, reference_scc
+from families import chain, diagonal, erdos_renyi, preferential, random_forbidden
 from minput import (
     IndexOutOfRange,
     Problem,
@@ -26,7 +26,7 @@ from minput import (
     solve,
 )
 from minput.graph import reachable_from
-from minput.matching import Matching, find_allowed_matching, hall_violator
+from minput.matching import Matching, find_allowed_matching
 
 
 class TestRecoverInputSet:
@@ -112,16 +112,20 @@ class TestSolveIsolated:
 
 class TestUnsolvable:
     def test_isolated_forbidden(self):
+        # an isolated vertex is a source component of its own
         out = solve(Problem(SparseDigraph(3, [(0, 1)]), frozenset([2])))
         assert isinstance(out, Unsolvable)
-        assert out.reason is UnsolvableReason.ISOLATED_FORBIDDEN
+        assert out.reason is UnsolvableReason.SOURCE_SCC_ALL_FORBIDDEN
         assert "[2]" in out.detail
         assert out.witness == [2]
 
-    def test_isolated_gate_fires_first(self):
-        # vertex 0 is isolated and forbidden; that verdict wins
-        out = solve(Problem(SparseDigraph(2, []), frozenset([0])))
-        assert out.reason is UnsolvableReason.ISOLATED_FORBIDDEN
+    def test_source_gate_names_every_component(self):
+        # isolated 0, the head 1 of the chain 1 -> 2 and the cycle 3 <-> 4
+        g = SparseDigraph(6, [(1, 2), (3, 4), (4, 3), (4, 5)])
+        out = solve(Problem(g, frozenset([0, 1, 3, 4])))
+        assert out.reason is UnsolvableReason.SOURCE_SCC_ALL_FORBIDDEN
+        assert out.witness == [0, 1, 3, 4]
+        assert "[3, 4]" in out.detail
 
     def test_source_scc_all_forbidden(self):
         out = solve(Problem(chain(2), frozenset([0])))
@@ -160,11 +164,49 @@ class TestUnsolvable:
                 seen += 1
                 s = set(out.witness)
                 assert out.witness == sorted(s) and s and s <= f
-                assert len({u for v in s for u in g.in_adj[v]}) < len(s)
+                assert len({u for v in s for u in g.in_adj[v]}) == len(s) - 1
         assert seen >= 30
 
+    def test_witnesses_prove_each_verdict(self):
+        """``solve`` is unsolvable exactly when the assignment reference
+        is, and each witness is what its reason says, checked against
+        independent computations."""
+        rng = random.Random(41)
+        seen = dict.fromkeys(["solved", *UnsolvableReason], 0)
+        for _ in range(600):
+            n = rng.randint(1, 40)
+            if rng.random() < 0.5:
+                g = erdos_renyi(n, rng.choice([0.5, 1.0, 2.0, 3.0]) / n, rng)
+            else:
+                g = preferential(n, rng.randint(1, 3), rng)
+            kind = rng.randrange(3)
+            if kind == 0:
+                f = greedy_forbidden(g, rng.choice([0.1, 0.3, 0.6]), rng)
+            elif kind == 1:
+                f = random_forbidden(n, rng.choice([0.1, 0.3, 0.6]), rng)
+            else:
+                # random among the vertices outside source components,
+                # where only the matching gate can fail
+                scc = reference_scc(g)
+                inner = random_forbidden(n, 0.8, rng)
+                f = frozenset(v for v in inner if scc.comp_id[v] >= len(scc.source_ids))
+            out = solve(Problem(g, f))
+            assert isinstance(out, Unsolvable) == (assignment_min_inputs(g, f) is None)
+            if not isinstance(out, Unsolvable):
+                seen["solved"] += 1
+                continue
+            seen[out.reason] += 1
+            if out.reason is UnsolvableReason.SOURCE_SCC_ALL_FORBIDDEN:
+                scc = reference_scc(g)
+                blocked = [scc.comps[c] for c in scc.source_ids if f.issuperset(scc.comps[c])]
+                assert out.witness == sorted(v for members in blocked for v in members)
+            else:
+                s = set(out.witness)
+                assert out.witness == sorted(s) and s <= f
+                assert len({u for v in s for u in g.in_adj[v]}) == len(s) - 1
+        assert min(seen.values()) >= 30, seen
+
     def test_reason_values_are_stable(self):
-        assert UnsolvableReason.ISOLATED_FORBIDDEN.value == "IsolatedForbidden"
         assert UnsolvableReason.SOURCE_SCC_ALL_FORBIDDEN.value == "SourceSccAllForbidden"
         assert UnsolvableReason.NO_ALLOWED_MATCHING.value == "NoAllowedMatching"
 
@@ -179,7 +221,6 @@ def _solve_answer(g, ids):
 ID_ENTRY_POINTS = {
     "solve": _solve_answer,
     "find_allowed_matching": find_allowed_matching,
-    "hall_violator": hall_violator,
     "reachable_from": reachable_from,
     "has_edge": lambda g, ids: (g.has_edge(ids[0], 1), g.has_edge(1, ids[0])),
     "check_structural_controllability": check_structural_controllability,
