@@ -207,12 +207,15 @@ class SccInfo:
     """Strongly connected components of a digraph.
 
     The ``r`` sources, components no edge enters from another, are
-    numbered ``0 .. r-1``, then the rest; each group keeps the order in
-    which a depth-first search over out-edges, from vertex 0 upward,
-    finishes it.  Outputs read only the sources' order (``source_ids``,
-    ``MatchClass.x_comps``, the flow graph's component nodes and the
-    all-forbidden components ``solve`` names in its message); it must not
-    depend on the SCC algorithm.
+    numbered ``0 .. r-1`` by ascending lowest member, then the rest in an
+    order left to the algorithm.  The sources' order is also the order in
+    which a depth-first search over out-edges, roots from vertex 0 upward,
+    finishes them: a source is entered only from its own members, so that
+    search first reaches it at a root, its lowest member, and finishes it
+    before the next root starts.  Outputs read only the sources' order
+    (``source_ids``, ``MatchClass.x_comps``, the flow graph's component
+    nodes and the all-forbidden components ``solve`` names in its
+    message); it must not depend on the SCC algorithm.
 
     Attributes
     ----------
@@ -234,21 +237,50 @@ class SccInfo:
 
 
 def scc_decompose(g: SparseDigraph) -> SccInfo:
-    """Kosaraju's algorithm, iterative so deep graphs cannot overflow the stack.
+    """A peel of the acyclic in-fringe, then Kosaraju's algorithm on the rest.
 
-    A depth-first search over out-edges records the post-order.  Then,
-    in reverse post-order, each unplaced vertex starts a component that
-    floods over in-edges to the unplaced vertices reaching it.  That
-    places every component after all components with an edge into it,
-    so an in-edge from a placed vertex outside it makes it no source.
+    The peel is Kahn's queue over in-degree counts, seeded with the
+    in-degree-0 vertices in ascending order: it takes every vertex that
+    no unpeeled vertex enters.  Each peeled vertex is a one-member
+    component, and a source exactly when it has no in-edge at all.  A
+    self loop keeps its vertex's count above 0, so that vertex stays.
+
+    Kosaraju's two searches, iterative so deep graphs cannot overflow
+    the stack, run on the unpeeled core.  A depth-first search over
+    out-edges records the post-order.  Then, in reverse post-order, each
+    unplaced vertex starts a component that floods over in-edges to the
+    unplaced vertices reaching it.  That places every component after
+    all components with an edge into it, so an in-edge from a placed
+    vertex outside it, a peeled one included, makes it no source.
+
+    The core's sources finish in ascending order of lowest member (see
+    ``SccInfo``), as the peeled ones are seeded; one sort of the lowest
+    members merges the two.  The other components follow, peeled
+    vertices in peel order, then the core's in the first search's finish
+    order; their order reaches no output, so they are not sorted.
     """
     n = g.n
     out, inn = g.out_adj, g.in_adj
     seen = bytearray(n)
+    comp_id = [-1] * n
+    # "[] in inn" is one C-level pass: a graph with no in-degree-0 vertex
+    # pays nothing more for the peel.
+    peeled = [v for v, preds in enumerate(inn) if not preds] if [] in inn else []
+    r_peeled = len(peeled)  # the in-degree-0 vertices, ascending: the peeled sources
+    if peeled:
+        count = list(map(len, inn))
+        for c, v in enumerate(peeled):  # grows as counts reach 0
+            seen[v] = 1
+            comp_id[v] = c
+            for w in out[v]:
+                count[w] -= 1
+                if not count[w]:
+                    peeled.append(w)
+    comps = [[v] for v in peeled]
+    # Kosaraju on the core; peeled vertices are already seen and placed.
     post: list[int] = []
-    for root in range(n):
-        if seen[root]:
-            continue
+    root = seen.find(0)
+    while root >= 0:
         seen[root] = 1
         path, nbrs = [root], [iter(out[root])]  # nbrs[i] walks out[path[i]]
         while nbrs:
@@ -261,8 +293,7 @@ def scc_decompose(g: SparseDigraph) -> SccInfo:
             else:
                 nbrs.pop()
                 post.append(path.pop())
-    comp_id = [-1] * n
-    comps: list[list[int]] = []
+        root = seen.find(0, root + 1)
     placed = others, sources = [], []  # placement order, indexed by "is a source"
     for root in reversed(post):
         if comp_id[root] >= 0:
@@ -282,12 +313,16 @@ def scc_decompose(g: SparseDigraph) -> SccInfo:
                     source = False
         members.sort()
         placed[source].append(c)
-    # Sources, then the rest, each reversed back to the first search's finish order.
-    order = sources[::-1] + others[::-1]
+    # Sources by lowest member, then peeled vertices, then the core's others.
+    heads = peeled[:r_peeled] + [comps[c][0] for c in sources]
+    heads.sort()
+    order = [comp_id[v] for v in heads]
+    order += range(r_peeled, len(peeled))
+    order += reversed(others)
     new = [0] * len(order)
     for i, c in enumerate(order):
         new[c] = i
-    return SccInfo([new[c] for c in comp_id], [comps[c] for c in order], range(len(sources)))
+    return SccInfo([new[c] for c in comp_id], [comps[c] for c in order], range(len(heads)))
 
 
 def reachable_from(g: SparseDigraph, seeds: Iterable[int]) -> set[int]:

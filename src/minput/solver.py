@@ -111,7 +111,12 @@ def solve(problem: Problem, *, check: bool = False) -> Solution | Unsolvable:
     forb = frozenset(f_list)
 
     scc = scc_decompose(g)
-    blocked = [scc.comps[c] for c in scc.source_ids if forb.issuperset(scc.comps[c])]
+    comp_id, comps, r = scc.comp_id, scc.comps, len(scc.source_ids)
+    hits: dict[int, int] = {}  # forbidden members per source component
+    for c in map(comp_id.__getitem__, f_list):
+        if c < r:
+            hits[c] = hits.get(c, 0) + 1
+    blocked = [comps[c] for c in sorted(hits) if hits[c] == len(comps[c])]
     if blocked:
         return Unsolvable(
             UnsolvableReason.SOURCE_SCC_ALL_FORBIDDEN,

@@ -48,10 +48,12 @@ def scc_partition(g: SparseDigraph) -> set[frozenset[int]]:
 
 
 def reference_scc(g: SparseDigraph) -> SccInfo:
-    """SCCs by Tarjan's algorithm, iterative, in the numbering ``SccInfo``
-    documents: source components first, then the others, each in the
-    order the depth-first search over out-edges, roots from vertex 0
-    upward, finishes them.
+    """SCCs by Tarjan's algorithm, iterative: source components first,
+    then the others, each in the order the depth-first search over
+    out-edges, roots from vertex 0 upward, finishes them.  For the
+    sources that is the ascending lowest-member order ``SccInfo`` fixes;
+    the others' order is one ``SccInfo`` leaves free, so only the
+    sources' order is compared with ``scc_decompose``'s.
 
     A component is not a source when an edge is scanned into a
     component that has already closed, or when it is entered by a tree

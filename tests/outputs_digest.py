@@ -11,6 +11,11 @@ from the helpers beside this file, so every tree sees the same stream:
 
     python3 tests/outputs_digest.py              # the package beside tests/
     python3 tests/outputs_digest.py OTHER/src    # another checkout's src/
+    python3 tests/outputs_digest.py --against OTHER/src   # compare the two
+
+With ``--against``, both trees are digested side by side, each in its
+own process; the command marks each category ``same`` or ``DIFFERS``,
+the coverage line included, and exits 1 naming every one that differs.
 
 Categories:
 
@@ -58,12 +63,15 @@ imported and differs between trees.  Pytest does not collect this file.
 
 from __future__ import annotations
 
+import argparse
 import collections
+import concurrent.futures
 import contextlib
 import hashlib
 import io
 import os
 import random
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -232,6 +240,38 @@ def main(src: Path) -> None:
           *(f"{k} {v}" for k, v in sorted(reasons.items())))
 
 
+def _digest_lines(src: Path) -> dict[str, str]:
+    """This script's output for ``src``, run in a fresh interpreter, keyed by
+    the first word of each line."""
+    out = subprocess.run([sys.executable, __file__, str(src)], check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    return dict(line.split(maxsplit=1) for line in out.splitlines())
+
+
+def compare(src: Path, other: Path) -> int:
+    """Digest both trees side by side; 1 if any category or the coverage differs."""
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        mine, theirs = pool.map(_digest_lines, (src, other))
+    print(f"package {mine.pop('package')}")
+    print(f"against {theirs.pop('package')}")
+    differ = [k for k in mine if mine[k] != theirs.get(k)]
+    for k, line in mine.items():
+        print(f"{k:<11} {'DIFFERS' if k in differ else 'same   '} {line}")
+    if differ:
+        print("differ:", ", ".join(differ))
+        return 1
+    return 0
+
+
 if __name__ == "__main__":
-    default = Path(__file__).resolve().parents[1] / "src"
-    main(Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else default)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", nargs="?", type=Path,
+                        default=Path(__file__).resolve().parents[1] / "src",
+                        help="the src/ directory to digest (default: the one beside tests/)")
+    parser.add_argument("--against", type=Path, metavar="OTHER/src",
+                        help="digest this tree too and exit 1 if any category differs")
+    args = parser.parse_args()
+    if args.against is None:
+        main(args.src.resolve())
+    else:
+        sys.exit(compare(args.src.resolve(), args.against.resolve()))

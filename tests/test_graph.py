@@ -42,6 +42,30 @@ def _multigraph_edges(n, rng):
     return edges
 
 
+def _same_contract(scc, ref):
+    """``scc`` and ``ref`` agree on what ``SccInfo`` fixes: the source count,
+    the sources' members in order and the partition; and ``scc.comp_id``
+    names the component that lists each vertex."""
+    r = len(ref.source_ids)
+    assert scc.source_ids == range(r)
+    assert scc.comps[:r] == ref.comps[:r]
+    assert sorted(scc.comps) == sorted(ref.comps)
+    assert len(scc.comp_id) == sum(map(len, scc.comps))
+    for c, members in enumerate(scc.comps):
+        assert members == sorted(members)
+        assert all(scc.comp_id[v] == c for v in members)
+
+
+def _checked(g):
+    """``scc_decompose(g)``, checked against ``reference_scc`` and against
+    the source flags read from the edges."""
+    scc = scc_decompose(g)
+    _same_contract(scc, reference_scc(g))
+    entered = {scc.comp_id[v] for u, v in g.edges() if scc.comp_id[u] != scc.comp_id[v]}
+    assert [c for c in range(scc.n_comps) if c not in entered] == list(scc.source_ids)
+    return scc
+
+
 class TestSparseDigraph:
     def test_dedup_and_sorted_adjacency(self):
         g = SparseDigraph(3, [(2, 1), (0, 1), (2, 1), (0, 2), (0, 1)])
@@ -236,9 +260,9 @@ class TestScc:
             assert seen == scc.n_comps
 
     def test_same_numbering_as_reference_tarjan(self):
-        # The numbering is an output (see SccInfo): every field must match
-        # Tarjan's, renumbered sources first, each group in the order the
-        # search finishes it.
+        # What SccInfo fixes must match Tarjan's: r, the sources' members in
+        # order, the partition, and comp_id/comps consistency.  The order
+        # of the other components reaches no output and is left free.
         rng = random.Random(24)
         graphs = [
             SparseDigraph(0, []),
@@ -259,13 +283,20 @@ class TestScc:
                 g = stars_and_cycles(rng)
             graphs.append(g)
         for g in graphs:
-            assert scc_decompose(g) == reference_scc(g)
+            _same_contract(scc_decompose(g), reference_scc(g))
 
     def test_deep_chain_no_recursion_limit(self):
         n = 5000
         g = SparseDigraph(n, [(v, v + 1) for v in range(n - 1)])
         scc = scc_decompose(g)
         assert scc.n_comps == n
+        # with a self loop on every vertex nothing peels, so the search
+        # from vertex 0 has to go n deep
+        g = SparseDigraph(n, [(v, v + 1) for v in range(n - 1)] + [(v, v) for v in range(n)])
+        assert [] not in g.in_adj
+        scc = scc_decompose(g)
+        assert scc.n_comps == n
+        assert [scc.comps[c] for c in scc.source_ids] == [[0]]
 
     def test_big_cycle_single_component(self):
         n = 3000
@@ -273,6 +304,60 @@ class TestScc:
         scc = scc_decompose(g)
         assert scc.n_comps == 1
         assert scc.source_ids == range(1)
+
+
+class TestSccPeel:
+    """``scc_decompose`` peels the vertices no unpeeled vertex enters
+    before its searches run; these graphs sit on either side of that."""
+
+    def test_dag_peels_whole(self):
+        g = SparseDigraph(6, [(5, 0), (5, 3), (0, 1), (3, 1), (1, 2), (4, 2)])
+        scc = _checked(g)
+        assert scc.n_comps == 6
+        assert [scc.comps[c] for c in scc.source_ids] == [[4], [5]]
+
+    def test_chain_feeds_cycle(self):
+        # 0 -> 1 -> 2 peel; the cycle 3 -> 4 -> 5 -> 3 stays
+        g = SparseDigraph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 3)])
+        scc = _checked(g)
+        assert sorted(scc.comps) == [[0], [1], [2], [3, 4, 5]]
+        assert [scc.comps[c] for c in scc.source_ids] == [[0]]
+
+    def test_self_loop_only_in_edge_is_core_source(self):
+        # 0 and 5 are entered only by their own loops, so they never peel;
+        # 3 peels; the sources interleave by lowest member
+        g = SparseDigraph(6, [(0, 0), (0, 1), (1, 2), (3, 4), (5, 5), (5, 2)])
+        scc = _checked(g)
+        assert [scc.comps[c] for c in scc.source_ids] == [[0], [3], [5]]
+
+    def test_core_component_entered_only_from_peeled(self):
+        # 4 peels and enters the cycle {1, 2}, which is then no source;
+        # 3 is entered from the core only
+        g = SparseDigraph(5, [(4, 1), (1, 2), (2, 1), (2, 3)])
+        scc = _checked(g)
+        assert sorted(scc.comps) == [[0], [1, 2], [3], [4]]
+        assert [scc.comps[c] for c in scc.source_ids] == [[0], [4]]
+
+    def test_isolated_and_empty(self):
+        scc = _checked(SparseDigraph(3, []))
+        assert scc.comps == [[0], [1], [2]] and scc.source_ids == range(3)
+        scc = _checked(SparseDigraph(0, []))
+        assert scc.comps == [] and scc.comp_id == [] and scc.source_ids == range(0)
+
+    def test_sources_ascend_by_lowest_member(self):
+        rng = random.Random(25)
+        for i in range(600):
+            kind = i % 3
+            if kind == 0:
+                n = rng.randint(1, 200)
+                g = erdos_renyi(n, rng.uniform(0.3, 3.0) / n, rng)
+            elif kind == 1:
+                g = preferential(rng.randint(1, 200), rng.randint(1, 3), rng)
+            else:
+                g = stars_and_cycles(rng)
+            scc = _checked(g)
+            heads = [scc.comps[c][0] for c in scc.source_ids]
+            assert heads == sorted(heads)
 
 
 class TestReachableFrom:
