@@ -37,7 +37,7 @@ from typing import Collection
 from .errors import IterationBoundExceeded
 from .flowgraph import FlowGraph, build_flow_graph
 from .graph import SccInfo, SparseDigraph
-from .matching import MatchClass, Matching, classify
+from .matching import MatchClass, Matching, classify, free_source_members
 
 PathSet = list[list[int]]
 
@@ -350,11 +350,12 @@ def minimize(
 
     Returns the optimal matching (``m0`` is left untouched), the
     terminal round's classification of it, and per-round diagnostics.
-    With ``check=True`` every round re-validates the matching, its
-    allowedness, the exact cost drop, the strict growth of the s -> t
-    distance and the conservation laws (matched sources stay matched,
-    source components never lose their last unmatched member, components
-    at zero or one unmatched members stay that way), and raises
+    ``free_source_members`` first moves the start into N; ValueError
+    names a source component it cannot free.  With ``check=True`` every
+    round re-validates the matching, its allowedness, the exact cost
+    drop, the strict growth of the s -> t distance and the conservation
+    laws (matched sources stay matched, source components keep an
+    unmatched member, those at one stay there), and raises
     AssertionError on a breach, also under ``python -O``.
 
     Rounds are capped at ``6 * sqrt(n)``; exceeding the cap means a bug
@@ -368,13 +369,16 @@ def minimize(
     forb = frozenset(forbidden)
     cap = int(6 * math.sqrt(n))
     m = m0.copy()
+    cls = classify(scc, m)
+    blocked = free_source_members(scc, m, cls, forb)
+    if blocked >= 0:
+        raise ValueError(f"source component {blocked} is entirely forbidden")
     prev_dist = 0
     while True:
         if len(diag.per_iteration) >= cap:
             raise IterationBoundExceeded(
                 f"augmentation still running after {cap} rounds on n={n}"
             )
-        cls = classify(scc, m)
         fg = build_flow_graph(g, scc, m, forb, cls)
         dag, bfs_work = _run_bfs(fg)
         if dag is None:
@@ -394,11 +398,11 @@ def minimize(
         diag.per_iteration.append(
             IterationStats(dag.dist_t, len(paths), new_cost, fg.build_work + dag.work)
         )
+        post = classify(scc, m)
         if check:
             m.validate(g)
             if not m.is_allowed(forb):
                 raise AssertionError("augmentation lost the forbidden cover")
-            post = classify(scc, m)
             if post.cost != new_cost:
                 raise AssertionError("each path must lower the cost by one")
             for u in range(n):
@@ -407,13 +411,14 @@ def minimize(
                         f"source copy of {u} lost its outgoing matched edge"
                     )
             for c in scc.source_ids:
-                if cls.comp_unmatched[c] >= 1 and post.comp_unmatched[c] < 1:
+                if post.comp_unmatched[c] < 1:
                     raise AssertionError(
                         f"source component {c} lost its last unmatched member"
                     )
-                if cls.comp_unmatched[c] <= 1 and post.comp_unmatched[c] > 1:
+                if cls.comp_unmatched[c] == 1 and post.comp_unmatched[c] > 1:
                     raise AssertionError(
                         f"component {c} went above one unmatched member"
                     )
+        cls = post
         prev_dist = dag.dist_t
     return m, cls, diag

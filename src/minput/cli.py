@@ -18,7 +18,7 @@ from .flowgraph import build_flow_graph
 # Nothing here calls build_graph; the benchmark's traced run
 # (perfbench/replica.py) patches cli.build_graph, so the name must resolve.
 from .graph import SparseDigraph, build_graph, empty_adjacency, scc_decompose  # noqa: F401
-from .matching import classify, find_allowed_matching
+from .matching import Matching, _allowed_start, classify, free_source_members
 from .oracle import brute_force_min_input_set, check_structural_controllability
 from .solver import Problem, Solution, solve
 
@@ -181,15 +181,15 @@ def read_forbidden(path: str, n: int) -> frozenset[int]:
 
 
 def _flow_dump(problem: Problem) -> str:
-    """First-round flow graph of an instance, every vertex included."""
-    g = problem.graph
-    forb = problem.forbidden
-    m0 = find_allowed_matching(g, forb)
-    if m0 is None:
-        return "# no allowed matching, flow graph undefined\n"
+    """The flow graph ``solve`` searches first, every vertex included."""
+    g, forb = problem.graph, problem.forbidden
     scc = scc_decompose(g)
-    fg = build_flow_graph(g, scc, m0, forb, classify(scc, m0))
-    return fg.dump() + "\n"
+    m0 = _allowed_start(g, sorted(forb))
+    if isinstance(m0, Matching):
+        cls = classify(scc, m0)
+        if free_source_members(scc, m0, cls, forb) < 0:
+            return build_flow_graph(g, scc, m0, forb, cls).dump() + "\n"
+    return "# no allowed matching, flow graph undefined\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -12,28 +12,29 @@ of one fixed network N, whose edges have capacity 1 unless stated:
   input) and a forbidden ``v_dst`` carries a lower bound of 1.
 
 A matched pair ``(u, v)`` is one unit along ``s -> u_src -> v_dst`` and
-on to ``t``.  So an unmatched edge keeps ``u_src -> v_dst`` and a matched
-one is reversed; ``s`` reaches the free source copies (edges into ``s``
-or out of ``t`` lie on no s -> t path and are left out); an unmatched
-destination copy reaches ``t``, or ``D_c`` inside source SCC ``c``; and
-``D_c``, the *component node*, reaches the matched members' copies but
-the forbidden ones (the lower bound leaves them no reverse capacity),
-and reaches ``t`` while ``|c| - 1 - covered = k - 1`` is positive, ``k``
-being the unmatched count.  ``D_c`` stands for the paper's ``k - 1``
-slack nodes and for its swap edges: ``y_dst -> D_c -> x_dst`` moves a
-one-free component's free member from ``y`` to ``x`` at no cost.  The
-gateway is the one encoding outside N: a fully matched source SCC
-(``k == 0``) exceeds ``D_c``'s capacity, and ``s -> D_c`` lets one path
-free a member, which pays for the input the component needs anyway.
+on to ``t``, so M is a flow of N when it leaves each source SCC an
+unmatched member, and its cost is then ``n`` minus its value.  An
+unmatched edge keeps ``u_src -> v_dst`` and a matched one is reversed;
+``s`` reaches the free source copies (edges into ``s`` or out of ``t``
+lie on no s -> t path and are left out); an unmatched destination copy
+reaches ``t``, or ``D_c`` inside source SCC ``c``; and ``D_c``, the
+*component node*, reaches the matched members' copies but the forbidden
+ones (the lower bound leaves them no reverse capacity), and reaches
+``t`` while ``|c| - 1 - covered = k - 1`` is positive, ``k`` being the
+unmatched count.  ``D_c`` stands for the paper's ``k - 1`` slack nodes
+and for its swap edges: ``y_dst -> D_c -> x_dst`` moves a one-free
+component's free member from ``y`` to ``x`` at no cost.
 
 The s -> t distance grows strictly between rounds by Dinic's (1970)
 shortest-augmenting-path argument: a round augments a maximal set of
 shortest paths, after which the view differs only by reversed path
 edges and deleted edges (a used ``s`` or ``t`` edge, ``D_c -> t`` once
-``k`` is 1, a used gateway), so no new path is as short.  The
-``6 sqrt(n)`` round cap of Hopcroft-Karp still holds: the node space is
-unchanged and a round's paths are vertex-disjoint but at the ``D_c``
-they leave to ``t``.
+``k`` is 1), so no new path is as short.  The ``6 sqrt(n)`` round cap
+holds as in Hopcroft-Karp: nodes but ``s``, ``t`` and the ``D_c`` pass
+one unit each, and a residual path holds two of them before its first
+``D_c`` and between any two, so at distance ``d`` the missing flow is
+at most ``4n / (d - 1)`` such paths; ``d`` starts at 3 and grows each
+round, so ``2 sqrt(n)`` rounds leave fewer than ``2 sqrt(n)`` to run.
 
 No edge is stored: the graph's adjacency, the mate arrays, the SCCs and
 the round's ``MatchClass`` answer every rule, as Hopcroft-Karp never
@@ -62,16 +63,14 @@ class FlowGraph:
     the view spans ``view_size = 2n + 2 + r`` ids, at most ``3n + 2``.
 
     A destination copy's rules read only its mate and its component.
-    Only the component node reads ``k``: its in-neighbours are ``s`` at
-    ``k == 0`` and the unmatched members' copies otherwise, its
-    out-neighbours the matched, non-forbidden members' copies plus ``t``
-    at ``k >= 2``.
+    Only the component node reads ``k``: its in-neighbours are the
+    unmatched members' copies, its out-neighbours the matched,
+    non-forbidden members' copies plus ``t`` at ``k >= 2``.
 
-    ``s_out`` lists the free source copies, then the component node of
-    each fully matched source component.  ``t_in`` lists the unmatched
-    destination copies outside source components, then the component
-    node of each source component with two or more unmatched members.
-    Both ascend.  The rest comes from ``out_adj``, ``in_adj``,
+    ``s_out`` lists the free source copies.  ``t_in`` lists the
+    unmatched destination copies outside source components, then the
+    component node of each source component with two or more unmatched
+    members.  Both ascend.  The rest comes from ``out_adj``, ``in_adj``,
     ``mate_of_src``, ``mate_of_dst``, the SCCs and ``cls``, shared with
     their owners, so the view is valid only until the matching changes.
 
@@ -98,8 +97,6 @@ class FlowGraph:
         n = g.n
         t_id = 2 * n + 1
         comp_id, r = scc.comp_id, len(scc.source_ids)
-        s_out = [u for u, v in enumerate(m.mate_of_src) if v < 0]
-        s_out += [t_id + 1 + c for c in cls.x_comps]
         t_in = [n + v for v in cls.unmatched if comp_id[v] >= r]
         t_in += [t_id + 1 + c for c in scc.source_ids if cls.comp_unmatched[c] >= 2]
 
@@ -115,9 +112,9 @@ class FlowGraph:
         self.scc = scc
         self.cls = cls
         self.forbidden = frozenset(forbidden)
-        self.s_out = s_out
+        self.s_out = [u for u, v in enumerate(m.mate_of_src) if v < 0]
         self.t_in = t_in
-        self.build_work = n + len(cls.x_comps) + len(cls.unmatched) + r
+        self.build_work = n + len(cls.unmatched) + r
 
     def node_count(self) -> int:
         """Ids in the view, ``view_size``; at most 3n + 2."""
@@ -166,8 +163,6 @@ class FlowGraph:
         c = x - self.t_id - 1
         if c < 0:
             return ()
-        if self.cls.comp_unmatched[c] == 0:
-            return [self.s_id]
         mate_dst = self.mate_of_dst
         return [n + v for v in self.scc.comps[c] if mate_dst[v] < 0]
 

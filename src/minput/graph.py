@@ -213,9 +213,9 @@ class SccInfo:
     finishes them: a source is entered only from its own members, so that
     search first reaches it at a root, its lowest member, and finishes it
     before the next root starts.  Outputs read only the sources' order
-    (``source_ids``, ``MatchClass.x_comps``, the flow graph's component
-    nodes and the all-forbidden components ``solve`` names in its
-    message); it must not depend on the SCC algorithm.
+    (``source_ids``, the flow graph's component nodes and the
+    all-forbidden components that ``solve`` and ``minimize`` name in
+    their messages); it must not depend on the SCC algorithm.
 
     Attributes
     ----------

@@ -11,8 +11,10 @@ A vertex counts as *unmatched* when its destination copy is not covered.
 Given a forbidden vertex set F, a matching is *allowed* when every
 unmatched vertex lies outside F.  The cost of a matching is the number
 of unmatched vertices plus the number of source SCCs whose members are
-all matched; minimising this cost over allowed matchings is what the
-rest of the package is about.
+all matched, or the unmatched count alone for a flow of the network N
+(see flowgraph), which leaves each source SCC an unmatched member;
+minimising this cost over allowed matchings is what the rest of the
+package is about.
 
 ``find_allowed_matching`` builds the start that minimisation improves:
 Karp-Sipser, then repair.  The Karp-Sipser rule builds a maximal
@@ -28,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Collection
 
-from .graph import SccInfo, SparseDigraph, vertex_ids
+from .graph import SccInfo, SparseDigraph, scc_decompose, vertex_ids
 
 
 class Matching:
@@ -303,12 +305,16 @@ def find_allowed_matching(g: SparseDigraph, forbidden: Collection[int]) -> Match
     covered.  A destination given up may keep a free in-neighbour, so
     the result need not be maximal.  The repair's phases are bounded as
     in Hopcroft-Karp, so the start costs O(n + m) plus O(m sqrt(n)).
-    The result is None exactly when no matching covers every forbidden
-    destination; ``solve`` then reports the repair's Hall set.  With
-    nothing forbidden the result is the Karp-Sipser matching itself.
+    Last, ``free_source_members`` moves the result into N.  None exactly
+    when no matching covers every forbidden destination (``solve`` then
+    reports the repair's Hall set) or a source SCC is entirely forbidden.
     """
-    start = _allowed_start(g, vertex_ids(forbidden, g.n, "forbidden vertex"))
-    return start if isinstance(start, Matching) else None
+    f_list = vertex_ids(forbidden, g.n, "forbidden vertex")
+    m = _allowed_start(g, f_list)
+    if isinstance(m, list):
+        return None
+    scc = scc_decompose(g)
+    return m if free_source_members(scc, m, classify(scc, m), frozenset(f_list)) < 0 else None
 
 
 def _allowed_start(g: SparseDigraph, f_list: list[int]) -> Matching | list[int]:
@@ -355,30 +361,25 @@ def _allowed_start(g: SparseDigraph, f_list: list[int]) -> Matching | list[int]:
 
 @dataclass
 class MatchClass:
-    """Classification of source SCCs and unmatched vertices for one matching.
+    """Classification of unmatched vertices for one matching.
 
-    ``x_comps`` lists the source components with no unmatched member,
-    which the flow graph gives a gateway and the input set a
-    representative.  ``unmatched`` lists every unmatched vertex and
+    ``unmatched`` lists every unmatched vertex, ascending, and
     ``comp_unmatched`` holds the unmatched count of every component,
-    the one number a component node of the flow graph reads.  Lists
-    ascend.
+    the one number a component node of the flow graph reads.
 
     Per round, ``classify`` makes one comprehension over the
     destination mates and allocates one zeroed count per component;
-    every other step costs O(1) per unmatched vertex or per source
-    component, and no Python loop walks all components or a
-    component's members.
+    every other step costs O(1) per unmatched vertex, and no Python loop
+    walks all components or a component's members.
     """
 
-    x_comps: list[int]
     unmatched: list[int]
     comp_unmatched: list[int]
 
     @property
     def cost(self) -> int:
-        """Unmatched vertex count plus fully matched source component count."""
-        return len(self.unmatched) + len(self.x_comps)
+        """Unmatched vertex count, the cost of a matching in N."""
+        return len(self.unmatched)
 
 
 def classify(scc: SccInfo, m: Matching) -> MatchClass:
@@ -387,5 +388,22 @@ def classify(scc: SccInfo, m: Matching) -> MatchClass:
     comp_unmatched = [0] * scc.n_comps
     for c in map(scc.comp_id.__getitem__, unmatched):
         comp_unmatched[c] += 1
-    x_comps = [c for c in scc.source_ids if comp_unmatched[c] == 0]
-    return MatchClass(x_comps, unmatched, comp_unmatched)
+    return MatchClass(unmatched, comp_unmatched)
+
+
+def free_source_members(
+    scc: SccInfo, m: Matching, cls: MatchClass, forb: Collection[int]
+) -> int:
+    """Unmatch the lowest allowed member of each source component that
+    ``m``, classified as ``cls`` (patched to match), leaves fully matched:
+    the cost stays, and an allowed ``m`` becomes an allowed flow of N.
+    Returns -1, or the first such component with no allowed member."""
+    for c in [c for c in scc.source_ids if cls.comp_unmatched[c] == 0]:
+        v = next((v for v in scc.comps[c] if v not in forb), -1)
+        if v < 0:
+            return c
+        m.remove(m.mate_of_dst[v], v)
+        cls.comp_unmatched[c] = 1
+        cls.unmatched.append(v)
+    cls.unmatched.sort()
+    return -1

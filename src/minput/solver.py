@@ -4,9 +4,9 @@ Given the influence graph of ``xdot = A x`` and a forbidden vertex set
 F, find a smallest set I of non-forbidden state variables such that
 attaching one dedicated input to each member of I (a diagonal B
 pattern) makes the system structurally controllable.  The minimum size
-equals the minimum cost over allowed matchings; the optimal matching's
-unmatched vertices, plus one allowed representative per fully matched
-source SCC, realise it.
+equals the minimum cost over allowed matchings; the unmatched vertices
+of the optimal matching that ``minimize`` returns, which leaves every
+source SCC an unmatched member, realise it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Collection
 
 from .augment import Diagnostics, minimize
 from .graph import SccInfo, SparseDigraph, scc_decompose, vertex_ids
-from .matching import MatchClass, Matching, _allowed_start, classify
+from .matching import Matching, _allowed_start, classify
 
 
 @dataclass
@@ -55,7 +55,8 @@ class Solution:
 
     ``input_set`` is sorted; ``cost`` is its size.  ``certificate``
     holds the matched edges of the optimal matching in original vertex
-    ids, and ``b_pattern`` the diagonal nonzero positions of B(I).
+    ids; the vertices it leaves unmatched are exactly ``input_set``.
+    ``b_pattern`` holds the diagonal nonzero positions of B(I).
     """
 
     input_set: list[int]
@@ -68,43 +69,23 @@ class Solution:
 def recover_input_set(
     scc: SccInfo, m_opt: Matching, forbidden: Collection[int]
 ) -> list[int]:
-    """Input set realised by an optimal matching.
-
-    All unmatched vertices, plus for every source component with no
-    unmatched member its lowest-id non-forbidden vertex.  Requires each
-    source component to intersect the allowed set (the solver gates on
-    that before ever minimising).
-    """
-    return _input_set(scc, classify(scc, m_opt), frozenset(forbidden))
-
-
-def _input_set(scc: SccInfo, cls: MatchClass, forb: frozenset[int]) -> list[int]:
-    """``recover_input_set`` from the matching's classification ``cls``."""
-    picks: list[int] = []
-    for c in cls.x_comps:
-        rep = -1
-        for v in scc.comps[c]:
-            if v not in forb:
-                rep = v
-                break
-        if rep < 0:
-            raise ValueError(f"source component {c} is entirely forbidden")
-        picks.append(rep)
-    return sorted(cls.unmatched + picks)
+    """Input set of an optimal matching from ``minimize``: its unmatched
+    vertices.  ``forbidden`` is not read."""
+    return classify(scc, m_opt).unmatched
 
 
 def solve(problem: Problem, *, check: bool = False) -> Solution | Unsolvable:
     """Solve an instance; ``check=True`` turns on per-round validation.
 
     Pipeline: forbidden ids are checked once; every source SCC must
-    contain an allowed vertex; an allowed matching is seeded, minimised
-    and read back out.  These are the only two ways an instance can be
-    unsolvable: the first gate names every all-forbidden source
-    component, and the start names the Hall set that its own maximum
-    cover of the forbidden vertices leaves uncovered.  A vertex with no
-    incident edge needs no special handling: it is a singleton source
-    SCC, so a forbidden one fails the first gate and an allowed one
-    stays unmatched, charged one input.
+    contain an allowed vertex; an allowed matching is seeded and
+    minimised, and its unmatched vertices are the input set.  These are
+    the only two ways an instance can be unsolvable: the first gate
+    names every all-forbidden source component, and the start names the
+    Hall set that its own maximum cover of the forbidden vertices leaves
+    uncovered.  A vertex with no incident edge needs no special
+    handling: it is a singleton source SCC, so a forbidden one fails the
+    first gate and an allowed one stays unmatched, charged one input.
     """
     g = problem.graph
     f_list = vertex_ids(problem.forbidden, g.n, "forbidden vertex")
@@ -134,7 +115,7 @@ def solve(problem: Problem, *, check: bool = False) -> Solution | Unsolvable:
         )
 
     m_opt, cls, diag = minimize(g, scc, forb, m0, check=check)
-    input_set = _input_set(scc, cls, forb)
+    input_set = cls.unmatched
     return Solution(
         input_set,
         len(input_set),

@@ -267,10 +267,22 @@ def flow_graph(g: SparseDigraph, m: Matching, forbidden: Collection[int] = ()) -
     return FlowGraph(g, scc, m, forbidden, classify(scc, m))
 
 
-def component_nodes(fg: FlowGraph) -> tuple[list[int], list[int]]:
-    """The gateway and the slack family nodes of ``fg``, in its internal
-    ids: the component nodes at the ends of ``s_out`` and ``t_in``."""
-    return [x for x in fg.s_out if x > fg.t_id], [x for x in fg.t_in if x > fg.t_id]
+def into_network(g: SparseDigraph, m: Matching) -> Matching:
+    """``m``, changed in place, with the lowest member of each source SCC
+    it leaves fully matched unmatched: ``minimize``'s first step with
+    nothing forbidden, which puts any matching in N at the same cost."""
+    scc = scc_decompose(g)
+    for c in scc.source_ids:
+        members = scc.comps[c]
+        if all(m.mate_of_dst[v] >= 0 for v in members):
+            m.remove(m.mate_of_dst[members[0]], members[0])
+    return m
+
+
+def component_nodes(fg: FlowGraph) -> list[int]:
+    """The slack family nodes of ``fg``, in its internal ids: the
+    component nodes at the end of ``t_in``."""
+    return [x for x in fg.t_in if x > fg.t_id]
 
 
 def dump_edge_list(g: SparseDigraph) -> str:
@@ -623,12 +635,13 @@ def reference_flow_edges(
 ) -> tuple[int, set[tuple[int, int]]]:
     """(node count, edge set) of the paper's flow graph, with its swap
     edges and its families of ``k - 1`` slack nodes, written straight
-    from the paper's construction.
+    from the paper's construction, for a matching that leaves each
+    source component an unmatched member.
 
-    ``comp_of`` numbers the SCCs; gateways follow the fully matched
-    source components and slack families the source components with two
-    or more unmatched members, both in ascending component number, in
-    the paper's numbering: gateways from ``2n + 2`` on, then slack ids.
+    ``comp_of`` numbers the SCCs; slack families follow the source
+    components with two or more unmatched members, in ascending
+    component number, in the paper's numbering: slack ids from
+    ``2n + 2`` on.
     """
     n = g.n
     s, t = 2 * n, 2 * n + 1
@@ -645,12 +658,7 @@ def reference_flow_edges(
     for u in range(n):
         if m.mate_of_src[u] < 0:
             edges.add((s, u))
-    gated = [c for c in sources if not free[c]]
-    for i, c in enumerate(gated):
-        gate = 2 * n + 2 + i
-        edges.add((s, gate))
-        edges.update((gate, n + v) for v in members[c] if v not in forb)
-    nxt = 2 * n + 2 + len(gated)
+    nxt = 2 * n + 2
     for c in sources:
         if len(free[c]) == 1:
             y = free[c][0]
@@ -670,8 +678,8 @@ def reference_residual_edges(
     g: SparseDigraph, comp_of: list[int], m, forbidden
 ) -> tuple[int, set[tuple[int, int]]]:
     """(node count, edge set) of the residual graph of the fixed network
-    N for the flow that ``m`` sends, plus the gateway, written straight
-    from N's definition.
+    N for the flow that ``m`` sends, written straight from N's
+    definition.
 
     N's nodes are ``u_src = u``, ``v_dst = n + v``, ``s = 2n``,
     ``t = 2n + 1`` and ``D_c = 2n + 2 + i`` for the ``i``-th source SCC
@@ -683,8 +691,8 @@ def reference_residual_edges(
     along ``s -> u_src -> v_dst`` and on to ``t``.  An arc below its
     capacity gives a forward residual edge and one above its lower bound
     a reverse edge; edges into ``s`` or out of ``t`` lie on no s -> t
-    path and are dropped.  The gateway adds ``s -> D_c`` for every
-    source SCC whose members are all matched.
+    path and are dropped.  A source SCC whose members are all matched
+    overfills ``D_c -> t``, which then has no forward edge.
     """
     n = g.n
     s, t = 2 * n, 2 * n + 1
@@ -704,13 +712,10 @@ def reference_residual_edges(
             arcs.append((n + v, d_node[c], int(v in forb), 1, covered[v]))
         else:
             arcs.append((n + v, t, 0, 1, covered[v]))
-    edges: set[tuple[int, int]] = set()
     for c in sources:
         members = [v for v in range(n) if comp_of[v] == c]
-        flow = sum(covered[v] for v in members)
-        arcs.append((d_node[c], t, 0, len(members) - 1, flow))
-        if flow == len(members):
-            edges.add((s, d_node[c]))
+        arcs.append((d_node[c], t, 0, len(members) - 1, sum(covered[v] for v in members)))
+    edges: set[tuple[int, int]] = set()
     for a, b, low, cap, flow in arcs:
         if flow < cap:
             edges.add((a, b))
@@ -723,20 +728,16 @@ def reference_classify(scc, m) -> tuple:
     """The ``MatchClass`` fields, in declaration order, written straight
     from its docstring with one naive pass per component.
 
-    Source components with no unmatched member are ``x_comps``.
     ``unmatched`` holds every unmatched vertex, ascending, and
     ``comp_unmatched`` the unmatched count of each component.
     """
-    x_comps = []
     comp_unmatched = []
     unmatched = []
-    for c, members in enumerate(scc.comps):
+    for members in scc.comps:
         free = [v for v in members if m.mate_of_dst[v] < 0]
         comp_unmatched.append(len(free))
         unmatched.extend(free)
-        if c < len(scc.source_ids) and not free:
-            x_comps.append(c)
-    return x_comps, sorted(unmatched), comp_unmatched
+    return sorted(unmatched), comp_unmatched
 
 
 def all_shortest_paths(

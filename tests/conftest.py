@@ -24,6 +24,13 @@ def m1() -> Matching:
 
 
 @pytest.fixture
+def m1_free() -> Matching:
+    # m1 leaves the source component {a, b} fully matched; minimize first
+    # frees its lowest member a, which keeps cost 2 and puts the start in N
+    return Matching.from_edges(4, [(1, 1), (2, 3)])
+
+
+@pytest.fixture
 def m2() -> Matching:
     # the chain matching: leaves vertex 0 unmatched, cost 1 (optimal)
     return Matching.from_edges(4, [(0, 1), (1, 2), (2, 3)])

@@ -125,17 +125,17 @@ comp0 -> b.dst
 d.dst -> c.src
 s -> d.src"""
 
-GOLDEN_GATEWAY = """\
-a.dst -> a.src
+GOLDEN_FREED = """\
+a.dst -> comp0
+a.src -> a.dst
 a.src -> b.dst
 b.dst -> b.src
 b.src -> a.dst
 b.src -> c.dst
 c.dst -> t
-comp0 -> a.dst
 comp0 -> b.dst
 d.dst -> c.src
-s -> comp0
+s -> a.src
 s -> d.src"""
 
 GOLDEN_SLACK = """\
@@ -160,28 +160,30 @@ def test_criterion_3_worked_examples(capsys):
     g4 = SparseDigraph(4, [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 3)])
     g5 = SparseDigraph(5, [(0, 0), (0, 1), (1, 0), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3)])
     m1 = Matching.from_edges(4, [(0, 0), (1, 1), (2, 3)])
+    m1_free = Matching.from_edges(4, [(1, 1), (2, 3)])  # m1 with a freed
     m2 = Matching.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     m3 = Matching.from_edges(5, [(2, 1), (1, 0)])
     scc4, scc5 = scc_decompose(g4), scc_decompose(g5)
     checks: list[bool] = []
 
-    # starting matching and its cost, then the optimal one
+    # starting matching and its cost, then the optimal one; m1 leaves
+    # the source component {a, b} fully matched, and minimize frees a
     checks.append(find_allowed_matching(g4, []) == m2)
-    checks.append(classify(scc4, m1).cost == 2 and classify(scc4, m2).cost == 1)
+    checks.append(classify(scc4, m1_free).cost == 2 and classify(scc4, m2).cost == 1)
 
     # three flow-graph constructions
     fg_free = flow_graph(g4, m2)
-    fg_gate = flow_graph(g4, m1)
+    fg_freed = flow_graph(g4, m1_free)
     fg_slack = flow_graph(g5, m3)
     checks.append(fg_free.dump(["a", "b", "c", "d"]) == GOLDEN_ONE_FREE)
-    checks.append(fg_gate.dump(["a", "b", "c", "d"]) == GOLDEN_GATEWAY)
+    checks.append(fg_freed.dump(["a", "b", "c", "d"]) == GOLDEN_FREED)
     checks.append(fg_slack.dump(["a", "b", "c", "d", "e"]) == GOLDEN_SLACK)
 
     # distances and extracted paths
     checks.append(layered_bfs(fg_free) is None)
-    dag_gate = layered_bfs(fg_gate)
-    checks.append(dag_gate is not None and dag_gate.dist_t == 5)
-    checks.append(extract_paths(dag_gate) == [[8, 10, 5, 1, 6, 9]])
+    dag_freed = layered_bfs(fg_freed)
+    checks.append(dag_freed is not None and dag_freed.dist_t == 5)
+    checks.append(extract_paths(dag_freed) == [[8, 0, 5, 1, 6, 9]])
     dag_slack = layered_bfs(fg_slack)
     checks.append(dag_slack is not None and dag_slack.dist_t == 4)
     checks.append(
@@ -189,8 +191,8 @@ def test_criterion_3_worked_examples(capsys):
     )
 
     # applying the paths lowers the cost by exactly one each
-    after = augment_on_paths(m1.copy(), [[8, 10, 5, 1, 6, 9]])
-    checks.append(after.edges() == [(0, 0), (1, 2), (2, 3)])
+    after = augment_on_paths(m1_free.copy(), [[8, 0, 5, 1, 6, 9]])
+    checks.append(after == m2)
     checks.append(classify(scc4, after).cost == 1)
     after5 = augment_on_paths(m3.copy(), [[10, 3, 7, 12, 11], [10, 4, 8, 12, 11]])
     checks.append(classify(scc5, after5).cost == 1)
@@ -206,7 +208,7 @@ def test_criterion_3_worked_examples(capsys):
     checks.append(classify(scc5, best5).cost == 1 and diag5.distances() == [4])
 
     # reading out input sets
-    checks.append(recover_input_set(scc4, m1, []) == [0, 2])
+    checks.append(recover_input_set(scc4, m1_free, []) == [0, 2])
     sol = solve(Problem(g4))
     checks.append(isinstance(sol, Solution) and sol.input_set == [0])
     chain_dag = layered_bfs(flow_graph(chain(2), Matching(2)))

@@ -39,18 +39,18 @@ class TestLayeredBfs:
     def test_optimal_matching_has_no_path(self, g4, m2):
         assert layered_bfs(flow_graph(g4, m2)) is None
 
-    def test_gateway_route(self, g4, m1):
-        fg = flow_graph(g4, m1)
+    def test_gateway_route(self, g4, m1_free):
+        fg = flow_graph(g4, m1_free)
         dag = layered_bfs(fg)
         assert dag is not None
         assert dag.dist_t == 5
-        # s -> gate1 -> b.dst -> b.src -> c.dst -> t
-        [gate], _ = component_nodes(fg)
-        assert dag.dist[gate] == 1
+        # s -> a.src -> b.dst -> b.src -> c.dst -> t: the freed member's
+        # source copy starts the one path
+        assert dag.dist[0] == 1
         assert dag.dist[5] == 2
         assert dag.dist[1] == 3
         assert dag.dist[6] == 4
-        assert dag.useful[6] and dag.useful[gate]
+        assert dag.useful[6] and dag.useful[0]
         assert dag.indeg[9] == 1
 
     def test_slack_route(self, g5, m3):
@@ -58,7 +58,7 @@ class TestLayeredBfs:
         dag = layered_bfs(fg)
         assert dag is not None
         assert dag.dist_t == 4
-        _, [family] = component_nodes(fg)
+        [family] = component_nodes(fg)
         assert dag.dist[family] == 3
         assert dag.indeg[family] == 3  # all three unmatched members feed it
 
@@ -70,9 +70,9 @@ class TestLayeredBfs:
 
 
 class TestExtractPaths:
-    def test_unique_gateway_path(self, g4, m1):
-        dag = layered_bfs(flow_graph(g4, m1))
-        assert extract_paths(dag) == [[8, 10, 5, 1, 6, 9]]
+    def test_unique_gateway_path(self, g4, m1_free):
+        dag = layered_bfs(flow_graph(g4, m1_free))
+        assert extract_paths(dag) == [[8, 0, 5, 1, 6, 9]]
 
     def test_two_slack_paths(self, g5, m3):
         dag = layered_bfs(flow_graph(g5, m3))
@@ -144,12 +144,12 @@ def _reach_sizes(size: int, edges, s: int, t: int) -> tuple[int, int]:
 
 class TestTwoSidedSearch:
     def test_matches_forward_only_reference(self):
-        # Every round of the loop, from a random allowed start (gateways,
-        # slack and swaps), solve's start or the greedy one, on ER and PA
-        # graphs with and without forbidden vertices: the search gives
-        # the forward-only reference's DAG and paths, and None exactly
-        # when it does.  Its backward side costs at most the forward
-        # side's work.
+        # Every round of the loop, from a random allowed start (fully
+        # matched sources, slack and swaps), solve's start or the greedy
+        # one, on ER and PA graphs with and without forbidden vertices:
+        # the search gives the forward-only reference's DAG and paths,
+        # and None exactly when it does.  Its backward side costs at
+        # most the forward side's work.
         rng = random.Random(61)
         closed = {"backward smaller": 0, "backward larger": 0}
         for i in range(3000):
@@ -166,6 +166,8 @@ class TestTwoSidedSearch:
             else:
                 f = greedy_forbidden(g, share, rng)
                 m = find_allowed_matching(g, f) if i % 3 == 1 else greedy_allowed_matching(g, f)
+                if m is None:  # a source component is entirely forbidden
+                    continue
             scc = scc_decompose(g)
             while True:
                 fg = FlowGraph(g, scc, m, f, classify(scc, m))
@@ -195,7 +197,7 @@ class TestEquivalenceSweep:
         # an s -> t path to check than the package's start does, or half
         # the time from a random matching, whose families more often
         # carry two paths; shortest paths are enumerated on the residual
-        # graph of the fixed network plus the gateway
+        # graph of the fixed network
         rng = random.Random(50)
         agreed_no_path = 0
         checked = 0
@@ -242,10 +244,10 @@ class TestEquivalenceSweep:
 
 
 class TestAugmentOnPaths:
-    def test_gateway_golden(self, g4, m1):
-        got = augment_on_paths(m1.copy(), [[8, 10, 5, 1, 6, 9]])
-        assert got.edges() == [(0, 0), (1, 2), (2, 3)]
-        assert got.unmatched() == [1]
+    def test_gateway_golden(self, g4, m1_free, m2):
+        got = augment_on_paths(m1_free.copy(), [[8, 0, 5, 1, 6, 9]])
+        assert got == m2
+        assert got.unmatched() == [0]
 
     def test_slack_golden(self, g5, m3):
         got = augment_on_paths(m3.copy(), [[10, 3, 7, 12, 11], [10, 4, 8, 12, 11]])
@@ -273,10 +275,11 @@ class TestMinimize:
         assert diag.per_iteration[0].dist is None
         assert diag.per_iteration[0].paths == 0
 
-    def test_gateway_golden(self, g4, m1):
+    def test_gateway_golden(self, g4, m1, m2):
+        # m1 leaves {a, b} fully matched: a is freed first, then one path
         scc = scc_decompose(g4)
         best, cls, diag = minimize(g4, scc, [], m1, check=True)
-        assert best.edges() == [(0, 0), (1, 2), (2, 3)]
+        assert best == m2
         assert cls == classify(scc, best) and cls.cost == 1
         assert diag.iterations == 2
         assert diag.distances() == [5]
@@ -305,13 +308,18 @@ class TestMinimize:
         g = SparseDigraph(300, sorted(set(er.edges()) | {(v, v) for v in range(300)}))
         scc = scc_decompose(g)
         m0 = find_allowed_matching(g, [])
-        assert m0.size == 300
+        assert m0.size == 300 - len(scc.source_ids)
         fg = flow_graph(g, m0)
         res = solve(Problem(g))
         want = len(scc.source_ids)
         assert want > 1 and max(len(c) for c in scc.comps) > 1
         assert res.diagnostics.per_iteration == [IterationStats(None, 0, want, fg.build_work)]
         assert res.cost == want == assignment_min_inputs(g, [])
+
+    def test_fully_forbidden_component_rejected(self, g4, m1):
+        # m1 is allowed, but no member of {a, b} can be freed
+        with pytest.raises(ValueError, match="source component 0 "):
+            minimize(g4, scc_decompose(g4), [0, 1], m1)
 
     def test_empty_graph(self):
         g = diagonal(0)
@@ -358,7 +366,10 @@ class TestMinimize:
             m0 = find_allowed_matching(g, f)
             want = brute_force_min_cost_allowed_matching(g, f)
             if m0 is None:
-                assert want is None
+                # no allowed matching, or a source component with no
+                # allowed member to free
+                scc = scc_decompose(g)
+                assert want is None or any(set(scc.comps[c]) <= f for c in scc.source_ids)
                 continue
             run(g, f, m0, want)
             solved += 1

@@ -7,7 +7,6 @@ import random
 
 from bruteforce import (
     component_nodes,
-    flow_graph,
     greedy_allowed_matching,
     greedy_forbidden,
     random_matching,
@@ -24,17 +23,18 @@ from minput import (
     solve,
 )
 from minput.augment import minimize
-from minput.matching import MatchClass
+from minput.flowgraph import FlowGraph
+from minput.matching import MatchClass, free_source_members
 
 
 class TestClassifyReference:
     def test_fields_in_order(self):
         names = [f.name for f in dataclasses.fields(MatchClass)]
-        assert names == ["x_comps", "unmatched", "comp_unmatched"]
+        assert names == ["unmatched", "comp_unmatched"]
 
     def test_matches_reference(self):
         rng = random.Random(44)
-        seen = {"single_one_free": 0, "multi_one_free": 0, "gateway": 0, "slack": 0}
+        seen = {"single_one_free": 0, "multi_one_free": 0, "fully_matched": 0, "slack": 0}
         for _ in range(400):
             n = rng.randint(1, 12)
             g = erdos_renyi(n, rng.choice([0.1, 0.2, 0.35, 0.5]), rng)
@@ -48,7 +48,7 @@ class TestClassifyReference:
             sizes = [len(scc.comps[c]) for c in scc.source_ids if cls.comp_unmatched[c] == 1]
             seen["single_one_free"] += sizes.count(1) > 0
             seen["multi_one_free"] += len(sizes) > sizes.count(1)
-            seen["gateway"] += len(cls.x_comps) > 0
+            seen["fully_matched"] += any(cls.comp_unmatched[c] == 0 for c in scc.source_ids)
             seen["slack"] += any(cls.comp_unmatched[c] >= 2 for c in scc.source_ids)
         assert min(seen.values()) >= 20, seen
 
@@ -77,19 +77,24 @@ def _rounds(diagnostics):
 class TestRoundCounters:
     """Every round's ``(dist, paths, cost, work)`` and the first round's
     ``build_work`` of ``minimize`` driven from the greedy start
-    (``greedy_allowed_matching``), so the pins guard the loop whatever
-    start ``solve`` uses.  The ``(dist, paths, cost)`` triples guard
-    results: no change to how the loop searches may move them.  Work
-    counts are deterministic and the scaling gate reads them, so ``work``
-    moves only with a change to what a round scans, recorded with its
-    reason and its old and new pins."""
+    (``greedy_allowed_matching``) once ``minimize`` has freed a member of
+    each source component it leaves fully matched, so the pins guard
+    the loop whatever start ``solve`` uses.  The ``(dist, paths, cost)``
+    triples guard results: no change to how the loop searches may move
+    them.  Work counts are deterministic and the scaling gate reads
+    them, so ``work`` moves only with a change to what a round scans,
+    recorded with its reason and its old and new pins."""
 
-    def _check(self, g, forbidden, rounds, build_work):
+    def _check(self, g, forbidden, rounds, build_work, freed):
         scc = scc_decompose(g)
         m0 = greedy_allowed_matching(g, forbidden)
         _, _, diagnostics = minimize(g, scc, forbidden, m0)
         assert _rounds(diagnostics) == rounds
-        fg = flow_graph(g, m0, forbidden)
+        cls = classify(scc, m0)
+        unmatched = len(cls.unmatched)
+        assert free_source_members(scc, m0, cls, forbidden) == -1
+        assert len(cls.unmatched) - unmatched == freed
+        fg = FlowGraph(g, scc, m0, forbidden, cls)
         assert fg.build_work == build_work
         return fg
 
@@ -98,30 +103,29 @@ class TestRoundCounters:
         self._check(g, f, [
             (5, 34, 56, 3415), (7, 8, 48, 2082), (9, 6, 42, 2119), (11, 5, 37, 2322),
             (13, 1, 36, 1627), (15, 1, 35, 1942), (19, 1, 34, 2499), (None, 0, 34, 844),
-        ], 512)
+        ], 512, 0)
 
     def test_preferential_greedy_forbidden(self):
         g, f = _pa_greedy()
         assert len(f) == 71
         self._check(g, f, [
             (5, 9, 353, 4311), (7, 1, 352, 3915), (9, 1, 351, 4012), (None, 0, 351, 1757),
-        ], 1297)
+        ], 1297, 0)
 
     def test_mixed_with_gateways_and_slack(self):
         g, f = _mixed()
         assert (g.n, g.m, len(f)) == (255, 577, 38)
         fg = self._check(g, f, [
-            (5, 10, 53, 1566), (7, 3, 50, 1425), (11, 1, 49, 1394), (None, 0, 49, 813),
-        ], 332)
-        gateways, families = component_nodes(fg)
-        assert (len(gateways), len(families)) == (2, 7)
+            (5, 10, 53, 1573), (7, 3, 50, 1427), (11, 1, 49, 1392), (None, 0, 49, 819),
+        ], 332, 2)
+        assert len(component_nodes(fg)) == 7
 
 
 class TestSolveRounds:
     """``solve``'s rounds on the same instances, and the unmatched count
-    of its start, Karp-Sipser then the forbidden repair (90, 362 and 61
-    from the greedy start): the start decides how many rounds remain, so
-    a change to it shows here."""
+    of its start, Karp-Sipser then the forbidden repair, in N (90, 362
+    and 63 from the greedy start): the start decides how many rounds
+    remain, so a change to it shows here."""
 
     def _check(self, g, forbidden, unmatched, rounds):
         assert g.n - find_allowed_matching(g, forbidden).size == unmatched
@@ -139,7 +143,7 @@ class TestSolveRounds:
 
     def test_mixed_with_gateways_and_slack(self):
         g, f = _mixed()
-        self._check(g, f, 47, [(None, 0, 49, 800)])
+        self._check(g, f, 49, [(None, 0, 49, 806)])
 
     def test_greedy_forbidden_at_n_16384(self):
         # the cold forbidden cover of the earlier start left 2353

@@ -382,6 +382,26 @@ class TestRunSolve:
         capsys.readouterr()
         assert dest.read_text() == "0.dst -> comp0\n1.dst -> comp1\n2.dst -> 1.src\ns -> 0.src\ns -> 2.src\n"
 
+    def test_dump_flow_frees_a_fully_matched_source(self, tmp_path, capsys):
+        # the start matches the 2-cycle fully; solve's first round, and
+        # the dump, start from it with vertex 0 freed
+        gpath = _write(tmp_path / "g.txt", "2 2\n0 1\n1 0\n")
+        dest = tmp_path / "flow.txt"
+        assert run(["--graph", gpath, "--dump-flow", str(dest)]) == 0
+        capsys.readouterr()
+        assert dest.read_text() == (
+            "0.dst -> comp0\n1.dst -> 0.src\n1.src -> 0.dst\ncomp0 -> 1.dst\ns -> 1.src\n"
+        )
+
+    def test_dump_flow_entirely_forbidden_source(self, tmp_path, capsys):
+        gpath = _write(tmp_path / "g.txt", "2 2\n0 1\n1 0\n")
+        fpath = _write(tmp_path / "f.txt", "0 1\n")
+        dest = tmp_path / "flow.txt"
+        code = run(["--graph", gpath, "--forbidden", fpath, "--dump-flow", str(dest)])
+        assert code == 2
+        capsys.readouterr()
+        assert dest.read_text() == "# no allowed matching, flow graph undefined\n"
+
     def test_dump_flow_without_matching(self, tmp_path, capsys):
         gpath = _write(tmp_path / "g.txt", "3 2\n0 1\n0 2\n")
         fpath = _write(tmp_path / "f.txt", "1 2\n")

@@ -6,6 +6,7 @@ from bruteforce import (
     component_nodes,
     flow_graph,
     greedy_allowed_matching,
+    into_network,
     random_matching,
     reference_flow_edges,
     reference_residual_edges,
@@ -27,17 +28,17 @@ comp0 -> b.dst
 d.dst -> c.src
 s -> d.src"""
 
-DUMP_GATEWAY = """\
-a.dst -> a.src
+DUMP_FREED = """\
+a.dst -> comp0
+a.src -> a.dst
 a.src -> b.dst
 b.dst -> b.src
 b.src -> a.dst
 b.src -> c.dst
 c.dst -> t
-comp0 -> a.dst
 comp0 -> b.dst
 d.dst -> c.src
-s -> comp0
+s -> a.src
 s -> d.src"""
 
 DUMP_SLACK = """\
@@ -70,22 +71,25 @@ class TestGoldenDumps:
     def test_one_free_source_component(self, g4, m2):
         fg = flow_graph(g4, m2)
         assert fg.dump(AB) == DUMP_ONE_FREE
-        assert component_nodes(fg) == ([], [])  # no gateway, no family
+        assert component_nodes(fg) == []  # no family
         assert fg.t_in == []
 
-    def test_gateway_component(self, g4, m1):
+    def test_gateway_component(self, g4, m1, m1_free):
+        # m1 leaves the source component {a, b} fully matched.  Its view
+        # is N's residual graph too, so nothing enters that component's
+        # node; the loop starts from m1 with a freed instead.
         fg = flow_graph(g4, m1)
-        assert fg.dump(AB) == DUMP_GATEWAY
-        [gate], families = component_nodes(fg)  # one gateway
-        assert families == []
-        assert (gate, fg.node_name(gate)) == (10, "comp0")
+        assert _in(fg, 10) == [] and _out(fg, 10) == [4, 5]
+        fg = flow_graph(g4, m1_free)
+        assert fg.dump(AB) == DUMP_FREED
+        assert component_nodes(fg) == []
+        assert fg.s_out == [0, 3]
         assert fg.t_in == [4 + 2]
 
     def test_slack_family(self, g5, m3):
         fg = flow_graph(g5, m3)
         assert fg.dump(ABE) == DUMP_SLACK
-        gateways, [family] = component_nodes(fg)
-        assert gateways == []
+        [family] = component_nodes(fg)
         assert fg.in_view(family) == [7, 8, 9]
         assert (family, fg.node_name(family)) == (12, "comp0")
 
@@ -131,13 +135,6 @@ class TestNeighbors:
         assert _in(fg, 1) == [5]  # b.src matched through a.dst
         assert _in(fg, 8) == [2, 4]  # d.dst from c.src, e.src
 
-    def test_gateway_neighbors(self, g4, m1):
-        fg = flow_graph(g4, m1)
-        gate = fg.s_id + 2
-        assert _out(fg, gate) == [4, 5]
-        assert _in(fg, gate) == [fg.s_id]
-        assert _in(fg, 4) == [1, gate]  # a.dst: b.src plus gateway
-
 
 class TestForbiddenExclusion:
     def test_free_swap_skips_forbidden(self, g4, m2):
@@ -148,12 +145,6 @@ class TestForbiddenExclusion:
         assert _out(fg, 4) == [comp]
         assert _out(fg, comp) == []
         assert _in(fg, 5) == [1]
-
-    def test_gateway_skips_forbidden(self, g4, m1):
-        fg = flow_graph(g4, m1, forbidden=[0])
-        gate = fg.s_id + 2
-        assert _out(fg, gate) == [5]
-        assert "comp0 -> a.dst" not in fg.dump(AB)
 
 
 class TestStructuralProperties:
@@ -195,7 +186,8 @@ def _implicit_view_cases():
     """300 random (graph, forbidden, matching, flow graph) cases, half of
     them on a random matching that need not be maximal or allowed and the
     rest on the greedy start, which leaves more s -> t paths to follow
-    than the package's start does."""
+    than the package's start does; each moved into N as ``minimize``
+    would."""
     rng = random.Random(42)
     for _ in range(300):
         n = rng.randint(1, 9)
@@ -204,6 +196,7 @@ def _implicit_view_cases():
         m = greedy_allowed_matching(g, f)
         if m is None or rng.random() < 0.5:
             m = random_matching(g, rng, 0.6)
+        into_network(g, m)
         yield g, f, m, flow_graph(g, m, f)
 
 
@@ -223,11 +216,10 @@ def _plain_bfs(fg):
 
 class TestImplicitView:
     def test_matches_reference_construction(self):
-        # The view is the residual graph of the fixed network plus the
-        # gateway.  A swap takes one hop more than in the paper's graph,
-        # so t is reachable in both or neither and the view is never
-        # the shorter.
-        seen = {"gateway": 0, "swap": 0, "slack": 0}
+        # The view is the residual graph of the fixed network.  A swap
+        # takes one hop more than in the paper's graph, so t is reachable
+        # in both or neither and the view is never the shorter.
+        seen = {"swap": 0, "slack": 0}
         for g, f, m, fg in _implicit_view_cases():
             n = g.n
             scc = scc_decompose(g)
@@ -236,9 +228,7 @@ class TestImplicitView:
             edges = fg.explicit_edges()
             assert len(edges) == len(set(edges))
             assert set(edges) == residual
-            gateways, families = component_nodes(fg)
-            seen["gateway"] += len(gateways) > 0
-            seen["slack"] += len(families) > 0
+            seen["slack"] += len(component_nodes(fg)) > 0
             seen["swap"] += any(
                 a > fg.t_id and fg.cls.comp_unmatched[a - fg.t_id - 1] == 1 for a, _ in edges
             )

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bruteforce import assignment_min_inputs, greedy_forbidden, max_matching_size
+from bruteforce import assignment_min_inputs, greedy_forbidden, max_matching_size, random_matching
 from families import chain, erdos_renyi, preferential, random_forbidden
 from minput import (
     IndexOutOfRange,
@@ -14,7 +14,7 @@ from minput import (
     scc_decompose,
     solve,
 )
-from minput.matching import Matching, _allowed_start, hopcroft_karp
+from minput.matching import Matching, _allowed_start, free_source_members, hopcroft_karp
 
 
 class TestMatching:
@@ -184,8 +184,8 @@ class TestFindAllowedMatching:
     def test_degree_one_first(self):
         # destination 1 has the single free source 0, so (0, 1) is taken
         # before source 0 can take its lowest destination 0
-        m = find_allowed_matching(SparseDigraph(2, [(0, 0), (0, 1), (1, 0)]), [])
-        assert m is not None and m.size == 2
+        m = _allowed_start(SparseDigraph(2, [(0, 0), (0, 1), (1, 0)]), [])
+        assert m.edges() == [(0, 1), (1, 0)]
 
     def test_forbidden_out_of_range(self, g4):
         with pytest.raises(IndexOutOfRange):
@@ -212,7 +212,9 @@ class TestFindAllowedMatching:
                 for u in g.in_adj[v]:
                     adj[idx[u]].append(fi)
             coverable = max_matching_size(len(srcs), len(f), adj) == len(f)
-            assert (m is not None) == coverable
+            scc = scc_decompose(g)
+            freeable = all(not set(scc.comps[c]) <= f for c in scc.source_ids)
+            assert (m is not None) == (coverable and freeable)
             if m is None:
                 nones += 1
                 continue
@@ -220,16 +222,18 @@ class TestFindAllowedMatching:
             assert m.is_allowed(f)
             # the Karp-Sipser pass alone is maximal: no edge joins a free
             # source to a free destination
-            ks = find_allowed_matching(g, [])
+            ks = _allowed_start(g, [])
             for u, v in g.edges():
                 assert ks.mate_of_src[u] >= 0 or ks.mate_of_dst[v] >= 0
         assert nones > 0
 
     def test_repair_properties(self):
-        """The repaired start is a valid allowed matching, None exactly
-        when the private start returns a Hall set that blocks F, never
-        smaller than the start with nothing forbidden, and minimises to
-        the reference cost."""
+        """The private start is a valid allowed matching never smaller
+        than the start with nothing forbidden, or a Hall set that blocks
+        F.  ``find_allowed_matching`` is None then or when a source SCC is
+        entirely forbidden, and is otherwise that start with one member
+        of each fully matched source SCC freed.  Solving reaches the
+        reference cost."""
         rng = random.Random(33)
         seen = dict.fromkeys(["none", "repaired", "solved"], 0)
         for _ in range(400):
@@ -245,18 +249,27 @@ class TestFindAllowedMatching:
                 f = random_forbidden(n, share, rng)
             m = find_allowed_matching(g, f)
             start = _allowed_start(g, sorted(f))
-            if m is None:
+            if not isinstance(start, Matching):
+                assert m is None
                 seen["none"] += 1
                 s = set(start)
                 assert start == sorted(s) and s <= f
                 assert len({u for v in s for u in g.in_adj[v]}) == len(s) - 1
             else:
-                assert start == m
-                m.validate(g)
-                assert m.is_allowed(f)
-                empty = find_allowed_matching(g, [])
-                assert m.size >= empty.size
+                start.validate(g)
+                assert start.is_allowed(f)
+                empty = _allowed_start(g, [])
+                assert start.size >= empty.size
                 seen["repaired"] += not empty.is_allowed(f)
+                scc = scc_decompose(g)
+                full = [c for c in scc.source_ids
+                        if all(start.mate_of_dst[v] >= 0 for v in scc.comps[c])]
+                if any(set(scc.comps[c]) <= f for c in full):
+                    assert m is None
+                else:
+                    assert m.is_allowed(f) and set(m.edges()) <= set(start.edges())
+                    assert m.size == start.size - len(full)
+                    assert all(classify(scc, m).comp_unmatched[c] for c in scc.source_ids)
             res = solve(Problem(g, f), check=True)
             want = assignment_min_inputs(g, f)
             if isinstance(res, Solution):
@@ -271,21 +284,19 @@ class TestClassify:
     def test_fully_matched_source(self, g4, m1):
         scc = scc_decompose(g4)
         cls = classify(scc, m1)
-        assert [scc.comps[c] for c in cls.x_comps] == [[0, 1]]
+        assert [scc.comps[c] for c in scc.source_ids if cls.comp_unmatched[c] == 0] == [[0, 1]]
         assert cls.unmatched == [2]
         assert sum(cls.comp_unmatched) == 1
 
     def test_one_free_source(self, g4, m2):
         scc = scc_decompose(g4)
         cls = classify(scc, m2)
-        assert cls.x_comps == []
         assert [(scc.comps[c], cls.comp_unmatched[c]) for c in scc.source_ids] == [([0, 1], 1)]
         assert cls.unmatched == [0]
 
     def test_slack_source(self, g5, m3):
         scc = scc_decompose(g5)
         cls = classify(scc, m3)
-        assert cls.x_comps == []
         assert [(scc.comps[c], cls.comp_unmatched[c]) for c in scc.source_ids] == [([2, 3, 4], 3)]
         assert cls.unmatched == [2, 3, 4]
 
@@ -298,16 +309,60 @@ class TestClassify:
             assert m is not None
             scc = scc_decompose(g)
             cls = classify(scc, m)
-            assert cls.x_comps == [c for c in scc.source_ids if cls.comp_unmatched[c] == 0]
             for c, members in enumerate(scc.comps):
                 assert cls.comp_unmatched[c] == sum(m.mate_of_dst[v] < 0 for v in members)
             assert cls.unmatched == [v for v in range(n) if m.mate_of_dst[v] < 0]
 
 
+class TestFreeSourceMembers:
+    def test_frees_lowest_member(self, g4, m1, m1_free):
+        scc = scc_decompose(g4)
+        cls = classify(scc, m1)
+        assert free_source_members(scc, m1, cls, []) == -1
+        assert m1 == m1_free
+        assert cls == classify(scc, m1_free) and cls.cost == 2
+
+    def test_skips_forbidden(self, g4, m1):
+        scc = scc_decompose(g4)
+        blocked = m1.copy()
+        assert free_source_members(scc, blocked, classify(scc, blocked), [0, 1]) == 0
+        cls = classify(scc, m1)
+        assert free_source_members(scc, m1, cls, [0]) == -1
+        assert m1.unmatched() == cls.unmatched == [1, 2]
+        assert m1.is_allowed([0])
+
+    def test_keeps_cost_and_allowedness(self):
+        # on random matchings, allowed for F drawn among the matched
+        # vertices: the paper's cost stays, F stays covered and every
+        # source component ends with an unmatched member
+        rng = random.Random(35)
+        freed = 0
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            g = erdos_renyi(n, rng.choice([0.15, 0.3, 0.5]), rng)
+            scc = scc_decompose(g)
+            m = random_matching(g, rng, rng.choice([0.6, 1.0]))
+            matched = [v for v in range(n) if m.mate_of_dst[v] >= 0]
+            f = frozenset(rng.sample(matched, len(matched) // 3))
+            free = set(m.unmatched())
+            full = [c for c in scc.source_ids if free.isdisjoint(scc.comps[c])]
+            cls = classify(scc, m)
+            blocked = [c for c in full if set(scc.comps[c]) <= f]
+            assert free_source_members(scc, m, cls, f) == (blocked[0] if blocked else -1)
+            if blocked:
+                continue
+            freed += len(full)
+            assert cls == classify(scc, m)
+            assert cls.cost == len(free) + len(full)
+            assert m.is_allowed(f)
+            assert all(cls.comp_unmatched[c] >= 1 for c in scc.source_ids)
+        assert freed >= 40, freed  # 61 at this seed
+
+
 class TestCost:
-    def test_frozen_values(self, g4, g5, m1, m2, m3):
+    def test_frozen_values(self, g4, g5, m1_free, m2, m3):
         scc4 = scc_decompose(g4)
-        assert classify(scc4, m1).cost == 2
+        assert classify(scc4, m1_free).cost == 2
         assert classify(scc4, m2).cost == 1
         assert classify(scc_decompose(g5), m3).cost == 3
 

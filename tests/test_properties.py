@@ -1,14 +1,23 @@
 """Hypothesis properties of ``solve``, ``minput --verify`` and the flow
-graph's terminal test on small random instances, and of the file
-parsers on line soup."""
+graph's terminal test on small random instances, the same relations of
+``solve`` on ER and PA instances up to ``n = 2^14``, and properties of
+the file parsers on line soup."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import assignment_min_inputs, dump_edge_list, random_matching
+from bruteforce import (
+    assignment_min_inputs,
+    dump_edge_list,
+    greedy_forbidden,
+    into_network,
+    random_matching,
+)
+from families import erdos_renyi, preferential
 from minput import (
     MinputError,
     Problem,
@@ -55,14 +64,60 @@ def test_forbidding_more_never_helps(inst, data):
         assert after >= before
 
 
+def _relabelled(g, forbidden, rng):
+    """``(g, forbidden)`` under a random permutation of the vertex ids."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    relabelled = SparseDigraph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    return relabelled, frozenset(perm[v] for v in forbidden)
+
+
+def _with_edge(g, u, v):
+    return SparseDigraph(g.n, sorted(set(g.edges()) | {(u, v)}))
+
+
 @BOUNDED
 @given(instances(), st.randoms(use_true_random=False))
 def test_relabelling_invariance(inst, rng):
     g, forbidden = inst
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    relabelled = SparseDigraph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-    assert _outcome(relabelled, frozenset(perm[v] for v in forbidden)) == _outcome(g, forbidden)
+    assert _outcome(*_relabelled(g, forbidden, rng)) == _outcome(g, forbidden)
+
+
+@BOUNDED
+@given(instances(), st.data())
+def test_adding_an_edge_never_raises_the_cost(inst, data):
+    """Structural controllability is monotone in the pattern, and an
+    added edge leaves every source SCC of the new graph with an allowed
+    member: it contains an old source SCC."""
+    g, forbidden = inst
+    u, v = (data.draw(st.integers(0, g.n - 1)) for _ in range(2))
+    before = _outcome(g, forbidden)
+    after = _outcome(_with_edge(g, u, v), forbidden)
+    if isinstance(before, int):
+        assert isinstance(after, int), "adding an edge made the instance unsolvable"
+        assert after <= before
+
+
+@pytest.mark.parametrize("family", ["er", "pa"])
+@pytest.mark.parametrize("share", [0.0, 0.3])
+def test_relations_at_scale(family, share):
+    """The three relations above on ER and PA instances of ``2^10`` to
+    ``2^14`` vertices, with nothing or a greedy 30% forbidden, where no
+    oracle reaches: relabelling keeps the outcome, an added edge never
+    raises the cost, and one more forbidden vertex never lowers it."""
+    rng = random.Random(f"relations/{family}/{share}")
+    for n in (2**10, 2**12, 2**14):
+        g = erdos_renyi(n, 3.0 / n, rng) if family == "er" else preferential(n, 3, rng)
+        forbidden = greedy_forbidden(g, share, rng)
+        base = _outcome(g, forbidden)
+        assert isinstance(base, int), (n, base)
+        assert _outcome(*_relabelled(g, forbidden, rng)) == base
+        for _ in range(3):
+            after = _outcome(_with_edge(g, rng.randrange(n), rng.randrange(n)), forbidden)
+            assert isinstance(after, int) and after <= base
+            extra = rng.choice([v for v in range(n) if v not in forbidden])
+            after = _outcome(g, forbidden | {extra})
+            assert not isinstance(after, int) or after >= base
 
 
 @BOUNDED
@@ -84,8 +139,9 @@ def test_checked_solve_is_exact(inst):
 @BOUNDED
 @given(instances(), st.randoms(use_true_random=False), st.sampled_from([0.5, 1.0]))
 def test_no_edge_into_t_iff_cost_meets_lower_bound(inst, rng, keep):
-    """On any matching, ``t`` has no in-edge exactly when the cost equals
-    the number of source SCCs, the bound every matching's cost meets;
+    """On any matching in N, ``t`` has no in-edge exactly when the cost
+    equals the number of source SCCs, the bound every matching's cost
+    meets;
     ``layered_bfs`` then returns None.  The materialised view has at
     most ``m + 5n`` edges: each graph edge once, at most ``n`` from
     ``s``, at most one out of each unmatched destination copy, and at
@@ -94,7 +150,7 @@ def test_no_edge_into_t_iff_cost_meets_lower_bound(inst, rng, keep):
     passes through its node."""
     g, forbidden = inst
     scc = scc_decompose(g)
-    m = random_matching(g, rng, keep)
+    m = into_network(g, random_matching(g, rng, keep))
     cls = classify(scc, m)
     fg = build_flow_graph(g, scc, m, forbidden, cls)
     edges = fg.explicit_edges()

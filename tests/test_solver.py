@@ -30,20 +30,31 @@ from minput.matching import Matching, find_allowed_matching
 
 
 class TestRecoverInputSet:
-    def test_unmatched_plus_representative(self, g4, m1):
-        scc = scc_decompose(g4)
-        assert recover_input_set(scc, m1, []) == [0, 2]
-
-    def test_representative_skips_forbidden(self, g4, m1):
-        scc = scc_decompose(g4)
-        assert recover_input_set(scc, m1, [0]) == [1, 2]
-
-    def test_fully_forbidden_component_rejected(self, g4, m1):
-        with pytest.raises(ValueError):
-            recover_input_set(scc_decompose(g4), m1, [0, 1])
-
     def test_no_representative_needed(self, g4, m2):
         assert recover_input_set(scc_decompose(g4), m2, []) == [0]
+
+    def test_input_set_is_what_the_certificate_leaves_unmatched(self, g4):
+        # every source component keeps an unmatched member, so the
+        # certificate alone gives the input set; on diagonal(n) the
+        # start matches every self loop, and each vertex is freed
+        rng = random.Random(71)
+        cases = [(diagonal(5), frozenset()), (g4, frozenset([0])), (g4, frozenset())]
+        for _ in range(300):
+            n = rng.randint(1, 40)
+            if rng.random() < 0.5:
+                g = erdos_renyi(n, rng.choice([1.0, 2.0, 3.0]) / n, rng)
+            else:
+                g = preferential(n, rng.randint(1, 3), rng)
+            cases.append((g, greedy_forbidden(g, rng.choice([0.0, 0.3]), rng)))
+        solved = 0
+        for g, f in cases:
+            res = solve(Problem(g, f))
+            if not isinstance(res, Solution):
+                continue
+            solved += 1
+            covered = {v for _, v in res.certificate}
+            assert set(res.input_set) == {v for v in range(g.n) if v not in covered}
+        assert solved >= 250, solved
 
 
 class TestSolveExamples:
@@ -70,7 +81,7 @@ class TestSolveExamples:
         sol = solve(Problem(diagonal(4)))
         assert sol.input_set == [0, 1, 2, 3]
         assert sol.cost == 4
-        assert sol.certificate == [(0, 0), (1, 1), (2, 2), (3, 3)]
+        assert sol.certificate == []
 
     def test_forbidden_changes_witness(self):
         g = SparseDigraph(2, [(0, 1), (1, 0)])
@@ -105,9 +116,10 @@ class TestSolveIsolated:
 
     def test_self_loop_is_not_isolated(self):
         sol = solve(Problem(SparseDigraph(1, [(0, 0)])))
-        # the loop forms a fully matched source component
+        # the loop forms a source component, which the start matches
+        # fully and minimize then frees
         assert sol.input_set == [0]
-        assert sol.certificate == [(0, 0)]
+        assert sol.certificate == []
 
 
 class TestUnsolvable:
