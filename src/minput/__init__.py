@@ -29,7 +29,7 @@ from .graph import (
     isolated_vertices,
     scc_decompose,
 )
-from .matching import classify, find_allowed_matching
+from .matching import classify
 from .oracle import (
     brute_force_min_cost_allowed_matching,
     brute_force_min_input_set,
@@ -41,6 +41,7 @@ from .solver import (
     Solution,
     Unsolvable,
     UnsolvableReason,
+    find_allowed_matching,
     recover_input_set,
     solve,
 )

@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Collection
 
 from .errors import IterationBoundExceeded
 from .flowgraph import FlowGraph, build_flow_graph
 from .graph import SccInfo, SparseDigraph
-from .matching import MatchClass, Matching, classify, free_source_members
+from .matching import MatchClass, Matching, classify
 
 PathSet = list[list[int]]
 
@@ -341,45 +340,63 @@ def augment_on_paths(m: Matching, paths: PathSet) -> Matching:
 def minimize(
     g: SparseDigraph,
     scc: SccInfo,
-    forbidden: Collection[int],
-    m0: Matching,
+    m: Matching,
+    forbidden: frozenset[int],
+    cls: MatchClass,
     *,
     check: bool = False,
 ) -> tuple[Matching, MatchClass, Diagnostics]:
-    """Drive an allowed matching to minimum cost.
+    """Drive the allowed flow ``m`` of N, classified as ``cls`` (as
+    ``solver._start`` returns them), to minimum cost in place.
 
-    Returns the optimal matching (``m0`` is left untouched), the
-    terminal round's classification of it, and per-round diagnostics.
-    ``free_source_members`` first moves the start into N; ValueError
-    names a source component it cannot free.  With ``check=True`` every
-    round re-validates the matching, its allowedness, the exact cost
-    drop, the strict growth of the s -> t distance and the conservation
-    laws (matched sources stay matched, source components keep an
-    unmatched member, those at one stay there), and raises
-    AssertionError on a breach, also under ``python -O``.
+    Returns ``m``, the terminal round's classification of it, and
+    per-round diagnostics.  ``check=True`` validates the start and every
+    round: the matching, its allowedness and classification, an
+    unmatched member in every source component, the exact cost drop,
+    the strict growth of the s -> t distance and the conservation laws
+    (matched sources stay matched, source components at one unmatched
+    member stay there).  A breach raises AssertionError, also under
+    ``python -O``.
 
     Rounds are capped at ``6 * sqrt(n)``; exceeding the cap means a bug
     in this package, not an unsolvable instance, and raises
     IterationBoundExceeded.
     """
+
+    def audit(now: MatchClass, before: MatchClass, mate_src: list[int], paths: int) -> None:
+        """Check ``m``, classified as ``now``, after a round that applied
+        ``paths`` paths to the matching with source mates ``mate_src``,
+        classified as ``before``; the start is a round with no path."""
+        m.validate(g)
+        if not m.is_allowed(forbidden):
+            raise AssertionError("a forbidden vertex is unmatched")
+        if now != classify(scc, m):
+            raise AssertionError("the classification does not match the matching")
+        if now.cost != before.cost - paths:
+            raise AssertionError("each path must lower the cost by one")
+        for c in scc.source_ids:
+            if now.comp_unmatched[c] < 1:
+                raise AssertionError(f"source component {c} has no unmatched member")
+            if before.comp_unmatched[c] == 1 and now.comp_unmatched[c] > 1:
+                raise AssertionError(f"component {c} went above one unmatched member")
+        for u, v in enumerate(mate_src):
+            if v >= 0 and m.mate_of_src[u] < 0:
+                raise AssertionError(f"source copy of {u} lost its outgoing matched edge")
+
     diag = Diagnostics()
     n = g.n
     if n == 0:
-        return m0.copy(), classify(scc, m0), diag
-    forb = frozenset(forbidden)
+        return m, cls, diag
+    if check:
+        audit(cls, cls, m.mate_of_src, 0)
     cap = int(6 * math.sqrt(n))
-    m = m0.copy()
-    cls = classify(scc, m)
-    blocked = free_source_members(scc, m, cls, forb)
-    if blocked >= 0:
-        raise ValueError(f"source component {blocked} is entirely forbidden")
     prev_dist = 0
     while True:
         if len(diag.per_iteration) >= cap:
             raise IterationBoundExceeded(
                 f"augmentation still running after {cap} rounds on n={n}"
             )
-        fg = build_flow_graph(g, scc, m, forb, cls)
+        fg = build_flow_graph(g, scc, m, forbidden, cls)
         dag, bfs_work = _run_bfs(fg)
         if dag is None:
             diag.per_iteration.append(
@@ -400,25 +417,7 @@ def minimize(
         )
         post = classify(scc, m)
         if check:
-            m.validate(g)
-            if not m.is_allowed(forb):
-                raise AssertionError("augmentation lost the forbidden cover")
-            if post.cost != new_cost:
-                raise AssertionError("each path must lower the cost by one")
-            for u in range(n):
-                if pre_mate_src[u] >= 0 and m.mate_of_src[u] < 0:
-                    raise AssertionError(
-                        f"source copy of {u} lost its outgoing matched edge"
-                    )
-            for c in scc.source_ids:
-                if post.comp_unmatched[c] < 1:
-                    raise AssertionError(
-                        f"source component {c} lost its last unmatched member"
-                    )
-                if cls.comp_unmatched[c] == 1 and post.comp_unmatched[c] > 1:
-                    raise AssertionError(
-                        f"component {c} went above one unmatched member"
-                    )
+            audit(post, cls, pre_mate_src, len(paths))
         cls = post
         prev_dist = dag.dist_t
     return m, cls, diag

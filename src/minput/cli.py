@@ -17,10 +17,9 @@ from .errors import MinputError, NotSquare, ParseError
 from .flowgraph import build_flow_graph
 # Nothing here calls build_graph; the benchmark's traced run
 # (perfbench/replica.py) patches cli.build_graph, so the name must resolve.
-from .graph import SparseDigraph, build_graph, empty_adjacency, scc_decompose  # noqa: F401
-from .matching import Matching, _allowed_start, classify, free_source_members
+from .graph import SparseDigraph, build_graph, empty_adjacency  # noqa: F401
 from .oracle import brute_force_min_input_set, check_structural_controllability
-from .solver import Problem, Solution, solve
+from .solver import Problem, Solution, Unsolvable, _start, solve
 
 
 def _utf8_input(parse):
@@ -182,14 +181,10 @@ def read_forbidden(path: str, n: int) -> frozenset[int]:
 
 def _flow_dump(problem: Problem) -> str:
     """The flow graph ``solve`` searches first, every vertex included."""
-    g, forb = problem.graph, problem.forbidden
-    scc = scc_decompose(g)
-    m0 = _allowed_start(g, sorted(forb))
-    if isinstance(m0, Matching):
-        cls = classify(scc, m0)
-        if free_source_members(scc, m0, cls, forb) < 0:
-            return build_flow_graph(g, scc, m0, forb, cls).dump() + "\n"
-    return "# no allowed matching, flow graph undefined\n"
+    start = _start(problem)
+    if isinstance(start, Unsolvable):
+        return f"# unsolvable ({start.reason.value}), flow graph undefined\n"
+    return build_flow_graph(problem.graph, *start).dump() + "\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -214,8 +214,8 @@ class SccInfo:
     search first reaches it at a root, its lowest member, and finishes it
     before the next root starts.  Outputs read only the sources' order
     (``source_ids``, the flow graph's component nodes and the
-    all-forbidden components that ``solve`` and ``minimize`` name in
-    their messages); it must not depend on the SCC algorithm.
+    all-forbidden components that ``solve``'s verdict names); it must
+    not depend on the SCC algorithm.
 
     Attributes
     ----------

@@ -16,12 +16,13 @@ all matched, or the unmatched count alone for a flow of the network N
 minimising this cost over allowed matchings is what the rest of the
 package is about.
 
-``find_allowed_matching`` builds the start that minimisation improves:
-Karp-Sipser, then repair.  The Karp-Sipser rule builds a maximal
-matching in O(n + m) with nothing forbidden; then a Hopcroft-Karp
-search from the forbidden side, warm-started from that matching,
-covers the forbidden destinations it left free.  The closer that start
-is to optimal, the fewer rounds remain.
+``_allowed_start`` builds the allowed matching that ``solver._start``
+moves into N for minimisation to improve: Karp-Sipser, then repair.
+The Karp-Sipser rule builds a maximal matching in O(n + m) with nothing
+forbidden; then a Hopcroft-Karp search from the forbidden side,
+warm-started from that matching, covers the forbidden destinations it
+left free.  The closer that start is to optimal, the fewer rounds
+remain.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Collection
 
-from .graph import SccInfo, SparseDigraph, scc_decompose, vertex_ids
+from .graph import SccInfo, SparseDigraph
 
 
 class Matching:
@@ -284,8 +285,9 @@ def _karp_sipser(g: SparseDigraph) -> Matching:
     return match
 
 
-def find_allowed_matching(g: SparseDigraph, forbidden: Collection[int]) -> Matching | None:
-    """Allowed matching to start minimisation from: Karp-Sipser, then repair.
+def _allowed_start(g: SparseDigraph, f_list: list[int]) -> Matching | list[int]:
+    """Allowed matching to start minimisation from: Karp-Sipser, then
+    repair, on the sorted, checked forbidden ids ``f_list``.
 
     First ``_karp_sipser`` builds a maximal matching with nothing
     forbidden.  Then the forbidden destinations it left free are covered
@@ -305,20 +307,6 @@ def find_allowed_matching(g: SparseDigraph, forbidden: Collection[int]) -> Match
     covered.  A destination given up may keep a free in-neighbour, so
     the result need not be maximal.  The repair's phases are bounded as
     in Hopcroft-Karp, so the start costs O(n + m) plus O(m sqrt(n)).
-    Last, ``free_source_members`` moves the result into N.  None exactly
-    when no matching covers every forbidden destination (``solve`` then
-    reports the repair's Hall set) or a source SCC is entirely forbidden.
-    """
-    f_list = vertex_ids(forbidden, g.n, "forbidden vertex")
-    m = _allowed_start(g, f_list)
-    if isinstance(m, list):
-        return None
-    scc = scc_decompose(g)
-    return m if free_source_members(scc, m, classify(scc, m), frozenset(f_list)) < 0 else None
-
-
-def _allowed_start(g: SparseDigraph, f_list: list[int]) -> Matching | list[int]:
-    """``find_allowed_matching`` on the sorted, checked forbidden ids ``f_list``.
 
     Where the repair leaves a forbidden destination uncovered, its cover
     of F is maximum, and the result is a Hall set ``S`` in place of a
@@ -393,17 +381,14 @@ def classify(scc: SccInfo, m: Matching) -> MatchClass:
 
 def free_source_members(
     scc: SccInfo, m: Matching, cls: MatchClass, forb: Collection[int]
-) -> int:
+) -> None:
     """Unmatch the lowest allowed member of each source component that
     ``m``, classified as ``cls`` (patched to match), leaves fully matched:
     the cost stays, and an allowed ``m`` becomes an allowed flow of N.
-    Returns -1, or the first such component with no allowed member."""
+    Every source component must have an allowed member."""
     for c in [c for c in scc.source_ids if cls.comp_unmatched[c] == 0]:
-        v = next((v for v in scc.comps[c] if v not in forb), -1)
-        if v < 0:
-            return c
+        v = next(v for v in scc.comps[c] if v not in forb)
         m.remove(m.mate_of_dst[v], v)
         cls.comp_unmatched[c] = 1
         cls.unmatched.append(v)
     cls.unmatched.sort()
-    return -1

@@ -17,7 +17,7 @@ from typing import Collection
 
 from .augment import Diagnostics, minimize
 from .graph import SccInfo, SparseDigraph, scc_decompose, vertex_ids
-from .matching import Matching, _allowed_start, classify
+from .matching import MatchClass, Matching, _allowed_start, classify, free_source_members
 
 
 @dataclass
@@ -74,18 +74,18 @@ def recover_input_set(
     return classify(scc, m_opt).unmatched
 
 
-def solve(problem: Problem, *, check: bool = False) -> Solution | Unsolvable:
-    """Solve an instance; ``check=True`` turns on per-round validation.
+def _start(
+    problem: Problem,
+) -> Unsolvable | tuple[SccInfo, Matching, frozenset[int], MatchClass]:
+    """The allowed flow of N that ``minimize`` drives, as ``(scc, m,
+    forbidden, cls)``, or the verdict that the instance is unsolvable.
 
-    Pipeline: forbidden ids are checked once; every source SCC must
-    contain an allowed vertex; an allowed matching is seeded and
-    minimised, and its unmatched vertices are the input set.  These are
-    the only two ways an instance can be unsolvable: the first gate
-    names every all-forbidden source component, and the start names the
-    Hall set that its own maximum cover of the forbidden vertices leaves
-    uncovered.  A vertex with no incident edge needs no special
-    handling: it is a singleton source SCC, so a forbidden one fails the
-    first gate and an allowed one stays unmatched, charged one input.
+    Forbidden ids are checked once, then every source SCC must hold an
+    allowed vertex and ``_allowed_start`` must cover F; these are the
+    only two ways an instance can be unsolvable, and each verdict names
+    its witness.  ``free_source_members`` moves the start into N.  A
+    vertex with no incident edge is a singleton source SCC: a forbidden
+    one fails the first gate, an allowed one stays unmatched.
     """
     g = problem.graph
     f_list = vertex_ids(problem.forbidden, g.n, "forbidden vertex")
@@ -113,8 +113,26 @@ def solve(problem: Problem, *, check: bool = False) -> Solution | Unsolvable:
             "than members, so no matching covers them all",
             m0,
         )
+    cls = classify(scc, m0)
+    free_source_members(scc, m0, cls, forb)
+    return scc, m0, forb, cls
 
-    m_opt, cls, diag = minimize(g, scc, forb, m0, check=check)
+
+def find_allowed_matching(g: SparseDigraph, forbidden: Collection[int]) -> Matching | None:
+    """The allowed flow of N that ``solve`` starts from (see
+    ``_allowed_start``), or None when the instance is unsolvable."""
+    start = _start(Problem(g, forbidden))
+    return None if isinstance(start, Unsolvable) else start[1]
+
+
+def solve(problem: Problem, *, check: bool = False) -> Solution | Unsolvable:
+    """Solve an instance: ``minimize`` drives ``_start``'s flow, and its
+    unmatched vertices are the input set.  ``check=True`` validates the
+    start and every round."""
+    start = _start(problem)
+    if isinstance(start, Unsolvable):
+        return start
+    m_opt, cls, diag = minimize(problem.graph, *start, check=check)
     input_set = cls.unmatched
     return Solution(
         input_set,

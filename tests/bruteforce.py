@@ -19,7 +19,7 @@ from minput.augment import LayeredDag
 from minput.errors import IndexOutOfRange, NotSquare, ParseError
 from minput.flowgraph import FlowGraph
 from minput.graph import SccInfo, scc_decompose
-from minput.matching import Matching, classify, hopcroft_karp
+from minput.matching import MatchClass, Matching, classify, free_source_members, hopcroft_karp
 
 
 def closure(g: SparseDigraph) -> list[set[int]]:
@@ -269,14 +269,29 @@ def flow_graph(g: SparseDigraph, m: Matching, forbidden: Collection[int] = ()) -
 
 def into_network(g: SparseDigraph, m: Matching) -> Matching:
     """``m``, changed in place, with the lowest member of each source SCC
-    it leaves fully matched unmatched: ``minimize``'s first step with
-    nothing forbidden, which puts any matching in N at the same cost."""
+    it leaves fully matched unmatched: the last step of ``solve``'s
+    start with nothing forbidden, which puts any matching in N at the
+    same cost."""
     scc = scc_decompose(g)
     for c in scc.source_ids:
         members = scc.comps[c]
         if all(m.mate_of_dst[v] >= 0 for v in members):
             m.remove(m.mate_of_dst[members[0]], members[0])
     return m
+
+
+def network_start(
+    scc: SccInfo, forbidden: Collection[int], m0: Matching
+) -> tuple[SccInfo, Matching, frozenset[int], MatchClass]:
+    """A start for ``minimize`` from any allowed matching ``m0``: a copy,
+    classified and moved into N by ``free_source_members``, in the shape
+    ``solver._start`` returns, so ``minimize(g, *network_start(...))``
+    drives it.  Every source SCC must keep an allowed member."""
+    forb = frozenset(forbidden)
+    m = m0.copy()
+    cls = classify(scc, m)
+    free_source_members(scc, m, cls, forb)
+    return scc, m, forb, cls
 
 
 def component_nodes(fg: FlowGraph) -> list[int]:

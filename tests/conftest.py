@@ -25,8 +25,8 @@ def m1() -> Matching:
 
 @pytest.fixture
 def m1_free() -> Matching:
-    # m1 leaves the source component {a, b} fully matched; minimize first
-    # frees its lowest member a, which keeps cost 2 and puts the start in N
+    # m1 leaves the source component {a, b} fully matched; the start
+    # frees its lowest member a, which keeps cost 2 and puts it in N
     return Matching.from_edges(4, [(1, 1), (2, 3)])
 
 

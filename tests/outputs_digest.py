@@ -53,8 +53,8 @@ Categories:
   ``minimize(check=True)`` on 3000 seeded instances, each from a random
   allowed start: a random matching, with the forbidden set drawn among
   its matched destinations but the lowest member of each source SCC, so
-  that ``minimize`` can free a member of each one it leaves fully
-  matched.  Neither ``solve``'s start nor the greedy
+  that ``network_start`` can free a member of each one it leaves fully
+  matched and move it into N.  Neither ``solve``'s start nor the greedy
   one leaves a shortest path through a swap inside a component, so only
   this category sees a change to how the loop searches there.
 
@@ -137,12 +137,12 @@ def _file_run(cli, name: str, text: str, argv: list[str]) -> tuple:
 def main(src: Path) -> None:
     sys.path.insert(0, str(src))
     import minput
-    from bruteforce import (component_nodes, dump_edge_list, flow_graph, random_edge_list_file,
-                            random_matching, random_matrix_market_file)
+    from bruteforce import (component_nodes, dump_edge_list, flow_graph, network_start,
+                            random_edge_list_file, random_matching, random_matrix_market_file)
     from minput import Problem, Solution, SparseDigraph, cli, solve
     from minput.augment import minimize
     from minput.graph import scc_decompose
-    from minput.matching import find_allowed_matching
+    from minput.solver import find_allowed_matching
 
     digests = {k: hashlib.sha256()
                for k in ("solution", "cost", "rounds", "work", "unsolvable", "flow", "cli", "files",
@@ -232,7 +232,7 @@ def main(src: Path) -> None:
         lowest = {scc.comps[c][0] for c in scc.source_ids}
         matched = [v for v in range(g.n) if m0.mate_of_dst[v] >= 0 and v not in lowest]
         forbidden = rng.sample(matched, round(rng.choice([0.0, 0.1, 0.3]) * len(matched)))
-        _, cls, diag = minimize(g, scc, forbidden, m0, check=True)
+        _, cls, diag = minimize(g, *network_start(scc, forbidden, m0), check=True)
         seen["loops"] += 1
         record("loop", i, [(it.dist, it.paths, it.cost) for it in diag.per_iteration], cls.cost)
 

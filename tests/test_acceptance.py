@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from bruteforce import flow_graph
+from bruteforce import flow_graph, network_start
 from families import chain, diagonal, erdos_renyi, preferential, random_forbidden
 from minput import (
     Problem,
@@ -167,7 +167,7 @@ def test_criterion_3_worked_examples(capsys):
     checks: list[bool] = []
 
     # starting matching and its cost, then the optimal one; m1 leaves
-    # the source component {a, b} fully matched, and minimize frees a
+    # the source component {a, b} fully matched, and the start frees a
     checks.append(find_allowed_matching(g4, []) == m2)
     checks.append(classify(scc4, m1_free).cost == 2 and classify(scc4, m2).cost == 1)
 
@@ -202,9 +202,9 @@ def test_criterion_3_worked_examples(capsys):
     checks.append(cyc.edges() == [(0, 0), (1, 2), (2, 3)] and classify(scc4, cyc).cost == 1)
 
     # full drives land on the same optima
-    best4, _, diag4 = minimize(g4, scc4, [], m1, check=True)
+    best4, _, diag4 = minimize(g4, *network_start(scc4, [], m1), check=True)
     checks.append(classify(scc4, best4).cost == 1 and diag4.distances() == [5])
-    best5, _, diag5 = minimize(g5, scc5, [], m3, check=True)
+    best5, _, diag5 = minimize(g5, *network_start(scc5, [], m3), check=True)
     checks.append(classify(scc5, best5).cost == 1 and diag5.distances() == [4])
 
     # reading out input sets

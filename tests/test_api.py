@@ -148,3 +148,30 @@ def test_only_graph_raises_index_out_of_range():
             if isinstance(exc, ast.Name) and exc.id == "IndexOutOfRange":
                 raisers.add(path.name)
     assert raisers == {"graph.py"}
+
+
+# Imported names a module keeps without reading them, with the reason.
+UNREAD_IMPORTS = {
+    # the benchmark's traced CLI run patches ``cli.build_graph``
+    ("cli.py", "build_graph"),
+}
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    """Every name a module of the package imports is read in its code.
+    ``__init__.py`` is left out: its imports are the package surface,
+    which the tests above pin name by name."""
+    unread = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread.update((path.name, name) for name in bound - read)
+    assert unread == UNREAD_IMPORTS

@@ -13,6 +13,7 @@ from bruteforce import (
     forward_layered_bfs,
     greedy_allowed_matching,
     greedy_forbidden,
+    network_start,
     random_matching,
     reference_residual_edges,
 )
@@ -269,16 +270,16 @@ class TestAugmentOnPaths:
 
 class TestMinimize:
     def test_fixpoint(self, g4, m2):
-        best, _, diag = minimize(g4, scc_decompose(g4), [], m2)
+        best, _, diag = minimize(g4, *network_start(scc_decompose(g4), [], m2))
         assert best == m2
         assert diag.iterations == 1
         assert diag.per_iteration[0].dist is None
         assert diag.per_iteration[0].paths == 0
 
     def test_gateway_golden(self, g4, m1, m2):
-        # m1 leaves {a, b} fully matched: a is freed first, then one path
+        # m1 leaves {a, b} fully matched: the start frees a, then one path
         scc = scc_decompose(g4)
-        best, cls, diag = minimize(g4, scc, [], m1, check=True)
+        best, cls, diag = minimize(g4, *network_start(scc, [], m1), check=True)
         assert best == m2
         assert cls == classify(scc, best) and cls.cost == 1
         assert diag.iterations == 2
@@ -288,7 +289,7 @@ class TestMinimize:
 
     def test_slack_golden(self, g5, m3):
         scc = scc_decompose(g5)
-        best, cls, diag = minimize(g5, scc, [], m3, check=True)
+        best, cls, diag = minimize(g5, *network_start(scc, [], m3), check=True)
         assert cls == classify(scc, best) and cls.cost == 1
         assert diag.distances() == [4]
         assert diag.per_iteration[0].paths == 2
@@ -297,7 +298,7 @@ class TestMinimize:
         g = diagonal(9)
         scc = scc_decompose(g)
         m = find_allowed_matching(g, [])
-        best, cls, diag = minimize(g, scc, [], m, check=True)
+        best, cls, diag = minimize(g, *network_start(scc, [], m), check=True)
         assert cls == classify(scc, best) and cls.cost == 9
         assert diag.iterations == 1
 
@@ -317,13 +318,15 @@ class TestMinimize:
         assert res.cost == want == assignment_min_inputs(g, [])
 
     def test_fully_forbidden_component_rejected(self, g4, m1):
-        # m1 is allowed, but no member of {a, b} can be freed
-        with pytest.raises(ValueError, match="source component 0 "):
-            minimize(g4, scc_decompose(g4), [0, 1], m1)
+        # m1 is allowed but leaves {a, b}, entirely forbidden, fully
+        # matched: not a flow of N, so check mode rejects the start
+        scc = scc_decompose(g4)
+        with pytest.raises(AssertionError, match="source component 0 "):
+            minimize(g4, scc, m1, frozenset([0, 1]), classify(scc, m1), check=True)
 
     def test_empty_graph(self):
         g = diagonal(0)
-        best, cls, diag = minimize(g, scc_decompose(g), [], Matching(0))
+        best, cls, diag = minimize(g, *network_start(scc_decompose(g), [], Matching(0)))
         assert best.n == 0 and cls.cost == 0
         assert diag.iterations == 0 and diag.per_iteration == []
 
@@ -347,7 +350,7 @@ class TestMinimize:
 
         def run(g, f, m0, want):
             scc = scc_decompose(g)
-            best, cls, diag = minimize(g, scc, f, m0, check=True)
+            best, cls, diag = minimize(g, *network_start(scc, f, m0), check=True)
             # the terminal round's classification is the optimum's
             assert cls == classify(scc, best) and cls.cost == want
             assert best.is_allowed(f)
@@ -392,7 +395,7 @@ class TestMinimize:
 
     def test_costs_drop_by_path_count(self, g5, m3):
         scc = scc_decompose(g5)
-        _, _, diag = minimize(g5, scc, [], m3)
+        _, _, diag = minimize(g5, *network_start(scc, [], m3))
         running = classify(scc, m3).cost
         for it in diag.per_iteration:
             running -= it.paths

@@ -9,6 +9,7 @@ from bruteforce import (
     component_nodes,
     greedy_allowed_matching,
     greedy_forbidden,
+    network_start,
     random_matching,
     reference_classify,
     stars_and_cycles,
@@ -24,7 +25,7 @@ from minput import (
 )
 from minput.augment import minimize
 from minput.flowgraph import FlowGraph
-from minput.matching import MatchClass, free_source_members
+from minput.matching import MatchClass
 
 
 class TestClassifyReference:
@@ -77,24 +78,23 @@ def _rounds(diagnostics):
 class TestRoundCounters:
     """Every round's ``(dist, paths, cost, work)`` and the first round's
     ``build_work`` of ``minimize`` driven from the greedy start
-    (``greedy_allowed_matching``) once ``minimize`` has freed a member of
-    each source component it leaves fully matched, so the pins guard
-    the loop whatever start ``solve`` uses.  The ``(dist, paths, cost)``
-    triples guard results: no change to how the loop searches may move
-    them.  Work counts are deterministic and the scaling gate reads
-    them, so ``work`` moves only with a change to what a round scans,
-    recorded with its reason and its old and new pins."""
+    (``greedy_allowed_matching``) once ``network_start`` has freed a
+    member of each source component it leaves fully matched, so the
+    pins guard the loop whatever start ``solve`` uses.  The ``(dist,
+    paths, cost)`` triples guard results: no change to how the loop
+    searches may move them.  Work counts are deterministic and the
+    scaling gate reads them, so ``work`` moves only with a change to
+    what a round scans, recorded with its reason and its old and new
+    pins."""
 
     def _check(self, g, forbidden, rounds, build_work, freed):
         scc = scc_decompose(g)
         m0 = greedy_allowed_matching(g, forbidden)
-        _, _, diagnostics = minimize(g, scc, forbidden, m0)
+        _, _, diagnostics = minimize(g, *network_start(scc, forbidden, m0))
         assert _rounds(diagnostics) == rounds
-        cls = classify(scc, m0)
-        unmatched = len(cls.unmatched)
-        assert free_source_members(scc, m0, cls, forbidden) == -1
-        assert len(cls.unmatched) - unmatched == freed
-        fg = FlowGraph(g, scc, m0, forbidden, cls)
+        start = network_start(scc, forbidden, m0)
+        assert start[3].cost - len(m0.unmatched()) == freed
+        fg = FlowGraph(g, *start)
         assert fg.build_work == build_work
         return fg
 

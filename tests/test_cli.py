@@ -394,13 +394,15 @@ class TestRunSolve:
         )
 
     def test_dump_flow_entirely_forbidden_source(self, tmp_path, capsys):
+        # the 2-cycle matching covers both vertices, so the dump names the
+        # gate that fails, not a missing matching
         gpath = _write(tmp_path / "g.txt", "2 2\n0 1\n1 0\n")
         fpath = _write(tmp_path / "f.txt", "0 1\n")
         dest = tmp_path / "flow.txt"
         code = run(["--graph", gpath, "--forbidden", fpath, "--dump-flow", str(dest)])
         assert code == 2
         capsys.readouterr()
-        assert dest.read_text() == "# no allowed matching, flow graph undefined\n"
+        assert dest.read_text() == "# unsolvable (SourceSccAllForbidden), flow graph undefined\n"
 
     def test_dump_flow_without_matching(self, tmp_path, capsys):
         gpath = _write(tmp_path / "g.txt", "3 2\n0 1\n0 2\n")
@@ -409,7 +411,7 @@ class TestRunSolve:
         code = run(["--graph", gpath, "--forbidden", fpath, "--dump-flow", str(dest)])
         assert code == 2
         capsys.readouterr()
-        assert dest.read_text() == "# no allowed matching, flow graph undefined\n"
+        assert dest.read_text() == "# unsolvable (NoAllowedMatching), flow graph undefined\n"
 
 
 class TestRunErrors:

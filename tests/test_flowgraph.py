@@ -186,8 +186,8 @@ def _implicit_view_cases():
     """300 random (graph, forbidden, matching, flow graph) cases, half of
     them on a random matching that need not be maximal or allowed and the
     rest on the greedy start, which leaves more s -> t paths to follow
-    than the package's start does; each moved into N as ``minimize``
-    would."""
+    than the package's start does; each moved into N as ``solve``'s
+    start is."""
     rng = random.Random(42)
     for _ in range(300):
         n = rng.randint(1, 9)

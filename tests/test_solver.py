@@ -26,7 +26,8 @@ from minput import (
     solve,
 )
 from minput.graph import reachable_from
-from minput.matching import Matching, find_allowed_matching
+from minput.matching import Matching
+from minput.solver import find_allowed_matching
 
 
 class TestRecoverInputSet:
@@ -117,7 +118,7 @@ class TestSolveIsolated:
     def test_self_loop_is_not_isolated(self):
         sol = solve(Problem(SparseDigraph(1, [(0, 0)])))
         # the loop forms a source component, which the start matches
-        # fully and minimize then frees
+        # fully and then frees
         assert sol.input_set == [0]
         assert sol.certificate == []
 
