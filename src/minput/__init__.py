@@ -27,8 +27,10 @@ from .graph import (
     build_graph,
     induced_subgraph,
     isolated_vertices,
-    scc_decompose,
 )
+
+# The benchmark's traced replica calls its SCC stage ``minput.scc_decompose``.
+from .graph import source_components as scc_decompose
 from .matching import classify
 from .oracle import (
     brute_force_min_cost_allowed_matching,

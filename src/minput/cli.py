@@ -15,11 +15,12 @@ import sys
 
 from .errors import MinputError, NotSquare, ParseError
 from .flowgraph import build_flow_graph
-# Nothing here calls build_graph; the benchmark's traced run
-# (perfbench/replica.py) patches cli.build_graph, so the name must resolve.
+# Nothing here calls build_graph or solve; the benchmark's traced run
+# (perfbench/replica.py) patches cli.build_graph and cli.solve, so the
+# names must resolve.
 from .graph import SparseDigraph, build_graph, empty_adjacency  # noqa: F401
 from .oracle import brute_force_min_input_set, check_structural_controllability
-from .solver import Problem, Solution, Unsolvable, _start, solve
+from .solver import Problem, Solution, Unsolvable, _solve_from, _start, solve  # noqa: F401
 
 
 def _utf8_input(parse):
@@ -179,12 +180,12 @@ def read_forbidden(path: str, n: int) -> frozenset[int]:
     return frozenset(forbidden)
 
 
-def _flow_dump(problem: Problem) -> str:
-    """The flow graph ``solve`` searches first, every vertex included."""
-    start = _start(problem)
+def _flow_dump(g: SparseDigraph, start) -> str:
+    """The flow graph ``solve`` searches first from ``_start``'s result
+    ``start``, every vertex included."""
     if isinstance(start, Unsolvable):
         return f"# unsolvable ({start.reason.value}), flow graph undefined\n"
-    return build_flow_graph(problem.graph, *start).dump() + "\n"
+    return build_flow_graph(g, *start).dump() + "\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -228,11 +229,11 @@ def run(argv: list[str] | None = None) -> int:
             print("error: one of --graph or --mm is required", file=sys.stderr)
             return 1
         forb = read_forbidden(args.forbidden, g.n) if args.forbidden else frozenset()
-        problem = Problem(g, forb)
-        if args.dump_flow:
+        start = _start(Problem(g, forb))
+        if args.dump_flow:  # before the loop changes the start's matching
             with open(args.dump_flow, "w", encoding="utf-8") as fh:
-                fh.write(_flow_dump(problem))
-        result = solve(problem)
+                fh.write(_flow_dump(g, start))
+        result = _solve_from(g, start)
         solved = isinstance(result, Solution)
         if solved:
             payload = {"solvable": True}

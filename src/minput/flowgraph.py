@@ -36,13 +36,14 @@ one unit each, and a residual path holds two of them before its first
 at most ``4n / (d - 1)`` such paths; ``d`` starts at 3 and grows each
 round, so ``2 sqrt(n)`` rounds leave fewer than ``2 sqrt(n)`` to run.
 
-No edge is stored: the graph's adjacency, the mate arrays, the SCCs and
-the round's ``MatchClass`` answer every rule, as Hopcroft-Karp never
-stores its residual graph, and a round builds only ``s``'s out-list and
-``t``'s in-list.  ``FlowGraph.out_view`` and ``FlowGraph.in_view`` state
-the rule once; ``FlowGraph.explicit_edges``, the one materialiser, lists
-``out_view`` in the same ids and ``dump`` prints it, naming component
-``c``'s node ``comp<c>``, so a dump has O(n + m) lines.
+No edge is stored: the graph's adjacency, the mate arrays, the source
+components and the round's ``MatchClass`` answer every rule, as
+Hopcroft-Karp never stores its residual graph, and a round builds only
+``s``'s out-list and ``t``'s in-list.  ``FlowGraph.out_view`` and
+``FlowGraph.in_view`` state the rule once; ``FlowGraph.explicit_edges``,
+the one materialiser, lists ``out_view`` in the same ids and ``dump``
+prints it, naming component ``c``'s node ``comp<c>``, so a dump has
+O(n + m) lines.
 """
 
 from __future__ import annotations
@@ -71,8 +72,9 @@ class FlowGraph:
     unmatched destination copies outside source components, then the
     component node of each source component with two or more unmatched
     members.  Both ascend.  The rest comes from ``out_adj``, ``in_adj``,
-    ``mate_of_src``, ``mate_of_dst``, the SCCs and ``cls``, shared with
-    their owners, so the view is valid only until the matching changes.
+    ``mate_of_src``, ``mate_of_dst``, the source components and ``cls``,
+    shared with their owners, so the view is valid only until the
+    matching changes.
 
     ``out_view`` and ``in_view`` keep the matched edge in its forward
     direction too; a level check drops it, as a matched source copy's

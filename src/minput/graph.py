@@ -1,10 +1,15 @@
-"""Sparse directed graphs over dense integer ids, with SCC machinery.
+"""Sparse directed graphs over dense integer ids, and their source components.
 
 The influence graph of a linear system ``xdot = A x`` has one vertex per
 state variable and an edge ``i -> j`` whenever entry ``A[j][i]`` is
 nonzero, i.e. whenever variable ``i`` appears in the equation for
 variable ``j``.  Note the transposition: matrix entries are (row, col)
 pairs while edges run from the influencing column to the influenced row.
+
+A *source component* is a strongly connected component that no edge
+enters from outside it.  By Lin's theorem each needs an input of its
+own, so ``source_components`` finds these and tells no other component
+apart.
 """
 
 from __future__ import annotations
@@ -204,25 +209,22 @@ def induced_subgraph(g: SparseDigraph, keep: list[int]) -> tuple[SparseDigraph, 
 
 @dataclass
 class SccInfo:
-    """Strongly connected components of a digraph.
+    """The source components of a digraph: the strongly connected
+    components that no edge enters from outside.
 
-    The ``r`` sources, components no edge enters from another, are
-    numbered ``0 .. r-1`` by ascending lowest member, then the rest in an
-    order left to the algorithm.  The sources' order is also the order in
-    which a depth-first search over out-edges, roots from vertex 0 upward,
-    finishes them: a source is entered only from its own members, so that
-    search first reaches it at a root, its lowest member, and finishes it
-    before the next root starts.  Outputs read only the sources' order
-    (``source_ids``, the flow graph's component nodes and the
-    all-forbidden components that ``solve``'s verdict names); it must
-    not depend on the SCC algorithm.
+    They are all that ``solve`` and the flow graph read, so the other
+    components are not told apart.  The ``r`` sources are numbered
+    ``0 .. r-1`` by ascending lowest member.  Outputs read that order (the flow graph's
+    component nodes and the all-forbidden components that ``solve``'s
+    verdict names); it must not depend on the algorithm.
 
     Attributes
     ----------
     comp_id : list[int]
-        Component index per vertex.
+        Per vertex, the index of its source component, or ``r`` for a
+        vertex in no source component.
     comps : list[list[int]]
-        Members of each component, sorted ascending.
+        Members of each source component, sorted ascending.
     source_ids : range
         ``range(r)``, the indices of the source components.
     """
@@ -233,51 +235,46 @@ class SccInfo:
 
     @property
     def n_comps(self) -> int:
+        """``r``, the number of source components."""
         return len(self.comps)
 
 
-def scc_decompose(g: SparseDigraph) -> SccInfo:
-    """A peel of the acyclic in-fringe, then Kosaraju's algorithm on the rest.
+def source_components(g: SparseDigraph) -> SccInfo:
+    """The source components of ``g`` (see ``SccInfo``): a forward reach
+    from the in-degree-0 vertices, then Kosaraju's algorithm on the rest.
 
-    The peel is Kahn's queue over in-degree counts, seeded with the
-    in-degree-0 vertices in ascending order: it takes every vertex that
-    no unpeeled vertex enters.  Each peeled vertex is a one-member
-    component, and a source exactly when it has no in-edge at all.  A
-    self loop keeps its vertex's count above 0, so that vertex stays.
+    An in-degree-0 vertex is a one-member source.  Every other vertex it
+    reaches lies downstream of a source, so it is in no source component
+    and needs no component of its own.  A self loop is an in-edge, so a
+    vertex entered only by its own loop is left to the second step.
 
-    Kosaraju's two searches, iterative so deep graphs cannot overflow
-    the stack, run on the unpeeled core.  A depth-first search over
-    out-edges records the post-order.  Then, in reverse post-order, each
-    unplaced vertex starts a component that floods over in-edges to the
-    unplaced vertices reaching it.  That places every component after
-    all components with an edge into it, so an in-edge from a placed
-    vertex outside it, a peeled one included, makes it no source.
-
-    The core's sources finish in ascending order of lowest member (see
-    ``SccInfo``), as the peeled ones are seeded; one sort of the lowest
-    members merges the two.  The other components follow, peeled
-    vertices in peel order, then the core's in the first search's finish
-    order; their order reaches no output, so they are not sorted.
+    What the reach leaves is closed under predecessors: an in-edge from a
+    reached vertex would have reached it.  So its source components are
+    exactly ``g``'s other ones.  Kosaraju's two searches, iterative so
+    deep graphs cannot overflow the stack, run on it alone.  A
+    depth-first search over out-edges records the post-order.  Then, in
+    reverse post-order, each unplaced vertex starts a component that
+    floods over in-edges to the unplaced vertices reaching it.  That
+    places every component after all components with an edge into it,
+    so a component is a source unless an in-edge comes from a placed
+    vertex outside it.  Only the sources' members are kept; one sort by
+    lowest member merges them with the in-degree-0 vertices.
     """
     n = g.n
     out, inn = g.out_adj, g.in_adj
     seen = bytearray(n)
-    comp_id = [-1] * n
     # "[] in inn" is one C-level pass: a graph with no in-degree-0 vertex
-    # pays nothing more for the peel.
-    peeled = [v for v, preds in enumerate(inn) if not preds] if [] in inn else []
-    r_peeled = len(peeled)  # the in-degree-0 vertices, ascending: the peeled sources
-    if peeled:
-        count = list(map(len, inn))
-        for c, v in enumerate(peeled):  # grows as counts reach 0
-            seen[v] = 1
-            comp_id[v] = c
-            for w in out[v]:
-                count[w] -= 1
-                if not count[w]:
-                    peeled.append(w)
-    comps = [[v] for v in peeled]
-    # Kosaraju on the core; peeled vertices are already seen and placed.
+    # pays nothing more for the reach.
+    reach = [v for v, preds in enumerate(inn) if not preds] if [] in inn else []
+    comps = [[v] for v in reach]  # the in-degree-0 vertices, ascending
+    for v in reach:
+        seen[v] = 1
+    for v in reach:  # grows as the reach finds new vertices
+        for w in out[v]:
+            if not seen[w]:
+                seen[w] = 1
+                reach.append(w)
+    # Kosaraju on what the reach left; reached vertices count as seen.
     post: list[int] = []
     root = seen.find(0)
     while root >= 0:
@@ -294,35 +291,32 @@ def scc_decompose(g: SparseDigraph) -> SccInfo:
                 nbrs.pop()
                 post.append(path.pop())
         root = seen.find(0, root + 1)
-    placed = others, sources = [], []  # placement order, indexed by "is a source"
-    for root in reversed(post):
-        if comp_id[root] >= 0:
-            continue
-        c = len(comps)
-        comp_id[root] = c
-        members = [root]
-        comps.append(members)
-        source = True
-        for v in members:  # grows as the flood reaches new members
-            for u in inn[v]:
-                cu = comp_id[u]
-                if cu < 0:
-                    comp_id[u] = c
-                    members.append(u)
-                elif cu != c:
-                    source = False
-        members.sort()
-        placed[source].append(c)
-    # Sources by lowest member, then peeled vertices, then the core's others.
-    heads = peeled[:r_peeled] + [comps[c][0] for c in sources]
-    heads.sort()
-    order = [comp_id[v] for v in heads]
-    order += range(r_peeled, len(peeled))
-    order += reversed(others)
-    new = [0] * len(order)
-    for i, c in enumerate(order):
-        new[c] = i
-    return SccInfo([new[c] for c in comp_id], [comps[c] for c in order], range(len(heads)))
+    if post:
+        label = [-1] * n  # the flood that placed each vertex
+        for c, root in enumerate(reversed(post)):
+            if label[root] >= 0:
+                continue
+            label[root] = c
+            members = [root]
+            source = True
+            for v in members:  # grows as the flood reaches new members
+                for u in inn[v]:
+                    cu = label[u]
+                    if cu < 0:
+                        label[u] = c
+                        members.append(u)
+                    elif cu != c:
+                        source = False
+            if source:
+                members.sort()
+                comps.append(members)
+        comps.sort()
+    r = len(comps)
+    comp_id = [r] * n
+    for c, members in enumerate(comps):
+        for v in members:
+            comp_id[v] = c
+    return SccInfo(comp_id, comps, range(r))
 
 
 def reachable_from(g: SparseDigraph, seeds: Iterable[int]) -> set[int]:

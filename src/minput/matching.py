@@ -351,14 +351,15 @@ def _allowed_start(g: SparseDigraph, f_list: list[int]) -> Matching | list[int]:
 class MatchClass:
     """Classification of unmatched vertices for one matching.
 
-    ``unmatched`` lists every unmatched vertex, ascending, and
-    ``comp_unmatched`` holds the unmatched count of every component,
-    the one number a component node of the flow graph reads.
+    ``unmatched`` lists every unmatched vertex, ascending.
+    ``comp_unmatched`` holds ``r + 1`` counts: the unmatched members of
+    each source component, the one number a component node of the flow
+    graph reads, then the unmatched vertices in no source component.
 
     Per round, ``classify`` makes one comprehension over the
-    destination mates and allocates one zeroed count per component;
-    every other step costs O(1) per unmatched vertex, and no Python loop
-    walks all components or a component's members.
+    destination mates and allocates one zeroed count per source
+    component; every other step costs O(1) per unmatched vertex, and no
+    Python loop walks all components or a component's members.
     """
 
     unmatched: list[int]
@@ -371,9 +372,10 @@ class MatchClass:
 
 
 def classify(scc: SccInfo, m: Matching) -> MatchClass:
-    """Count each component's unmatched members; see ``MatchClass``."""
+    """Count each source component's unmatched members, and those of no
+    source; see ``MatchClass``."""
     unmatched = m.unmatched()
-    comp_unmatched = [0] * scc.n_comps
+    comp_unmatched = [0] * (scc.n_comps + 1)
     for c in map(scc.comp_id.__getitem__, unmatched):
         comp_unmatched[c] += 1
     return MatchClass(unmatched, comp_unmatched)

@@ -3,9 +3,10 @@
 The checks are written against the textbook definitions, not the
 solver's matching and flow-graph machinery, so agreement between the
 two is meaningful evidence.  They share two of the solver's building
-blocks, ``scc_decompose`` and ``hopcroft_karp``; ``tests/test_networkx.py``
-checks both against networkx.  The brute-force searches refuse
-instances above small size bounds instead of silently taking forever.
+blocks, ``source_components`` and ``hopcroft_karp``;
+``tests/test_networkx.py`` checks both against networkx.  The
+brute-force searches refuse instances above small size bounds instead of
+silently taking forever.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from itertools import combinations
 from typing import Collection
 
 from .errors import BoundExceeded
-from .graph import SparseDigraph, reachable_from, scc_decompose, vertex_ids
+from .graph import SparseDigraph, reachable_from, source_components, vertex_ids
 from .matching import hopcroft_karp
 
 
@@ -54,7 +55,7 @@ def brute_force_min_cost_allowed_matching(
     if n > max_n:
         raise BoundExceeded(f"matching enumeration capped at n={max_n}, got {n}")
     forb = frozenset(vertex_ids(forbidden, n, "forbidden vertex"))
-    scc = scc_decompose(g)
+    scc = source_components(g)
     comp_id = scc.comp_id
     sources = scc.source_ids
     in_adj = g.in_adj
@@ -63,7 +64,7 @@ def brute_force_min_cost_allowed_matching(
     best: int | None = None
 
     def final_cost() -> int:
-        unmatched_in = [0] * scc.n_comps
+        unmatched_in = [0] * (scc.n_comps + 1)  # the last counts no source
         free = 0
         for v in range(n):
             if mate[v] < 0:

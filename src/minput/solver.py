@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Collection
 
 from .augment import Diagnostics, minimize
-from .graph import SccInfo, SparseDigraph, scc_decompose, vertex_ids
+from .graph import SccInfo, SparseDigraph, source_components, vertex_ids
 from .matching import MatchClass, Matching, _allowed_start, classify, free_source_members
 
 
@@ -91,7 +91,7 @@ def _start(
     f_list = vertex_ids(problem.forbidden, g.n, "forbidden vertex")
     forb = frozenset(f_list)
 
-    scc = scc_decompose(g)
+    scc = source_components(g)
     comp_id, comps, r = scc.comp_id, scc.comps, len(scc.source_ids)
     hits: dict[int, int] = {}  # forbidden members per source component
     for c in map(comp_id.__getitem__, f_list):
@@ -129,10 +129,20 @@ def solve(problem: Problem, *, check: bool = False) -> Solution | Unsolvable:
     """Solve an instance: ``minimize`` drives ``_start``'s flow, and its
     unmatched vertices are the input set.  ``check=True`` validates the
     start and every round."""
-    start = _start(problem)
+    return _solve_from(problem.graph, _start(problem), check=check)
+
+
+def _solve_from(
+    g: SparseDigraph,
+    start: Unsolvable | tuple[SccInfo, Matching, frozenset[int], MatchClass],
+    *,
+    check: bool = False,
+) -> Solution | Unsolvable:
+    """``solve`` from ``_start``'s result for ``g``, which ``minimize``
+    changes in place; ``cli`` dumps the start's flow graph first."""
     if isinstance(start, Unsolvable):
         return start
-    m_opt, cls, diag = minimize(problem.graph, *start, check=check)
+    m_opt, cls, diag = minimize(g, *start, check=check)
     input_set = cls.unmatched
     return Solution(
         input_set,

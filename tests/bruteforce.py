@@ -18,8 +18,13 @@ from minput import SparseDigraph, build_graph
 from minput.augment import LayeredDag
 from minput.errors import IndexOutOfRange, NotSquare, ParseError
 from minput.flowgraph import FlowGraph
-from minput.graph import SccInfo, scc_decompose
+from minput.graph import SccInfo
 from minput.matching import MatchClass, Matching, classify, free_source_members, hopcroft_karp
+
+try:
+    from minput.graph import source_components
+except ImportError:  # outputs_digest.py digests older trees with these helpers too
+    from minput.graph import scc_decompose as source_components
 
 
 def closure(g: SparseDigraph) -> list[set[int]]:
@@ -51,9 +56,10 @@ def reference_scc(g: SparseDigraph) -> SccInfo:
     """SCCs by Tarjan's algorithm, iterative: source components first,
     then the others, each in the order the depth-first search over
     out-edges, roots from vertex 0 upward, finishes them.  For the
-    sources that is the ascending lowest-member order ``SccInfo`` fixes;
-    the others' order is one ``SccInfo`` leaves free, so only the
-    sources' order is compared with ``scc_decompose``'s.
+    sources that is the ascending lowest-member order ``SccInfo`` fixes.
+    The full decomposition is kept: ``source_components`` lists only the
+    sources and puts every other vertex in one bucket, so the tests
+    compare it with the first ``r`` components here.
 
     A component is not a source when an edge is scanned into a
     component that has already closed, or when it is entered by a tree
@@ -263,7 +269,7 @@ def max_matching_size(n_left: int, n_right: int, adj: list[list[int]]) -> int:
 def flow_graph(g: SparseDigraph, m: Matching, forbidden: Collection[int] = ()) -> FlowGraph:
     """``FlowGraph`` of ``(g, m)``, with the SCCs and the ``MatchClass``
     it needs computed here."""
-    scc = scc_decompose(g)
+    scc = source_components(g)
     return FlowGraph(g, scc, m, forbidden, classify(scc, m))
 
 
@@ -272,7 +278,7 @@ def into_network(g: SparseDigraph, m: Matching) -> Matching:
     it leaves fully matched unmatched: the last step of ``solve``'s
     start with nothing forbidden, which puts any matching in N at the
     same cost."""
-    scc = scc_decompose(g)
+    scc = source_components(g)
     for c in scc.source_ids:
         members = scc.comps[c]
         if all(m.mate_of_dst[v] >= 0 for v in members):
@@ -741,10 +747,11 @@ def reference_residual_edges(
 
 def reference_classify(scc, m) -> tuple:
     """The ``MatchClass`` fields, in declaration order, written straight
-    from its docstring with one naive pass per component.
+    from its docstring with one naive pass per source component.
 
     ``unmatched`` holds every unmatched vertex, ascending, and
-    ``comp_unmatched`` the unmatched count of each component.
+    ``comp_unmatched`` the unmatched count of each source component, then
+    that of the vertices in no source component.
     """
     comp_unmatched = []
     unmatched = []
@@ -752,6 +759,10 @@ def reference_classify(scc, m) -> tuple:
         free = [v for v in members if m.mate_of_dst[v] < 0]
         comp_unmatched.append(len(free))
         unmatched.extend(free)
+    in_source = {v for members in scc.comps for v in members}
+    free = [v for v in range(m.n) if v not in in_source and m.mate_of_dst[v] < 0]
+    comp_unmatched.append(len(free))
+    unmatched.extend(free)
     return sorted(unmatched), comp_unmatched
 
 

@@ -45,10 +45,9 @@ Categories:
 * ``graph``: ``n``, ``m``, ``out_adj`` and ``in_adj`` of a
   ``SparseDigraph`` built from each instance's edges with seeded
   parallel edges added and the list shuffled.
-* ``scc``: each instance's component count and the members of its
-  source components in ``source_ids`` order.  Only the order of the
-  sources reaches an output, so this does not depend on how the other
-  components are numbered, and it moves with any change to that order.
+* ``scc``: each instance's source component count ``r`` and the
+  members of its source components in ``source_ids`` order, all that
+  ``SccInfo`` fixes.  It moves with any change to that order.
 * ``loop``: every round's ``(dist, paths, cost)`` and the final cost of
   ``minimize(check=True)`` on 3000 seeded instances, each from a random
   allowed start: a random matching, with the forbidden set drawn among
@@ -138,10 +137,10 @@ def main(src: Path) -> None:
     sys.path.insert(0, str(src))
     import minput
     from bruteforce import (component_nodes, dump_edge_list, flow_graph, network_start,
-                            random_edge_list_file, random_matching, random_matrix_market_file)
+                            random_edge_list_file, random_matching, random_matrix_market_file,
+                            source_components)
     from minput import Problem, Solution, SparseDigraph, cli, solve
     from minput.augment import minimize
-    from minput.graph import scc_decompose
     from minput.solver import find_allowed_matching
 
     digests = {k: hashlib.sha256()
@@ -191,8 +190,8 @@ def main(src: Path) -> None:
                 extra.shuffle(edges)
                 h = SparseDigraph(g.n, edges)
                 record("graph", i, h.n, h.m, h.out_adj, h.in_adj)
-                scc = scc_decompose(g)
-                record("scc", i, scc.n_comps, [scc.comps[c] for c in scc.source_ids])
+                scc = source_components(g)
+                record("scc", i, len(scc.source_ids), [scc.comps[c] for c in scc.source_ids])
 
                 Path("g.txt").write_text(dump_edge_list(g), encoding="utf-8")
                 Path("g.mtx").write_text(_matrix_market(g, rng), encoding="utf-8")
@@ -227,7 +226,7 @@ def main(src: Path) -> None:
     for i in range(LOOPS):
         rng = random.Random(f"loop/{i}")
         g, _ = _instance(rng)
-        scc = scc_decompose(g)
+        scc = source_components(g)
         m0 = random_matching(g, rng, rng.choice([0.5, 0.8, 1.0]))
         lowest = {scc.comps[c][0] for c in scc.source_ids}
         matched = [v for v in range(g.n) if m0.mate_of_dst[v] >= 0 and v not in lowest]

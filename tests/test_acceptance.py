@@ -27,10 +27,10 @@ from minput import (
     layered_bfs,
     numeric_rank_spot_check,
     recover_input_set,
-    scc_decompose,
     solve,
 )
 from minput.augment import minimize
+from minput.graph import source_components
 from minput.matching import Matching, classify
 from minput.oracle import (
     brute_force_min_cost_allowed_matching,
@@ -163,7 +163,7 @@ def test_criterion_3_worked_examples(capsys):
     m1_free = Matching.from_edges(4, [(1, 1), (2, 3)])  # m1 with a freed
     m2 = Matching.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     m3 = Matching.from_edges(5, [(2, 1), (1, 0)])
-    scc4, scc5 = scc_decompose(g4), scc_decompose(g5)
+    scc4, scc5 = source_components(g4), source_components(g5)
     checks: list[bool] = []
 
     # starting matching and its cost, then the optimal one; m1 leaves

@@ -16,6 +16,7 @@ from bruteforce import (
     network_start,
     random_matching,
     reference_residual_edges,
+    reference_scc,
 )
 from families import chain, diagonal, erdos_renyi, preferential, random_forbidden
 from minput import (
@@ -26,12 +27,12 @@ from minput import (
     extract_paths,
     find_allowed_matching,
     layered_bfs,
-    scc_decompose,
     solve,
 )
 from minput import augment
 from minput.augment import LayeredDag, minimize
 from minput.flowgraph import FlowGraph
+from minput.graph import source_components
 from minput.matching import Matching, classify
 from minput.oracle import brute_force_min_cost_allowed_matching
 
@@ -169,7 +170,7 @@ class TestTwoSidedSearch:
                 m = find_allowed_matching(g, f) if i % 3 == 1 else greedy_allowed_matching(g, f)
                 if m is None:  # a source component is entirely forbidden
                     continue
-            scc = scc_decompose(g)
+            scc = source_components(g)
             while True:
                 fg = FlowGraph(g, scc, m, f, classify(scc, m))
                 want, want_work = forward_layered_bfs(fg)
@@ -210,7 +211,7 @@ class TestEquivalenceSweep:
             if m is None or rng.random() < 0.5:
                 m = random_matching(g, rng, 0.6)
             fg = flow_graph(g, m, f)
-            comp_of = scc_decompose(g).comp_id
+            comp_of = source_components(g).comp_id
             edges = reference_residual_edges(g, comp_of, m, f)[1]
             adj = [[] for _ in range(fg.view_size)]
             for a, b in sorted(edges):
@@ -253,10 +254,10 @@ class TestAugmentOnPaths:
     def test_slack_golden(self, g5, m3):
         got = augment_on_paths(m3.copy(), [[10, 3, 7, 12, 11], [10, 4, 8, 12, 11]])
         assert got.edges() == [(1, 0), (2, 1), (3, 2), (4, 3)]
-        assert classify(scc_decompose(g5), got).cost == 1
+        assert classify(source_components(g5), got).cost == 1
 
     def test_cycle_is_cost_neutral(self, g4, m2):
-        scc = scc_decompose(g4)
+        scc = source_components(g4)
         # a.dst -> comp0 -> b.dst -> a.src -> a.dst moves the free vertex
         got = augment_on_paths(m2.copy(), [[4, 10, 5, 0, 4]])
         assert got.edges() == [(0, 0), (1, 2), (2, 3)]
@@ -270,7 +271,7 @@ class TestAugmentOnPaths:
 
 class TestMinimize:
     def test_fixpoint(self, g4, m2):
-        best, _, diag = minimize(g4, *network_start(scc_decompose(g4), [], m2))
+        best, _, diag = minimize(g4, *network_start(source_components(g4), [], m2))
         assert best == m2
         assert diag.iterations == 1
         assert diag.per_iteration[0].dist is None
@@ -278,7 +279,7 @@ class TestMinimize:
 
     def test_gateway_golden(self, g4, m1, m2):
         # m1 leaves {a, b} fully matched: the start frees a, then one path
-        scc = scc_decompose(g4)
+        scc = source_components(g4)
         best, cls, diag = minimize(g4, *network_start(scc, [], m1), check=True)
         assert best == m2
         assert cls == classify(scc, best) and cls.cost == 1
@@ -288,7 +289,7 @@ class TestMinimize:
         assert m1.edges() == [(0, 0), (1, 1), (2, 3)]  # input untouched
 
     def test_slack_golden(self, g5, m3):
-        scc = scc_decompose(g5)
+        scc = source_components(g5)
         best, cls, diag = minimize(g5, *network_start(scc, [], m3), check=True)
         assert cls == classify(scc, best) and cls.cost == 1
         assert diag.distances() == [4]
@@ -296,7 +297,7 @@ class TestMinimize:
 
     def test_diagonal_stops_immediately(self):
         g = diagonal(9)
-        scc = scc_decompose(g)
+        scc = source_components(g)
         m = find_allowed_matching(g, [])
         best, cls, diag = minimize(g, *network_start(scc, [], m), check=True)
         assert cls == classify(scc, best) and cls.cost == 9
@@ -307,26 +308,26 @@ class TestMinimize:
         # so the one round stops at the lower bound and adds no BFS work
         er = erdos_renyi(300, 1.5 / 300, random.Random(52))
         g = SparseDigraph(300, sorted(set(er.edges()) | {(v, v) for v in range(300)}))
-        scc = scc_decompose(g)
+        scc = source_components(g)
         m0 = find_allowed_matching(g, [])
         assert m0.size == 300 - len(scc.source_ids)
         fg = flow_graph(g, m0)
         res = solve(Problem(g))
         want = len(scc.source_ids)
-        assert want > 1 and max(len(c) for c in scc.comps) > 1
+        assert want > 1 and max(len(c) for c in reference_scc(g).comps) > 1
         assert res.diagnostics.per_iteration == [IterationStats(None, 0, want, fg.build_work)]
         assert res.cost == want == assignment_min_inputs(g, [])
 
     def test_fully_forbidden_component_rejected(self, g4, m1):
         # m1 is allowed but leaves {a, b}, entirely forbidden, fully
         # matched: not a flow of N, so check mode rejects the start
-        scc = scc_decompose(g4)
+        scc = source_components(g4)
         with pytest.raises(AssertionError, match="source component 0 "):
             minimize(g4, scc, m1, frozenset([0, 1]), classify(scc, m1), check=True)
 
     def test_empty_graph(self):
         g = diagonal(0)
-        best, cls, diag = minimize(g, *network_start(scc_decompose(g), [], Matching(0)))
+        best, cls, diag = minimize(g, *network_start(source_components(g), [], Matching(0)))
         assert best.n == 0 and cls.cost == 0
         assert diag.iterations == 0 and diag.per_iteration == []
 
@@ -349,7 +350,7 @@ class TestMinimize:
         monkeypatch.setattr(augment, "extract_paths", counting_extract)
 
         def run(g, f, m0, want):
-            scc = scc_decompose(g)
+            scc = source_components(g)
             best, cls, diag = minimize(g, *network_start(scc, f, m0), check=True)
             # the terminal round's classification is the optimum's
             assert cls == classify(scc, best) and cls.cost == want
@@ -371,7 +372,7 @@ class TestMinimize:
             if m0 is None:
                 # no allowed matching, or a source component with no
                 # allowed member to free
-                scc = scc_decompose(g)
+                scc = source_components(g)
                 assert want is None or any(set(scc.comps[c]) <= f for c in scc.source_ids)
                 continue
             run(g, f, m0, want)
@@ -394,7 +395,7 @@ class TestMinimize:
         assert swaps >= 5, swaps  # 11 at this seed
 
     def test_costs_drop_by_path_count(self, g5, m3):
-        scc = scc_decompose(g5)
+        scc = source_components(g5)
         _, _, diag = minimize(g5, *network_start(scc, [], m3))
         running = classify(scc, m3).cost
         for it in diag.per_iteration:

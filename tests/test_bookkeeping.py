@@ -20,11 +20,11 @@ from minput import (
     Solution,
     classify,
     find_allowed_matching,
-    scc_decompose,
     solve,
 )
 from minput.augment import minimize
 from minput.flowgraph import FlowGraph
+from minput.graph import source_components
 from minput.matching import MatchClass
 
 
@@ -39,7 +39,7 @@ class TestClassifyReference:
         for _ in range(400):
             n = rng.randint(1, 12)
             g = erdos_renyi(n, rng.choice([0.1, 0.2, 0.35, 0.5]), rng)
-            scc = scc_decompose(g)
+            scc = source_components(g)
             m = find_allowed_matching(g, random_forbidden(n, 0.2, rng))
             if m is None or rng.random() < 0.7:
                 m = random_matching(g, rng, rng.choice([0.3, 0.6, 1.0]))
@@ -88,7 +88,7 @@ class TestRoundCounters:
     pins."""
 
     def _check(self, g, forbidden, rounds, build_work, freed):
-        scc = scc_decompose(g)
+        scc = source_components(g)
         m0 = greedy_allowed_matching(g, forbidden)
         _, _, diagnostics = minimize(g, *network_start(scc, forbidden, m0))
         assert _rounds(diagnostics) == rounds

@@ -17,9 +17,13 @@ from bruteforce import (
     reference_edge_list,
     reference_matrix_market,
 )
-from families import chain
-from minput import IndexOutOfRange, MinputError, NotSquare, ParseError, SparseDigraph
+from families import chain, erdos_renyi
+from minput import (IndexOutOfRange, MinputError, NotSquare, ParseError, Problem, SparseDigraph,
+                    solve)
 from minput.cli import ingest_edge_list, ingest_matrix_market, read_forbidden, run
+from minput.flowgraph import FlowGraph
+from minput.graph import source_components
+from minput.solver import _start
 
 
 def _write(path, text):
@@ -392,6 +396,27 @@ class TestRunSolve:
         assert dest.read_text() == (
             "0.dst -> comp0\n1.dst -> 0.src\n1.src -> 0.dst\ncomp0 -> 1.dst\ns -> 1.src\n"
         )
+
+    def test_dump_flow_runs_the_start_once(self, tmp_path, capsys, monkeypatch):
+        # one source_components call for the dump and the solve, and the
+        # dump shows the start, taken before the loop's path round
+        # changes its matching
+        g = erdos_renyi(40, 3 / 40, random.Random(4))
+        gpath = _write(tmp_path / "g.txt", dump_edge_list(g))
+        want = FlowGraph(g, *_start(Problem(g))).dump() + "\n"
+        calls = []
+
+        def counted(h):
+            calls.append(h)
+            return source_components(h)
+
+        monkeypatch.setattr(minput.solver, "source_components", counted)
+        dest = tmp_path / "flow.txt"
+        assert run(["--graph", gpath, "--dump-flow", str(dest)]) == 0
+        assert len(calls) == 1
+        assert dest.read_text() == want
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["iterations"] > 1 and payload["cost"] == solve(Problem(g)).cost
 
     def test_dump_flow_entirely_forbidden_source(self, tmp_path, capsys):
         # the 2-cycle matching covers both vertices, so the dump names the

@@ -12,7 +12,8 @@ from bruteforce import (
     reference_residual_edges,
 )
 from families import erdos_renyi, random_forbidden
-from minput import find_allowed_matching, layered_bfs, scc_decompose
+from minput import find_allowed_matching, layered_bfs
+from minput.graph import source_components
 
 AB = ["a", "b", "c", "d"]
 ABE = ["a", "b", "c", "d", "e"]
@@ -222,7 +223,7 @@ class TestImplicitView:
         seen = {"swap": 0, "slack": 0}
         for g, f, m, fg in _implicit_view_cases():
             n = g.n
-            scc = scc_decompose(g)
+            scc = source_components(g)
             size, residual = reference_residual_edges(g, scc.comp_id, m, f)
             assert fg.node_count() == fg.view_size == size == 2 * n + 2 + len(scc.source_ids)
             edges = fg.explicit_edges()

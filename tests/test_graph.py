@@ -4,6 +4,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from bruteforce import closure, reference_scc, scc_partition, stars_and_cycles
 from families import erdos_renyi, preferential
@@ -14,10 +18,9 @@ from minput import (
     build_graph,
     induced_subgraph,
     isolated_vertices,
-    scc_decompose,
     solve,
 )
-from minput.graph import empty_adjacency, reachable_from
+from minput.graph import empty_adjacency, reachable_from, source_components
 
 
 def _multigraph_edges(n, rng):
@@ -43,26 +46,22 @@ def _multigraph_edges(n, rng):
 
 
 def _same_contract(scc, ref):
-    """``scc`` and ``ref`` agree on what ``SccInfo`` fixes: the source count,
-    the sources' members in order and the partition; and ``scc.comp_id``
-    names the component that lists each vertex."""
+    """``scc`` holds what ``SccInfo`` fixes of ``ref``, a full decomposition
+    with its ``r`` sources first: ``r``, the sources' members in order, and
+    per vertex its source's index, or ``r`` for a vertex in no source."""
     r = len(ref.source_ids)
-    assert scc.source_ids == range(r)
-    assert scc.comps[:r] == ref.comps[:r]
-    assert sorted(scc.comps) == sorted(ref.comps)
-    assert len(scc.comp_id) == sum(map(len, scc.comps))
-    for c, members in enumerate(scc.comps):
-        assert members == sorted(members)
-        assert all(scc.comp_id[v] == c for v in members)
+    assert scc.source_ids == range(r) and scc.n_comps == r
+    assert scc.comps == ref.comps[:r]
+    assert scc.comp_id == [min(c, r) for c in ref.comp_id]
 
 
 def _checked(g):
-    """``scc_decompose(g)``, checked against ``reference_scc`` and against
-    the source flags read from the edges."""
-    scc = scc_decompose(g)
+    """``source_components(g)``, checked against ``reference_scc`` and
+    against the edges: no edge enters a source from outside it."""
+    scc = source_components(g)
     _same_contract(scc, reference_scc(g))
     entered = {scc.comp_id[v] for u, v in g.edges() if scc.comp_id[u] != scc.comp_id[v]}
-    assert [c for c in range(scc.n_comps) if c not in entered] == list(scc.source_ids)
+    assert entered.isdisjoint(scc.source_ids)
     return scc
 
 
@@ -192,77 +191,70 @@ class TestInducedSubgraph:
 
 class TestScc:
     def test_four_vertex_example(self, g4):
-        scc = scc_decompose(g4)
-        assert sorted(map(sorted, scc.comps)) == [[0, 1], [2], [3]]
-        by_member = {tuple(c): i < len(scc.source_ids) for i, c in enumerate(scc.comps)}
-        assert by_member[(0, 1)] is True
-        assert by_member[(2,)] is False
-        assert by_member[(3,)] is False
-        assert [scc.comps[c] for c in scc.source_ids] == [[0, 1]]
+        scc = source_components(g4)
+        assert scc.comps == [[0, 1]]
+        assert scc.comp_id == [0, 0, 1, 1]
 
     def test_five_vertex_example(self, g5):
-        scc = scc_decompose(g5)
-        assert sorted(map(sorted, scc.comps)) == [[0, 1], [2, 3, 4]]
-        assert [scc.comps[c] for c in scc.source_ids] == [[2, 3, 4]]
+        scc = source_components(g5)
+        assert scc.comps == [[2, 3, 4]]
+        assert scc.comp_id == [1, 1, 0, 0, 0]
 
     def test_comp_members_consistent(self, g4):
-        scc = scc_decompose(g4)
+        scc = source_components(g4)
+        r = scc.n_comps
         for i, members in enumerate(scc.comps):
             assert members == sorted(members)
             for v in members:
                 assert scc.comp_id[v] == i
+        listed = {v for members in scc.comps for v in members}
+        assert all(scc.comp_id[v] == r for v in range(g4.n) if v not in listed)
 
     def test_matches_reachability_partition(self):
+        # the sources are the mutual-reachability classes no edge enters
         rng = random.Random(20)
         for _ in range(120):
             n = rng.randint(1, 8)
             g = erdos_renyi(n, rng.choice([0.15, 0.3, 0.5]), rng)
-            scc = scc_decompose(g)
-            assert {frozenset(c) for c in scc.comps} == scc_partition(g)
+            scc = source_components(g)
+            sources = {
+                c for c in scc_partition(g)
+                if not any(u not in c and v in c for u, v in g.edges())
+            }
+            assert {frozenset(c) for c in scc.comps} == sources
 
     def test_source_flags_against_edges(self):
+        # v is in a source exactly when every vertex reaching it is
+        # reached from it
         rng = random.Random(21)
         for _ in range(80):
             n = rng.randint(1, 8)
             g = erdos_renyi(n, 0.3, rng)
-            scc = scc_decompose(g)
-            for c, members in enumerate(scc.comps):
-                has_incoming = any(
-                    scc.comp_id[u] != c and v in members for u, v in g.edges()
-                )
-                assert (c < len(scc.source_ids)) == (not has_incoming)
+            scc = source_components(g)
+            reach = closure(g)
+            for v in range(n):
+                upstream_only = all(u in reach[v] for u in range(n) if v in reach[u])
+                assert (scc.comp_id[v] < scc.n_comps) == upstream_only
 
     def test_condensation_acyclic(self):
+        # the quotient by comp_id, the sources and the one bucket r of
+        # every other vertex, has edges only from sources into the bucket
         rng = random.Random(22)
         for _ in range(60):
             n = rng.randint(1, 8)
             g = erdos_renyi(n, 0.4, rng)
-            scc = scc_decompose(g)
+            scc = source_components(g)
+            r = scc.n_comps
             cond = {
                 (scc.comp_id[u], scc.comp_id[v])
                 for u, v in g.edges()
                 if scc.comp_id[u] != scc.comp_id[v]
             }
-            # Kahn peeling must consume every component
-            indeg = [0] * scc.n_comps
-            for _, b in cond:
-                indeg[b] += 1
-            frontier = [c for c in range(scc.n_comps) if indeg[c] == 0]
-            seen = 0
-            while frontier:
-                c = frontier.pop()
-                seen += 1
-                for a, b in cond:
-                    if a == c:
-                        indeg[b] -= 1
-                        if indeg[b] == 0:
-                            frontier.append(b)
-            assert seen == scc.n_comps
+            assert all(a < r and b == r for a, b in cond)
 
     def test_same_numbering_as_reference_tarjan(self):
         # What SccInfo fixes must match Tarjan's: r, the sources' members in
-        # order, the partition, and comp_id/comps consistency.  The order
-        # of the other components reaches no output and is left free.
+        # order, and comp_id, r off the sources.
         rng = random.Random(24)
         graphs = [
             SparseDigraph(0, []),
@@ -283,60 +275,61 @@ class TestScc:
                 g = stars_and_cycles(rng)
             graphs.append(g)
         for g in graphs:
-            _same_contract(scc_decompose(g), reference_scc(g))
+            _same_contract(source_components(g), reference_scc(g))
 
     def test_deep_chain_no_recursion_limit(self):
         n = 5000
         g = SparseDigraph(n, [(v, v + 1) for v in range(n - 1)])
-        scc = scc_decompose(g)
-        assert scc.n_comps == n
-        # with a self loop on every vertex nothing peels, so the search
-        # from vertex 0 has to go n deep
+        scc = source_components(g)
+        assert scc.comps == [[0]] and scc.comp_id == [0] + [1] * (n - 1)
+        # with a self loop on every vertex no vertex has in-degree 0, so
+        # the search from vertex 0 has to go n deep
         g = SparseDigraph(n, [(v, v + 1) for v in range(n - 1)] + [(v, v) for v in range(n)])
         assert [] not in g.in_adj
-        scc = scc_decompose(g)
-        assert scc.n_comps == n
-        assert [scc.comps[c] for c in scc.source_ids] == [[0]]
+        scc = source_components(g)
+        assert scc.comps == [[0]] and scc.comp_id == [0] + [1] * (n - 1)
 
     def test_big_cycle_single_component(self):
         n = 3000
         g = SparseDigraph(n, [(v, (v + 1) % n) for v in range(n)])
-        scc = scc_decompose(g)
-        assert scc.n_comps == 1
-        assert scc.source_ids == range(1)
+        scc = source_components(g)
+        assert scc.comps == [list(range(n))]
+        assert scc.source_ids == range(1) and scc.comp_id == [0] * n
 
 
 class TestSccPeel:
-    """``scc_decompose`` peels the vertices no unpeeled vertex enters
-    before its searches run; these graphs sit on either side of that."""
+    """``source_components`` first reaches forward from the in-degree-0
+    vertices and runs its searches only on what that leaves; these
+    graphs sit on either side of that split."""
 
     def test_dag_peels_whole(self):
         g = SparseDigraph(6, [(5, 0), (5, 3), (0, 1), (3, 1), (1, 2), (4, 2)])
         scc = _checked(g)
-        assert scc.n_comps == 6
-        assert [scc.comps[c] for c in scc.source_ids] == [[4], [5]]
+        assert scc.comps == [[4], [5]]
+        assert scc.comp_id == [2, 2, 2, 2, 0, 1]
 
     def test_chain_feeds_cycle(self):
-        # 0 -> 1 -> 2 peel; the cycle 3 -> 4 -> 5 -> 3 stays
+        # the reach from 0 takes the chain and the cycle 3 -> 4 -> 5 -> 3
         g = SparseDigraph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 3)])
         scc = _checked(g)
-        assert sorted(scc.comps) == [[0], [1], [2], [3, 4, 5]]
-        assert [scc.comps[c] for c in scc.source_ids] == [[0]]
+        assert scc.comps == [[0]]
+        assert scc.comp_id == [0, 1, 1, 1, 1, 1]
 
     def test_self_loop_only_in_edge_is_core_source(self):
-        # 0 and 5 are entered only by their own loops, so they never peel;
-        # 3 peels; the sources interleave by lowest member
+        # 0 and 5 are entered only by their own loops, so the reach from
+        # 3 leaves them; the sources interleave by lowest member
         g = SparseDigraph(6, [(0, 0), (0, 1), (1, 2), (3, 4), (5, 5), (5, 2)])
         scc = _checked(g)
-        assert [scc.comps[c] for c in scc.source_ids] == [[0], [3], [5]]
+        assert scc.comps == [[0], [3], [5]]
+        assert scc.comp_id == [0, 3, 3, 1, 3, 2]
 
     def test_core_component_entered_only_from_peeled(self):
-        # 4 peels and enters the cycle {1, 2}, which is then no source;
-        # 3 is entered from the core only
+        # the reach from 4 enters the cycle {1, 2}, which is then no
+        # source, and goes on to 3
         g = SparseDigraph(5, [(4, 1), (1, 2), (2, 1), (2, 3)])
         scc = _checked(g)
-        assert sorted(scc.comps) == [[0], [1, 2], [3], [4]]
-        assert [scc.comps[c] for c in scc.source_ids] == [[0], [4]]
+        assert scc.comps == [[0], [4]]
+        assert scc.comp_id == [0, 2, 2, 2, 1]
 
     def test_isolated_and_empty(self):
         scc = _checked(SparseDigraph(3, []))
@@ -358,6 +351,90 @@ class TestSccPeel:
             scc = _checked(g)
             heads = [scc.comps[c][0] for c in scc.source_ids]
             assert heads == sorted(heads)
+
+
+@st.composite
+def _digraphs(draw):
+    n = draw(st.integers(0, 12))
+    if n == 0:
+        return SparseDigraph(0, [])
+    vertex = st.integers(0, n - 1)
+    return SparseDigraph(n, draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n)))
+
+
+def _scipy_sources(g):
+    """The source components of ``g`` by scipy's strong components, each
+    sorted, by ascending lowest member."""
+    src = np.repeat(np.arange(g.n), [len(nbrs) for nbrs in g.out_adj])
+    dst = np.fromiter((v for nbrs in g.out_adj for v in nbrs), dtype=np.int64, count=g.m)
+    adj = csr_matrix((np.ones(g.m, dtype=np.int8), (src, dst)), shape=(g.n, g.n))
+    k, labels = connected_components(adj, directed=True, connection="strong")
+    entered = np.zeros(k, dtype=bool)
+    cross = labels[src] != labels[dst]
+    entered[labels[dst[cross]]] = True
+    comps = {}
+    for v in np.flatnonzero(~entered[labels]).tolist():
+        comps.setdefault(int(labels[v]), []).append(v)
+    return sorted(comps.values())
+
+
+class TestSourceComponents:
+    """Graphs where the forward reach takes nothing, part of the graph or
+    all of it, at scale and against independent references."""
+
+    def test_no_in_degree_0_vertex(self):
+        # a chain of 2-cycles: only the first pair is a source
+        n = 400
+        edges = [(v, v ^ 1) for v in range(n)] + [(v, v + 1) for v in range(1, n - 1, 2)]
+        g = SparseDigraph(n, edges)
+        assert [] not in g.in_adj
+        scc = _checked(g)
+        assert scc.comps == [[0, 1]]
+        # a grid of right and down edges with a self loop on every vertex:
+        # every vertex is its own component, only the corner a source
+        side = 30
+        edges = [(v, v) for v in range(side * side)]
+        edges += [(v, v + 1) for v in range(side * side) if v % side < side - 1]
+        edges += [(v, v + side) for v in range(side * (side - 1))]
+        g = SparseDigraph(side * side, edges)
+        assert [] not in g.in_adj
+        scc = _checked(g)
+        assert scc.comps == [[0]]
+
+    def test_source_in_core_beside_reached_vertices(self):
+        # 0 reaches 1 and 2, which also hear from the core source {3, 4};
+        # 5 is a core source by its self loop and enters the cycle {6, 7}
+        g = SparseDigraph(8, [(0, 1), (1, 2), (3, 4), (4, 3), (4, 2), (5, 5), (5, 6),
+                              (6, 7), (7, 6)])
+        scc = _checked(g)
+        assert scc.comps == [[0], [3, 4], [5]]
+        assert scc.comp_id == [0, 3, 3, 1, 1, 2, 3, 3]
+
+    def test_deep_chain_and_cycle_at_2_17(self):
+        # neither the reach nor Kosaraju's searches recurse
+        n = 2**17
+        scc = source_components(SparseDigraph(n, [(v, v + 1) for v in range(n - 1)]))
+        assert scc.comps == [[0]] and scc.comp_id.count(1) == n - 1
+        scc = source_components(SparseDigraph(n, [(v, (v + 1) % n) for v in range(n)]))
+        assert scc.comps == [list(range(n))] and scc.comp_id == [0] * n
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_digraphs())
+    def test_property_against_reference(self, g):
+        _checked(g)
+
+    @pytest.mark.parametrize("loops", [False, True], ids=["er", "er-self-loops"])
+    def test_against_scipy_at_2_16(self, loops):
+        # with a self loop on every vertex the reach takes nothing and
+        # Kosaraju runs on the whole graph
+        n = 2**16
+        g = erdos_renyi(n, 3.0 / n, random.Random(2**16 + loops))
+        if loops:
+            g = SparseDigraph(n, [*g.edges(), *((v, v) for v in range(n))])
+        scc = source_components(g)
+        assert scc.comps == _scipy_sources(g)
+        r = scc.n_comps
+        assert scc.comp_id.count(r) == n - sum(map(len, scc.comps))
 
 
 class TestReachableFrom:

@@ -11,9 +11,9 @@ from minput import (
     SparseDigraph,
     classify,
     find_allowed_matching,
-    scc_decompose,
     solve,
 )
+from minput.graph import source_components
 from minput.matching import Matching, _allowed_start, free_source_members, hopcroft_karp
 
 
@@ -212,7 +212,7 @@ class TestFindAllowedMatching:
                 for u in g.in_adj[v]:
                     adj[idx[u]].append(fi)
             coverable = max_matching_size(len(srcs), len(f), adj) == len(f)
-            scc = scc_decompose(g)
+            scc = source_components(g)
             freeable = all(not set(scc.comps[c]) <= f for c in scc.source_ids)
             assert (m is not None) == (coverable and freeable)
             if m is None:
@@ -261,7 +261,7 @@ class TestFindAllowedMatching:
                 empty = _allowed_start(g, [])
                 assert start.size >= empty.size
                 seen["repaired"] += not empty.is_allowed(f)
-                scc = scc_decompose(g)
+                scc = source_components(g)
                 full = [c for c in scc.source_ids
                         if all(start.mate_of_dst[v] >= 0 for v in scc.comps[c])]
                 if any(set(scc.comps[c]) <= f for c in full):
@@ -282,20 +282,20 @@ class TestFindAllowedMatching:
 
 class TestClassify:
     def test_fully_matched_source(self, g4, m1):
-        scc = scc_decompose(g4)
+        scc = source_components(g4)
         cls = classify(scc, m1)
         assert [scc.comps[c] for c in scc.source_ids if cls.comp_unmatched[c] == 0] == [[0, 1]]
         assert cls.unmatched == [2]
         assert sum(cls.comp_unmatched) == 1
 
     def test_one_free_source(self, g4, m2):
-        scc = scc_decompose(g4)
+        scc = source_components(g4)
         cls = classify(scc, m2)
         assert [(scc.comps[c], cls.comp_unmatched[c]) for c in scc.source_ids] == [([0, 1], 1)]
         assert cls.unmatched == [0]
 
     def test_slack_source(self, g5, m3):
-        scc = scc_decompose(g5)
+        scc = source_components(g5)
         cls = classify(scc, m3)
         assert [(scc.comps[c], cls.comp_unmatched[c]) for c in scc.source_ids] == [([2, 3, 4], 3)]
         assert cls.unmatched == [2, 3, 4]
@@ -307,7 +307,7 @@ class TestClassify:
             g = erdos_renyi(n, 0.35, rng)
             m = find_allowed_matching(g, [])
             assert m is not None
-            scc = scc_decompose(g)
+            scc = source_components(g)
             cls = classify(scc, m)
             for c, members in enumerate(scc.comps):
                 assert cls.comp_unmatched[c] == sum(m.mate_of_dst[v] < 0 for v in members)
@@ -316,14 +316,14 @@ class TestClassify:
 
 class TestFreeSourceMembers:
     def test_frees_lowest_member(self, g4, m1, m1_free):
-        scc = scc_decompose(g4)
+        scc = source_components(g4)
         cls = classify(scc, m1)
         free_source_members(scc, m1, cls, [])
         assert m1 == m1_free
         assert cls == classify(scc, m1_free) and cls.cost == 2
 
     def test_skips_forbidden(self, g4, m1):
-        scc = scc_decompose(g4)
+        scc = source_components(g4)
         cls = classify(scc, m1)
         free_source_members(scc, m1, cls, [0])
         assert m1.unmatched() == cls.unmatched == [1, 2]
@@ -338,7 +338,7 @@ class TestFreeSourceMembers:
         for _ in range(300):
             n = rng.randint(1, 12)
             g = erdos_renyi(n, rng.choice([0.15, 0.3, 0.5]), rng)
-            scc = scc_decompose(g)
+            scc = source_components(g)
             m = random_matching(g, rng, rng.choice([0.6, 1.0]))
             matched = [v for v in range(n) if m.mate_of_dst[v] >= 0]
             f = frozenset(rng.sample(matched, len(matched) // 3))
@@ -358,10 +358,10 @@ class TestFreeSourceMembers:
 
 class TestCost:
     def test_frozen_values(self, g4, g5, m1_free, m2, m3):
-        scc4 = scc_decompose(g4)
+        scc4 = source_components(g4)
         assert classify(scc4, m1_free).cost == 2
         assert classify(scc4, m2).cost == 1
-        assert classify(scc_decompose(g5), m3).cost == 3
+        assert classify(source_components(g5), m3).cost == 3
 
     def test_matches_naive_recompute(self):
         rng = random.Random(34)
@@ -370,7 +370,7 @@ class TestCost:
             g = erdos_renyi(n, 0.35, rng)
             m = find_allowed_matching(g, [])
             assert m is not None
-            scc = scc_decompose(g)
+            scc = source_components(g)
             free = set(m.unmatched())
             full_sources = sum(
                 1

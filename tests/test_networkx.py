@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from families import erdos_renyi, preferential
-from minput import scc_decompose
+from minput.graph import source_components
 from minput.matching import hopcroft_karp
 
 
@@ -29,19 +29,18 @@ def _nx_digraph(g):
 
 @pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])
 def test_scc_partition_and_sources(name, g):
-    scc = scc_decompose(g)
-    dg = _nx_digraph(g)
-    want = {frozenset(c) for c in nx.strongly_connected_components(dg)}
-    assert {frozenset(c) for c in scc.comps} == want
-    for c, members in enumerate(scc.comps):
-        assert members == sorted(members)
-        assert all(scc.comp_id[v] == c for v in members)
-    cond = nx.condensation(dg)
-    sources = {
-        frozenset(cond.nodes[x]["members"]) for x in cond if cond.in_degree(x) == 0
-    }
-    assert {frozenset(scc.comps[c]) for c in scc.source_ids} == sources
+    # the condensation's in-degree-0 nodes, by lowest member; every
+    # other vertex is in the bucket r
+    scc = source_components(g)
+    cond = nx.condensation(_nx_digraph(g))
+    sources = sorted(sorted(cond.nodes[x]["members"]) for x in cond if cond.in_degree(x) == 0)
+    assert scc.comps == sources
     assert scc.source_ids == range(len(sources))
+    want = [len(sources)] * g.n
+    for c, members in enumerate(sources):
+        for v in members:
+            want[v] = c
+    assert scc.comp_id == want
 
 
 @pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])

@@ -28,9 +28,9 @@ from minput import (
     classify,
     cli,
     layered_bfs,
-    scc_decompose,
     solve,
 )
+from minput.graph import source_components
 
 # Bounded and derandomised: the same examples run every time, and no
 # per-example deadline can turn a slow machine into a failure.
@@ -149,7 +149,7 @@ def test_no_edge_into_t_iff_cost_meets_lower_bound(inst, rng, keep):
     No edge joins two destination copies: a swap inside a component
     passes through its node."""
     g, forbidden = inst
-    scc = scc_decompose(g)
+    scc = source_components(g)
     m = into_network(g, random_matching(g, rng, keep))
     cls = classify(scc, m)
     fg = build_flow_graph(g, scc, m, forbidden, cls)

@@ -22,17 +22,16 @@ from minput import (
     check_structural_controllability,
     numeric_rank_spot_check,
     recover_input_set,
-    scc_decompose,
     solve,
 )
-from minput.graph import reachable_from
+from minput.graph import reachable_from, source_components
 from minput.matching import Matching
 from minput.solver import find_allowed_matching
 
 
 class TestRecoverInputSet:
     def test_no_representative_needed(self, g4, m2):
-        assert recover_input_set(scc_decompose(g4), m2, []) == [0]
+        assert recover_input_set(source_components(g4), m2, []) == [0]
 
     def test_input_set_is_what_the_certificate_leaves_unmatched(self, g4):
         # every source component keeps an unmatched member, so the
@@ -168,7 +167,7 @@ class TestUnsolvable:
         for _ in range(400):
             n = rng.randint(2, 40)
             g = erdos_renyi(n, rng.choice([0.03, 0.08, 0.15]), rng)
-            scc = scc_decompose(g)
+            scc = source_components(g)
             inner = [v for v in range(n) if scc.comp_id[v] >= len(scc.source_ids)]
             f = frozenset(v for v in inner if rng.random() < 0.7)
             out = solve(Problem(g, f))
